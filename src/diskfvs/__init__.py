@@ -37,7 +37,6 @@ from .partition import (
     ContractedGraph,
     KappaPartition,
     contract,
-    cover_class_cliques,
     greedy_partition,
     validate_partition,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "ContractedGraph",
     "KappaPartition",
     "contract",
-    "cover_class_cliques",
     "greedy_partition",
     "validate_partition",
     "BlowupGraph",

@@ -1,12 +1,13 @@
-"""Greedy star partition, per-class clique covers, and weighted contraction.
+"""Greedy clique partition and weighted contraction.
 
-The partition is built from a dominating independent set: vertices are
-processed in non-increasing degree order (ties by smaller id); a vertex
-seeds a new class iff none of its neighbors already seeded one, and every
-non-seed joins the class of its earliest-processed seed neighbor. Each
-class is therefore a star around its seed, hence connected, and on
-intersection graphs of similarly sized fat objects it is a union of O(1)
-cliques.
+Vertices are processed in non-increasing degree order (ties by smaller id).
+An uncovered vertex seeds a new class; its uncovered neighbors are then
+scanned in the same order, and each joins if it is adjacent to every
+member already in the class. Every class is therefore a clique around its
+seed: a kappa-partition with kappa = 1 in the sense of de Berg, Bodlaender,
+Kisfaludi-Bak, Marx and van der Zanden (SICOMP 2020). The greedy rule does
+not bound the contraction degree by construction; validate_partition audits
+it against DEFAULT_DELTA.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ DEFAULT_DELTA = 40
 
 @dataclass(frozen=True)
 class KappaPartition:
-    """Partition of V into connected classes with per-class clique covers."""
+    """Partition of V into connected classes with per-class clique covers.
+
+    greedy_partition makes every class a clique, so its cover is the class
+    itself; hand-built partitions may cover a class with several cliques.
+    """
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
@@ -59,60 +64,35 @@ def class_weight(size: int) -> int:
     return (size - 1).bit_length() + 1 if size > 1 else 1
 
 
-def cover_class_cliques(g: Graph, cls) -> tuple[tuple[int, ...], ...]:
-    """Greedy partition of a class into cliques.
-
-    Repeatedly grow a maximal clique from the smallest-id uncovered member,
-    adding candidates in id order when adjacent to all current members.
-    """
-    uncovered = sorted(cls)
-    cover = []
-    while uncovered:
-        clique = [uncovered[0]]
-        rest = []
-        for cand in uncovered[1:]:
-            if all(g.has_edge(cand, u) for u in clique):
-                clique.append(cand)
-            else:
-                rest.append(cand)
-        cover.append(tuple(clique))
-        uncovered = rest
-    return tuple(cover)
-
-
 def greedy_partition(g: Graph) -> KappaPartition:
-    """Star partition from a greedy dominating independent set."""
+    """Greedy clique partition seeded in non-increasing degree order."""
     if g.n == 0:
         raise ValidationError("cannot partition the empty graph")
     order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
     position = [0] * g.n
     for pos, v in enumerate(order):
         position[v] = pos
-    in_seed = [False] * g.n
+    class_of = [-1] * g.n
+    classes: list[tuple[int, ...]] = []
     seeds: list[int] = []
     for v in order:
-        if not any(in_seed[w] for w in g.adj[v]):
-            in_seed[v] = True
-            seeds.append(v)
-    seed_index = {s: i for i, s in enumerate(seeds)}
-    class_of = [-1] * g.n
-    for s in seeds:
-        class_of[s] = seed_index[s]
-    for v in range(g.n):
-        if in_seed[v]:
+        if class_of[v] != -1:
             continue
-        best = min((w for w in g.adj[v] if in_seed[w]), key=lambda w: position[w])
-        class_of[v] = seed_index[best]
-    members: list[list[int]] = [[] for _ in seeds]
-    for v in range(g.n):
-        members[class_of[v]].append(v)
-    classes = tuple(tuple(sorted(m)) for m in members)
-    cover = tuple(cover_class_cliques(g, cls) for cls in classes)
+        idx = len(classes)
+        members = [v]
+        class_of[v] = idx
+        candidates = [w for w in g.adj[v] if class_of[w] == -1]
+        for w in sorted(candidates, key=position.__getitem__):
+            if all(g.has_edge(w, u) for u in members):
+                members.append(w)
+                class_of[w] = idx
+        classes.append(tuple(sorted(members)))
+        seeds.append(v)
     return KappaPartition(
-        classes=classes,
+        classes=tuple(classes),
         class_of=tuple(class_of),
         center_of=tuple(seeds),
-        clique_cover=cover,
+        clique_cover=tuple((cls,) for cls in classes),
     )
 
 

@@ -1,20 +1,20 @@
 """End-to-end feedback vertex set decision and search.
 
-Pipeline: peel degree <= 1 vertices, split into components, star-partition
-each component, contract to the weighted class graph, decompose via blowup
-and projection, then run the clique-constrained connectivity DP over the
-nice decomposition. Threshold certificates (contraction width above
+Pipeline: peel degree <= 1 vertices, split into components, partition each
+component into cliques, contract to the weighted class graph, decompose via
+blowup and projection, then run the clique-constrained connectivity DP over
+the nice decomposition. Threshold certificates (contraction width above
 c * sqrt(k), or more than c1 * k high-degree survivors) can short-circuit
 with a "no"; they are only sound for geometric instances and stay off
 unless explicitly enabled.
 
 DP state at a nice-decomposition node: the selection of surviving vertices
-per bag class (at most two per cover clique), the partition of the selected
-vertices into connected pieces of the partial forest, and the total number
-of vertices kept so far (maximized). Edges are committed when the later of
-their two classes is introduced; at join nodes both branches have committed
-the edges induced inside the shared bag, so the acyclicity test counts
-those shared edges once:
+per bag class (at most two, since every class is a clique), the partition of
+the selected vertices into connected pieces of the partial forest, and the
+total number of vertices kept so far (maximized). Edges are committed when
+the later of their two classes is introduced; at join nodes both branches
+have committed the edges induced inside the shared bag, so the acyclicity
+test counts those shared edges once:
 
     blocks(join(p1, p2)) == blocks(p1) + blocks(p2) + shared_edges - |kept|
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .decomposition import (
@@ -75,7 +75,6 @@ class SolveConfig:
     width_threshold_coeff: float = DEFAULT_WIDTH_COEFF
     highdeg_threshold_coeff: float = DEFAULT_HIGHDEG_COEFF
     enable_thresholds: bool = False
-    seed: int = 0
     geometric_provenance: bool = False
     effort: str = "best"
     width_safety_cap: int = WIDTH_SAFETY_CAP
@@ -570,7 +569,8 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     certificate = "oracle" if used_oracle else "dp"
     if len(deleted_original) <= cfg.k:
         fvs = tuple(deleted_original)
-        remaining = [v for v in range(g.n) if v not in set(fvs)]
+        deleted = set(fvs)
+        remaining = [v for v in range(g.n) if v not in deleted]
         sub, _, _ = induced_subgraph(g, remaining)
         if not is_forest(sub):
             raise InternalError("final verification failed: deletion leaves a cycle")
@@ -581,17 +581,12 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
 def solve_min_fvs(g: Graph, cfg: SolveConfig | None = None) -> tuple[int, tuple[int, ...]]:
     """Minimum feedback vertex set size and witness via the DP pipeline."""
     base = cfg or SolveConfig(k=0, mode="dp-rank")
-    big = SolveConfig(
+    big = replace(
+        base,
         k=g.n,
         mode=base.mode if base.mode != "oracle" else "dp-rank",
-        width_threshold_coeff=base.width_threshold_coeff,
-        highdeg_threshold_coeff=base.highdeg_threshold_coeff,
         enable_thresholds=False,
-        seed=base.seed,
-        effort=base.effort,
-        width_safety_cap=base.width_safety_cap,
-        state_budget=base.state_budget,
-        debug_edge_accounting=base.debug_edge_accounting,
+        geometric_provenance=False,
     )
     sol = solve(g, big)
     assert sol.fvs is not None

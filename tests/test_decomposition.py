@@ -218,8 +218,15 @@ class TestProject:
 
 class TestWeightedWidth:
     def test_examples(self):
+        from diskfvs import KappaPartition
+
         g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        p = greedy_partition(g)
+        p = KappaPartition(
+            classes=((0, 1, 2, 3, 4),),
+            class_of=(0, 0, 0, 0, 0),
+            center_of=(0,),
+            clique_cover=(((0, 1), (2,), (3,), (4,)),),
+        )
         cg = contract(g, p)  # single class of size 5 -> weight 4
         td = TreeDecomposition(tree=((),), bags=(frozenset({0}),))
         assert weighted_width(td, cg) == 4

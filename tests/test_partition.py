@@ -7,7 +7,6 @@ from diskfvs import (
     ValidationError,
     build_intersection_graph,
     contract,
-    cover_class_cliques,
     from_edge_list,
     greedy_partition,
     random_udg,
@@ -19,21 +18,34 @@ from conftest import complete_graph, cycle_graph
 
 
 def reference_greedy_partition(g):
-    """Independent restatement of the partition rule for cross-checking."""
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-    seeds = []
-    for v in order:
-        if not any(s in g.adj[v] for s in seeds):
-            seeds.append(v)
-    classes = {s: [s] for s in seeds}
-    for v in range(g.n):
-        if v in classes:
-            continue
-        for s in order:  # earliest-processed seed neighbor wins
-            if s in classes and s in g.adj[v]:
-                classes[s].append(v)
-                break
-    return sorted(tuple(sorted(m)) for m in classes.values())
+    """Independent restatement of the clique rule for cross-checking.
+
+    The next seed is the uncovered vertex of largest degree (smallest id on
+    ties); the whole vertex order is then scanned, and an uncovered vertex
+    joins when it is adjacent to every member so far, the seed included.
+    """
+    def rank(v):
+        return (-len(g.adj[v]), v)
+
+    order = sorted(range(g.n), key=rank)
+    uncovered = set(range(g.n))
+    classes = []
+    while uncovered:
+        seed = min(uncovered, key=rank)
+        members = [seed]
+        uncovered.discard(seed)
+        for v in order:
+            if v in uncovered and all(v in g.neighbors(u) for u in members):
+                members.append(v)
+                uncovered.discard(v)
+        classes.append(tuple(sorted(members)))
+    return sorted(classes)
+
+
+def random_graph(n, p, rng):
+    return from_edge_list(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
 
 
 class TestGreedyPartition:
@@ -43,13 +55,16 @@ class TestGreedyPartition:
         assert p.center_of == (0,)
 
     def test_c6_hand_simulation(self):
-        # degrees all tie, so processing order is 0..5: seeds 0, 2, 4;
-        # vertex 1 -> 0, 3 -> 2, 5 -> 0 (seed 0 processed before seed 4)
+        # degrees all tie, so processing order is 0..5. Seed 0 scans its
+        # uncovered neighbours 1, 5: 1 joins, 5 is not adjacent to 1. Seed 2
+        # takes 3 (1 is covered); seed 4 takes 5 (3 is covered).
         p = greedy_partition(cycle_graph(6))
         assert p.center_of == (0, 2, 4)
-        assert p.classes == ((0, 1, 5), (2, 3), (4,))
+        assert p.classes == ((0, 1), (2, 3), (4, 5))
+        assert p.clique_cover == (((0, 1),), ((2, 3),), ((4, 5),))
         cg = contract(cycle_graph(6), p)
         assert sorted(cg.base.edges()) == [(0, 1), (0, 2), (1, 2)]
+        assert cg.weight == (2, 2, 2)
 
     def test_edgeless_graph_singletons(self):
         g = from_edge_list(4, [])
@@ -60,10 +75,7 @@ class TestGreedyPartition:
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randint(1, 12)
-            edges = [
-                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3
-            ]
-            g = from_edge_list(n, edges)
+            g = random_graph(n, 0.3, rng)
             p = greedy_partition(g)
             assert sorted(p.classes) == reference_greedy_partition(g)
 
@@ -71,45 +83,29 @@ class TestGreedyPartition:
         rng = random.Random(4)
         for _ in range(40):
             n = rng.randint(1, 14)
-            edges = [
-                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25
-            ]
-            g = from_edge_list(n, edges)
+            g = random_graph(n, 0.25, rng)
             p = greedy_partition(g)
             for idx, cls in enumerate(p.classes):
                 seed = p.center_of[idx]
                 for v in cls:
                     assert v == seed or g.has_edge(v, seed)
 
-
-class TestCliqueCover:
-    def test_k4_one_clique(self):
-        g = complete_graph(4)
-        assert cover_class_cliques(g, [0, 1, 2, 3]) == ((0, 1, 2, 3),)
-
-    def test_p3_two_cliques(self):
-        g = from_edge_list(3, [(0, 1), (1, 2)])
-        assert cover_class_cliques(g, [0, 1, 2]) == ((0, 1), (2,))
-
-    def test_singleton(self):
-        g = from_edge_list(2, [(0, 1)])
-        assert cover_class_cliques(g, [1]) == ((1,),)
-
-    def test_cover_partitions_and_cliques_valid(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            n = rng.randint(1, 12)
-            edges = [
-                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
-            ]
-            g = from_edge_list(n, edges)
-            cls = sorted(rng.sample(range(n), rng.randint(1, n)))
-            cover = cover_class_cliques(g, cls)
-            assert sorted(v for c in cover for v in c) == cls
-            for clique in cover:
-                for i in range(len(clique)):
-                    for j in range(i + 1, len(clique)):
-                        assert g.has_edge(clique[i], clique[j])
+    def test_every_class_induces_a_clique(self):
+        rng = random.Random(6)
+        graphs = [random_graph(rng.randint(1, 14), 0.5, rng) for _ in range(40)]
+        graphs += [
+            build_intersection_graph(random_udg(40, 1.0, seed)) for seed in range(5)
+        ]
+        for g in graphs:
+            p = greedy_partition(g)
+            assert p.kappa_observed == 1
+            for cls, cover in zip(p.classes, p.clique_cover):
+                assert cover == (cls,)
+                for i in range(len(cls)):
+                    for j in range(i + 1, len(cls)):
+                        assert g.has_edge(cls[i], cls[j])
+            for idx, cls in enumerate(p.classes):
+                assert all(p.class_of[v] == idx for v in cls)
 
 
 class TestContract:

@@ -56,6 +56,20 @@ class TestLocalSelections:
                 expected *= 1 + s + s * (s - 1) // 2
             assert len(local_selections(cls, tuple(cover))) == expected
 
+    def test_greedy_classes_keep_at_most_two_all_acyclic(self):
+        from diskfvs import greedy_partition
+
+        for seed in range(5):
+            g = build_intersection_graph(random_udg(60, 1.5, seed))
+            p = greedy_partition(g)
+            for cls, cover in zip(p.classes, p.clique_cover):
+                s = len(cls)
+                sels = local_selections(cls, cover)
+                assert len(sels) == 1 + s + s * (s - 1) // 2
+                for sel in sels:
+                    assert len(sel) <= 2
+                    assert is_forest(induced_subgraph(g, sel)[0])
+
 
 class TestDpRun:
     def test_single_bag_triangle(self):
@@ -212,6 +226,16 @@ class TestSolveAgainstOracle:
                 assert g.n - best == oracle_min
                 assert len(reconstruct(tables, nd, g, part)) == oracle_min
         assert joins_seen > 100
+
+
+class TestDenseUdg:
+    def test_naive_and_rank_agree_at_density_two(self):
+        # 38 is also what the DP over the former star partition found
+        g = build_intersection_graph(random_udg(100, 2.0, seed=1))
+        for mode in ("dp-naive", "dp-rank"):
+            sol = solve(g, SolveConfig(k=g.n, mode=mode))
+            assert sol.certificate == "dp"
+            assert len(sol.fvs) == 38
 
 
 class TestSolveInvariants:
