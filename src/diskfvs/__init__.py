@@ -54,8 +54,10 @@ from .decomposition import (
 from .oracle import OracleBudget, decide_fvs, exact_treewidth, min_fvs_bruteforce
 from .reduction import RepresentativeTable, rank_reduce
 from .solver import (
+    Pipeline,
     Solution,
     SolveConfig,
+    build_pipeline,
     dp_run,
     local_selections,
     quick_reject_highdeg,
@@ -107,8 +109,10 @@ __all__ = [
     "min_fvs_bruteforce",
     "RepresentativeTable",
     "rank_reduce",
+    "Pipeline",
     "Solution",
     "SolveConfig",
+    "build_pipeline",
     "dp_run",
     "local_selections",
     "quick_reject_highdeg",

@@ -79,7 +79,6 @@ def run_sweep(
     seeds: int,
     path_len_base: int = 40,
     mode: str = "dp-rank",
-    effort: str = "best",
 ) -> BenchReport:
     """Generate, solve, and measure one planted instance per (k, seed)."""
     rows: list[BenchRow] = []
@@ -91,7 +90,7 @@ def run_sweep(
                 objs, k_planted = planted_yes_instance(k, path_len_base, seed)
                 g = build_intersection_graph(objs)
                 grid = classify_grid(objs)
-                cfg = SolveConfig(k=k_planted, mode=mode, effort=effort)
+                cfg = SolveConfig(k=k_planted, mode=mode)
                 sol = solve(g, cfg)
                 row.n = g.n
                 row.m = g.m
@@ -120,7 +119,6 @@ def run_sweep(
             "seeds": seeds,
             "path_len_base": path_len_base,
             "mode": mode,
-            "effort": effort,
         },
     )
 

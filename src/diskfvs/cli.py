@@ -12,29 +12,28 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .decomposition import blowup, decompose_unweighted, make_nice, project, validate_decomposition, weighted_width
 from .errors import DiskFvsError, InputError
 from .fileio import parse_graph, parse_objects, serialize_graph, serialize_objects
 from .geometry import build_intersection_graph, planted_yes_instance, random_udg
 from .graph import Graph, connected_components, induced_subgraph, peel_degree_one
 from .oracle import OracleBudget, min_fvs_bruteforce
-from .partition import contract, greedy_partition, validate_partition
-from .solver import MODES, SolveConfig, solve
+from .partition import validate_partition
+from .solver import MODES, SolveConfig, build_pipeline, solve
 
 SCHEMA_VERSION = 1
 
 
-def _load_instance(path: str) -> tuple[Graph, bool]:
-    """Read a graph or points file; returns (graph, geometric_provenance)."""
+def _load_instance(path: str) -> Graph:
+    """Read a graph file, or a points file as its intersection graph."""
     text = Path(path).read_text()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
         if line.startswith("p fvs"):
-            return parse_graph(text), False
+            return parse_graph(text)
         if line.startswith("p objects"):
-            return build_intersection_graph(parse_objects(text)), True
+            return build_intersection_graph(parse_objects(text))
         break
     raise InputError(f"{path}: unrecognized file header")
 
@@ -73,18 +72,11 @@ def _solution_payload(sol, cfg) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    g, geometric = _load_instance(args.input)
+    g = _load_instance(args.input)
     kwargs = {}
     if args.state_budget is not None:
         kwargs["state_budget"] = args.state_budget
-    cfg = SolveConfig(
-        k=args.k,
-        mode=args.mode,
-        geometric_provenance=geometric and not args.no_thresholds,
-        enable_thresholds=args.thresholds and not args.no_thresholds,
-        effort=args.effort,
-        **kwargs,
-    )
+    cfg = SolveConfig(k=args.k, mode=args.mode, thresholds=args.thresholds, **kwargs)
     sol = solve(g, cfg)
     if args.json:
         print(json.dumps(_solution_payload(sol, cfg), sort_keys=True))
@@ -97,7 +89,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g, _ = _load_instance(args.input)
+    g = _load_instance(args.input)
     budget = OracleBudget(max_n_subsets=args.max_n)
     size, witness = min_fvs_bruteforce(g, budget)
     verdict = "yes" if size <= args.k else "no"
@@ -117,7 +109,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    g, _ = _load_instance(args.input)
+    g = _load_instance(args.input)
     peeled = peel_degree_one(g).reduced
     reports = []
     all_violations: list[str] = []
@@ -126,26 +118,17 @@ def _cmd_validate(args) -> int:
     class_count = 0
     for comp in connected_components(peeled):
         sub, _, _ = induced_subgraph(peeled, comp)
-        part = greedy_partition(sub)
-        prep = validate_partition(sub, part)
+        pipe = build_pipeline(sub)
+        prep = validate_partition(sub, pipe.partition)
         kappa_obs = max(kappa_obs, prep.kappa_observed)
         max_deg = max(max_deg, prep.max_contraction_degree)
         class_count += prep.class_count
         all_violations.extend(prep.violations)
-        cg = contract(sub, part)
-        bg = blowup(cg)
-        td_b = decompose_unweighted(bg.graph)
-        td = project(td_b, bg, cg)
-        drep = validate_decomposition(td, cg.base)
-        all_violations.extend(drep.violations)
-        nd = make_nice(td)
-        nrep = validate_decomposition(nd.to_tree_decomposition(), cg.base)
-        all_violations.extend(nrep.violations)
         reports.append(
             {
                 "component_size": sub.n,
-                "weighted_width": weighted_width(td, cg),
-                "nice_nodes": nd.node_count(),
+                "weighted_width": pipe.weighted_width,
+                "nice_nodes": pipe.nice.node_count(),
             }
         )
     payload = {
@@ -167,7 +150,6 @@ def _cmd_bench(args) -> int:
         seeds=args.seeds,
         path_len_base=args.path_len,
         mode=args.mode,
-        effort=args.effort,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -182,7 +164,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    g, _ = _load_instance(args.input)
+    g = _load_instance(args.input)
     results = {}
     for mode in ("dp-naive", "dp-rank", "oracle"):
         cfg = SolveConfig(k=args.k, mode=mode)
@@ -216,12 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="graph or points file")
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--mode", choices=MODES, default="auto")
-    p_solve.add_argument("--no-thresholds", action="store_true",
-                         help="never use threshold no-certificates")
     p_solve.add_argument("--thresholds", action="store_true",
-                         help="force threshold certificates on")
-    p_solve.add_argument("--effort", choices=("min-degree", "min-fill", "best"),
-                         default="best")
+                         help="allow fitted threshold no-certificates")
     p_solve.add_argument("--state-budget", type=int, default=None,
                          help="cap on DP states examined (default 50M)")
     p_solve.add_argument("--json", action="store_true")
@@ -243,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seeds", type=int, default=20)
     p_bench.add_argument("--path-len", type=int, default=40)
     p_bench.add_argument("--mode", choices=("dp-naive", "dp-rank"), default="dp-rank")
-    p_bench.add_argument("--effort", choices=("min-degree", "min-fill", "best"),
-                         default="best")
     p_bench.add_argument("--out", default="bench", help="output path prefix")
     p_bench.set_defaults(func=_cmd_bench)
 

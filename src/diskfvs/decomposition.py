@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalError, ValidationError
+from .errors import ValidationError
 from .graph import Graph, from_edge_list
 from .partition import ContractedGraph
 
@@ -242,11 +242,7 @@ def decompose_unweighted(h: Graph, effort: str = "best") -> TreeDecomposition:
     width, order = widths[best_idx], candidates[best_idx]
     if h.n <= BNB_SIZE_LIMIT:
         width, order = _bnb_order(h, width, order)
-    td = _decomposition_from_order(h, order)
-    report = validate_decomposition(td, h)
-    if not report.ok:
-        raise InternalError(f"constructed decomposition invalid: {report.violations}")
-    return td
+    return _decomposition_from_order(h, order)
 
 
 @dataclass(frozen=True)
@@ -293,8 +289,8 @@ def project(td_b: TreeDecomposition, bg: BlowupGraph, cg: ContractedGraph) -> Tr
 
     Validity follows because every blown clique (and every union of two
     adjacent blown cliques) sits inside some bag of a valid decomposition,
-    and intersections of subtrees are subtrees. The result is re-validated
-    and a failure is an internal error.
+    and intersections of subtrees are subtrees. The result is not
+    validated here; the solver's pipeline validates its nice form once.
     """
     bags = []
     for bag in td_b.bags:
@@ -303,11 +299,7 @@ def project(td_b: TreeDecomposition, bg: BlowupGraph, cg: ContractedGraph) -> Tr
                 v for v, clique in enumerate(bg.cliques) if all(b in bag for b in clique)
             )
         )
-    td = TreeDecomposition(tree=td_b.tree, bags=tuple(bags), root=td_b.root)
-    report = validate_decomposition(td, cg.base)
-    if not report.ok:
-        raise InternalError(f"projection produced invalid decomposition: {report.violations}")
-    return td
+    return TreeDecomposition(tree=td_b.tree, bags=tuple(bags), root=td_b.root)
 
 
 def weighted_width(td: TreeDecomposition, cg: ContractedGraph) -> int:

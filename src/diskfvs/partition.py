@@ -52,11 +52,6 @@ class ContractedGraph:
     class_size: tuple[int, ...]
     edge_witness: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
 
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weight)
-
-
 def class_weight(size: int) -> int:
     """ceil(log2(size)) + 1; weight 1 exactly for singleton classes."""
     if size < 1:

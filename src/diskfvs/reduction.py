@@ -65,7 +65,6 @@ class RepresentativeTable:
     """Signature-keyed rows: signature -> partition -> (value, payload)."""
 
     rows: dict[Signature, dict[Partition, tuple[int, Any]]]
-    reduced: bool = False
 
     def row_count(self) -> int:
         return sum(len(group) for group in self.rows.values())
@@ -92,9 +91,9 @@ def reduce_rows(
 
 
 def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
-    """Reduce every signature group of the table; marks the result reduced."""
+    """Reduce every signature group of the table."""
     out: dict[Signature, dict[Partition, tuple[int, Any]]] = {}
     for sig, group in table.rows.items():
         ground = sum(len(sel) for sel in sig)
         out[sig] = reduce_rows(group, ground)
-    return RepresentativeTable(rows=out, reduced=True)
+    return RepresentativeTable(rows=out)

@@ -5,8 +5,8 @@ component into cliques, contract to the weighted class graph, decompose via
 blowup and projection, then run the clique-constrained connectivity DP over
 the nice decomposition. Threshold certificates (contraction width above
 c * sqrt(k), or more than c1 * k high-degree survivors) can short-circuit
-with a "no"; they are only sound for geometric instances and stay off
-unless explicitly enabled.
+with a "no"; their constants are fitted on geometric instances, not
+proven, so they stay off unless SolveConfig.thresholds is set.
 
 DP state at a nice-decomposition node: the selection of surviving vertices
 per bag class (at most two, since every class is a clique), the partition of
@@ -50,7 +50,7 @@ from .graph import (
     peel_degree_one,
 )
 from .oracle import DEFAULT_BUDGET, min_fvs_bruteforce
-from .partition import KappaPartition, contract, greedy_partition
+from .partition import ContractedGraph, KappaPartition, contract, greedy_partition
 from .reduction import (
     Partition,
     RepresentativeTable,
@@ -70,32 +70,22 @@ STATE_BUDGET = 50_000_000
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Decide FVS <= k in the given mode.
+
+    thresholds allows the fitted "no" certificates (DEFAULT_WIDTH_COEFF,
+    DEFAULT_HIGHDEG_COEFF); no mode turns them on by itself.
+    """
+
     k: int
     mode: str = "auto"
-    width_threshold_coeff: float = DEFAULT_WIDTH_COEFF
-    highdeg_threshold_coeff: float = DEFAULT_HIGHDEG_COEFF
-    enable_thresholds: bool = False
-    geometric_provenance: bool = False
-    effort: str = "best"
-    width_safety_cap: int = WIDTH_SAFETY_CAP
+    thresholds: bool = False
     state_budget: int = STATE_BUDGET
-    debug_edge_accounting: bool = False
 
     def __post_init__(self):
         if self.k < 0:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.width_threshold_coeff <= 0 or self.highdeg_threshold_coeff <= 0:
-            raise ValidationError("threshold coefficients must be positive")
-
-    @property
-    def thresholds_active(self) -> bool:
-        if self.mode == "oracle":
-            return False
-        if self.enable_thresholds:
-            return True
-        return self.mode == "auto" and self.geometric_provenance
 
 
 @dataclass(frozen=True)
@@ -427,12 +417,43 @@ def reconstruct(
     return deleted
 
 
+@dataclass(frozen=True)
+class Pipeline:
+    """One component's stage artifacts, ready for the DP."""
+
+    partition: KappaPartition
+    contracted: ContractedGraph
+    nice: NiceDecomposition
+    weighted_width: int
+
+
+def build_pipeline(gc: Graph) -> Pipeline:
+    """Partition, contract and decompose one component for the DP.
+
+    The weighted decomposition of the contraction comes from blowing each
+    class up into a clique, decomposing the blown graph and projecting the
+    bags back. Only the nice form, which the DP consumes, is validated: its
+    bags are the projected bags and subsets of them, so it is valid exactly
+    when the projection is. A violation is a bug and raises InternalError.
+    """
+    part = greedy_partition(gc)
+    cg = contract(gc, part)
+    bg = blowup(cg)
+    td = project(decompose_unweighted(bg.graph), bg, cg)
+    w = weighted_width(td, cg)
+    nd = make_nice(td)
+    report = validate_decomposition(nd.to_tree_decomposition(), cg.base)
+    if not report.ok:
+        raise InternalError(f"nice decomposition invalid: {report.violations}")
+    return Pipeline(partition=part, contracted=cg, nice=nd, weighted_width=w)
+
+
 @dataclass
 class _ComponentResult:
     deleted: frozenset[int]
     weighted_width: int
     class_count: int
-    used_oracle: bool
+    used_oracle: bool = False
     width_exceeded: bool = False
 
 
@@ -440,63 +461,27 @@ def _solve_component(
     gc: Graph, cfg: SolveConfig, dp_mode: str, width_limit: float | None
 ) -> _ComponentResult:
     """Exact minimum deletion set for one peeled component."""
-    part = greedy_partition(gc)
-    cg = contract(gc, part)
-    bg = blowup(cg)
-    td_b = decompose_unweighted(bg.graph, cfg.effort)
-    td = project(td_b, bg, cg)
-    w = weighted_width(td, cg)
+    pipe = build_pipeline(gc)
+    w = pipe.weighted_width
+    class_count = len(pipe.partition.classes)
     if width_limit is not None and w > width_limit:
-        return _ComponentResult(
-            deleted=frozenset(),
-            weighted_width=w,
-            class_count=len(part.classes),
-            used_oracle=False,
-            width_exceeded=True,
-        )
-    if w > cfg.width_safety_cap:
-        if gc.n <= DEFAULT_BUDGET.max_n_subsets:
-            _, witness = min_fvs_bruteforce(gc)
-            return _ComponentResult(
-                deleted=witness,
-                weighted_width=w,
-                class_count=len(part.classes),
-                used_oracle=True,
-            )
-        raise ResourceError(
-            f"weighted width {w} exceeds safety cap {cfg.width_safety_cap} "
-            f"on a component of {gc.n} vertices"
-        )
-    nd = make_nice(td)
-    report = validate_decomposition(nd.to_tree_decomposition(), cg.base)
-    if not report.ok:
-        raise InternalError(f"nice decomposition invalid: {report.violations}")
+        return _ComponentResult(frozenset(), w, class_count, width_exceeded=True)
     try:
-        best, tables = dp_run(
-            nd,
-            gc,
-            part,
-            mode=dp_mode,
-            debug_edge_accounting=cfg.debug_edge_accounting,
-            state_budget=cfg.state_budget,
+        if w > WIDTH_SAFETY_CAP:
+            raise ResourceError(
+                f"weighted width {w} exceeds safety cap {WIDTH_SAFETY_CAP} "
+                f"on a component of {gc.n} vertices"
+            )
+        _, tables = dp_run(
+            pipe.nice, gc, pipe.partition, mode=dp_mode, state_budget=cfg.state_budget
         )
     except ResourceError:
-        if gc.n <= DEFAULT_BUDGET.max_n_subsets:
-            _, witness = min_fvs_bruteforce(gc)
-            return _ComponentResult(
-                deleted=witness,
-                weighted_width=w,
-                class_count=len(part.classes),
-                used_oracle=True,
-            )
-        raise
-    deleted = reconstruct(tables, nd, gc, part)
-    return _ComponentResult(
-        deleted=deleted,
-        weighted_width=w,
-        class_count=len(part.classes),
-        used_oracle=False,
-    )
+        if gc.n > DEFAULT_BUDGET.max_n_subsets:
+            raise
+        _, witness = min_fvs_bruteforce(gc)
+        return _ComponentResult(witness, w, class_count, used_oracle=True)
+    deleted = reconstruct(tables, pipe.nice, gc, pipe.partition)
+    return _ComponentResult(deleted, w, class_count)
 
 
 def solve(g: Graph, cfg: SolveConfig) -> Solution:
@@ -525,17 +510,13 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     stats["high_degree_count"] = count_high_degree(gp)
     timings["peel"] = time.perf_counter() - t0
 
-    if cfg.thresholds_active and quick_reject_highdeg(
-        gp, cfg.k, cfg.highdeg_threshold_coeff
-    ):
+    if cfg.thresholds and quick_reject_highdeg(gp, cfg.k, DEFAULT_HIGHDEG_COEFF):
         timings["total"] = time.perf_counter() - t0
         stats["timings"] = timings
         return Solution(verdict="no", fvs=None, certificate="highdeg-threshold", stats=stats)
 
     dp_mode = "dp-rank" if cfg.mode in ("auto", "dp-rank") else "dp-naive"
-    width_limit = (
-        cfg.width_threshold_coeff * math.sqrt(cfg.k) if cfg.thresholds_active else None
-    )
+    width_limit = DEFAULT_WIDTH_COEFF * math.sqrt(cfg.k) if cfg.thresholds else None
     deleted_reduced: set[int] = set()
     max_width = 0
     class_count = 0
@@ -585,8 +566,7 @@ def solve_min_fvs(g: Graph, cfg: SolveConfig | None = None) -> tuple[int, tuple[
         base,
         k=g.n,
         mode=base.mode if base.mode != "oracle" else "dp-rank",
-        enable_thresholds=False,
-        geometric_provenance=False,
+        thresholds=False,
     )
     sol = solve(g, big)
     assert sol.fvs is not None

@@ -73,6 +73,18 @@ class TestSolveCommand:
         assert code in (0, 1)
         assert payload["verdict"] in ("yes", "no")
 
+    def test_thresholds_only_when_asked(self, tmp_path, capsys):
+        out = tmp_path / "dense"
+        main(["gen", "--udg", "-n", "15", "--density", "3.0", "--seed", "0",
+              "--out", str(out)])
+        points = str(out.with_suffix(".points"))
+        capsys.readouterr()
+        assert main(["solve", points, "--k", "0", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["certificate"] == "dp"
+        assert main(["solve", points, "--k", "0", "--json", "--thresholds"]) == 1
+        certificate = json.loads(capsys.readouterr().out)["certificate"]
+        assert certificate in ("highdeg-threshold", "width-threshold")
+
 
 class TestOracleCommand:
     def test_matches_solver(self, tmp_path, capsys):
@@ -99,6 +111,19 @@ class TestValidateCommand:
         assert "kappa_observed" in payload
         assert "max_contraction_degree" in payload
         assert "class_count" in payload
+
+    def test_width_matches_solve(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        main(["gen", "--udg", "-n", "40", "--density", "1.0", "--seed", "2",
+              "--out", str(out)])
+        points = str(out.with_suffix(".points"))
+        capsys.readouterr()
+        assert main(["validate", points]) == 0
+        components = json.loads(capsys.readouterr().out)["components"]
+        assert len(components) >= 2
+        main(["solve", points, "--k", "40", "--json"])
+        solved = json.loads(capsys.readouterr().out)
+        assert solved["weighted_width"] == max(c["weighted_width"] for c in components)
 
 
 class TestCompareCommand:

@@ -154,8 +154,6 @@ class TestSolveBasics:
             SolveConfig(k=-1)
         with pytest.raises(ValidationError):
             SolveConfig(k=0, mode="nonsense")
-        with pytest.raises(ValidationError):
-            SolveConfig(k=0, width_threshold_coeff=0.0)
 
 
 class TestSolveAgainstOracle:
@@ -181,12 +179,16 @@ class TestSolveAgainstOracle:
             assert solve_min_fvs(g, SolveConfig(k=0, mode="dp-rank"))[0] == size
 
     def test_debug_edge_accounting_sweep(self):
+        from diskfvs import build_pipeline, dp_run
+
         rng = random.Random(52)
         for _ in range(25):
             g = random_graph(rng.randint(2, 10), 0.35, rng)
-            cfg = SolveConfig(k=g.n, mode="dp-naive", debug_edge_accounting=True)
-            sol = solve(g, cfg)
-            assert sol.verdict == "yes"
+            pipe = build_pipeline(g)
+            best, _ = dp_run(
+                pipe.nice, g, pipe.partition, mode="dp-naive", debug_edge_accounting=True
+            )
+            assert g.n - best == min_fvs_bruteforce(g)[0]
 
     def test_join_heavy_decompositions(self):
         # natural elimination-order decompositions branch rarely, so force
@@ -226,6 +228,28 @@ class TestSolveAgainstOracle:
                 assert g.n - best == oracle_min
                 assert len(reconstruct(tables, nd, g, part)) == oracle_min
         assert joins_seen > 100
+
+
+class TestPipeline:
+    def test_one_decomposition_check_per_component(self, monkeypatch):
+        import diskfvs.decomposition as decomposition
+        import diskfvs.solver as solver
+        from diskfvs import connected_components
+
+        calls = []
+        for module in (solver, decomposition):
+            real = module.validate_decomposition
+
+            def counting(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "validate_decomposition", counting)
+        g = build_intersection_graph(random_udg(60, 0.8, seed=3))
+        components = len(connected_components(peel_degree_one(g).reduced))
+        assert components >= 3
+        solve(g, SolveConfig(k=g.n))
+        assert len(calls) == components
 
 
 class TestDenseUdg:
@@ -288,15 +312,20 @@ class TestThresholds:
 
     def test_highdeg_certificate(self):
         g = complete_graph(9)
-        sol = solve(g, SolveConfig(k=0, mode="dp-rank", enable_thresholds=True))
+        sol = solve(g, SolveConfig(k=0, mode="dp-rank", thresholds=True))
         assert sol.verdict == "no" and sol.certificate == "highdeg-threshold"
 
-    def test_auto_mode_needs_provenance(self):
+    def test_auto_mode_needs_the_switch(self):
         g = complete_graph(9)
         off = solve(g, SolveConfig(k=0, mode="auto"))
-        on = solve(g, SolveConfig(k=0, mode="auto", geometric_provenance=True))
+        on = solve(g, SolveConfig(k=0, mode="auto", thresholds=True))
+        assert off.verdict == on.verdict == "no"
         assert off.certificate == "dp"
         assert on.certificate in ("highdeg-threshold", "width-threshold")
+
+    def test_oracle_mode_ignores_the_switch(self):
+        sol = solve(complete_graph(9), SolveConfig(k=0, mode="oracle", thresholds=True))
+        assert sol.verdict == "no" and sol.certificate == "oracle"
 
     def test_threshold_soundness_desk_scale(self):
         # fired certificates must agree with the exhaustive answer
@@ -306,7 +335,7 @@ class TestThresholds:
             g = build_intersection_graph(objs)
             size, _ = min_fvs_bruteforce(g)
             for k in range(0, min(g.n, 6)):
-                cfg = SolveConfig(k=k, mode="dp-rank", enable_thresholds=True)
+                cfg = SolveConfig(k=k, mode="dp-rank", thresholds=True)
                 sol = solve(g, cfg)
                 if sol.certificate in ("highdeg-threshold", "width-threshold"):
                     fired += 1
@@ -315,17 +344,19 @@ class TestThresholds:
                     assert sol.verdict == ("yes" if size <= k else "no")
         assert fired > 0  # the sweep must actually exercise the certificates
 
-    def test_width_safety_cap_falls_back_to_oracle(self):
+    def test_width_safety_cap_falls_back_to_oracle(self, monkeypatch):
+        monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
         g = complete_graph(12)  # blown-up clique exceeds a tiny cap
-        sol = solve(g, SolveConfig(k=2, mode="dp-rank", width_safety_cap=1))
+        sol = solve(g, SolveConfig(k=2, mode="dp-rank"))
         assert sol.certificate == "oracle"
         assert sol.verdict == "no"
 
-    def test_width_safety_cap_resource_error(self):
+    def test_width_safety_cap_resource_error(self, monkeypatch):
+        monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
         rng = random.Random(60)
         g = random_graph(24, 0.5, rng)
         with pytest.raises(ResourceError):
-            solve(g, SolveConfig(k=2, mode="dp-rank", width_safety_cap=1))
+            solve(g, SolveConfig(k=2, mode="dp-rank"))
 
     def test_state_budget_oracle_fallback(self):
         g = build_intersection_graph(random_udg(16, 0.5, 3))
