@@ -60,7 +60,6 @@ from .solver import (
     build_pipeline,
     dp_run,
     local_selections,
-    quick_reject_highdeg,
     reconstruct,
     solve,
     solve_min_fvs,
@@ -115,7 +114,6 @@ __all__ = [
     "build_pipeline",
     "dp_run",
     "local_selections",
-    "quick_reject_highdeg",
     "reconstruct",
     "solve",
     "solve_min_fvs",

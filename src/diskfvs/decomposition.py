@@ -1,7 +1,6 @@
 """Tree decompositions: construction, validation, blowup projection, nice form.
 
-Unweighted decompositions come from elimination orderings (min-degree and
-min-fill, optionally refined by a budgeted branch-and-bound over orders).
+Unweighted decompositions come from one greedy min-fill elimination pass.
 Weighted decompositions of a contracted graph are obtained by blowing each
 class vertex up into a clique of its weight, decomposing the blown graph,
 and projecting bags back: a class joins a projected bag iff the bag holds
@@ -13,12 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .graph import Graph, from_edge_list
 from .partition import ContractedGraph
-
-BNB_SIZE_LIMIT = 30
-BNB_EXPANSION_BUDGET = 4000
 
 
 @dataclass(frozen=True)
@@ -101,10 +96,6 @@ def validate_decomposition(td: TreeDecomposition, g: Graph) -> DecompositionRepo
     return DecompositionReport(tuple(violations))
 
 
-def _adj_sets(g: Graph) -> list[set[int]]:
-    return [set(a) for a in g.adj]
-
-
 def _eliminate(adj: list[set[int]], alive: set[int], v: int) -> None:
     nbrs = adj[v] & alive
     for a in nbrs:
@@ -113,31 +104,6 @@ def _eliminate(adj: list[set[int]], alive: set[int], v: int) -> None:
                 adj[a].add(b)
         adj[a].discard(v)
     alive.discard(v)
-
-
-def _order_width(g: Graph, order) -> int:
-    adj = _adj_sets(g)
-    alive = set(range(g.n))
-    width = 0
-    for v in order:
-        width = max(width, len(adj[v] & alive))
-        _eliminate(adj, alive, v)
-    return width
-
-
-def _greedy_order(g: Graph, score) -> list[int]:
-    adj = _adj_sets(g)
-    alive = set(range(g.n))
-    order = []
-    while alive:
-        v = min(alive, key=lambda u: (score(adj, alive, u), u))
-        order.append(v)
-        _eliminate(adj, alive, v)
-    return order
-
-
-def _min_degree_score(adj, alive, u) -> int:
-    return len(adj[u] & alive)
 
 
 def _min_fill_score(adj, alive, u) -> int:
@@ -150,99 +116,35 @@ def _min_fill_score(adj, alive, u) -> int:
     return fill
 
 
-def _bnb_order(g: Graph, ub_width: int, ub_order: list[int]) -> tuple[int, list[int]]:
-    """Budgeted branch-and-bound over elimination orders.
+def decompose_unweighted(h: Graph) -> TreeDecomposition:
+    """Tree decomposition of an unweighted graph by greedy min-fill elimination.
 
-    Exact when the search space fits the expansion budget; otherwise the
-    incumbent (still a valid upper bound) is returned.
+    Each step eliminates the alive vertex whose alive neighbours need the
+    fewest fill edges to become a clique (ties to the smaller id) and
+    records its bag: the vertex and those neighbours. Bags are numbered in
+    elimination order; each is linked to the bag of its earliest-eliminated
+    later neighbour, or to the next bag when it has none.
     """
-    best_width = ub_width
-    best_order = list(ub_order)
-    expansions = 0
-
-    def is_simplicial(adj, alive, v) -> bool:
-        nbrs = adj[v] & alive
-        return all(b in adj[a] for a in nbrs for b in nbrs if a < b)
-
-    stack: list[tuple[list[set[int]], set[int], list[int], int]] = [
-        (_adj_sets(g), set(range(g.n)), [], 0)
-    ]
-    while stack:
-        adj, alive, order, g_max = stack.pop()
-        if g_max >= best_width:
-            continue
-        if expansions >= BNB_EXPANSION_BUDGET:
-            break
-        expansions += 1
-        if len(alive) <= 1:
-            width = max(g_max, 0 if not alive else len(adj[next(iter(alive))] & alive))
-            if width < best_width:
-                best_width = width
-                best_order = order + sorted(alive)
-            continue
-        simp = [v for v in sorted(alive) if is_simplicial(adj, alive, v)]
-        candidates = simp[:1] if simp else sorted(alive)
-        # push in reverse so the smallest id is explored first
-        for v in reversed(candidates):
-            deg = len(adj[v] & alive)
-            new_gmax = max(g_max, deg)
-            if new_gmax >= best_width:
-                continue
-            new_adj = [set(s) for s in adj]
-            new_alive = set(alive)
-            _eliminate(new_adj, new_alive, v)
-            stack.append((new_adj, new_alive, order + [v], new_gmax))
-    return best_width, best_order
-
-
-def _decomposition_from_order(g: Graph, order) -> TreeDecomposition:
-    if g.n == 0:
+    if h.n == 0:
         return TreeDecomposition(tree=((),), bags=(frozenset(),), root=0)
-    adj = _adj_sets(g)
-    alive = set(range(g.n))
-    pos = {v: i for i, v in enumerate(order)}
+    adj = [set(a) for a in h.adj]
+    alive = set(range(h.n))
+    pos: dict[int, int] = {}
     bags: list[frozenset[int]] = []
-    parents: list[int | None] = []
-    for i, v in enumerate(order):
-        nbrs = adj[v] & alive
-        bags.append(frozenset(nbrs | {v}))
-        if nbrs:
-            parents.append(pos[min(nbrs, key=lambda w: pos[w])])
-        else:
-            parents.append(i + 1 if i + 1 < g.n else None)
+    while alive:
+        v = min(alive, key=lambda u: (_min_fill_score(adj, alive, u), u))
+        pos[v] = len(bags)
+        bags.append(frozenset(adj[v] & alive | {v}))
         _eliminate(adj, alive, v)
-    edges: list[list[int]] = [[] for _ in range(g.n)]
-    for i, par in enumerate(parents):
-        if par is not None:
-            edges[i].append(par)
-            edges[par].append(i)
+    edges: list[list[int]] = [[] for _ in range(h.n)]
+    for i in range(h.n - 1):
+        later = [pos[w] for w in bags[i] if pos[w] > i]
+        parent = min(later, default=i + 1)
+        edges[i].append(parent)
+        edges[parent].append(i)
     return TreeDecomposition(
         tree=tuple(tuple(sorted(e)) for e in edges), bags=tuple(bags), root=0
     )
-
-
-def decompose_unweighted(h: Graph, effort: str = "best") -> TreeDecomposition:
-    """Heuristic tree decomposition of an unweighted graph.
-
-    effort: "min-degree", "min-fill", or "best" (both, keep the smaller).
-    Graphs of at most 30 vertices additionally get a branch-and-bound
-    refinement over elimination orders.
-    """
-    if effort not in ("min-degree", "min-fill", "best"):
-        raise ValidationError(f"unknown effort level {effort!r}")
-    if h.n == 0:
-        return TreeDecomposition(tree=((),), bags=(frozenset(),), root=0)
-    candidates: list[list[int]] = []
-    if effort in ("min-degree", "best"):
-        candidates.append(_greedy_order(h, _min_degree_score))
-    if effort in ("min-fill", "best"):
-        candidates.append(_greedy_order(h, _min_fill_score))
-    widths = [_order_width(h, o) for o in candidates]
-    best_idx = min(range(len(candidates)), key=lambda i: widths[i])
-    width, order = widths[best_idx], candidates[best_idx]
-    if h.n <= BNB_SIZE_LIMIT:
-        width, order = _bnb_order(h, width, order)
-    return _decomposition_from_order(h, order)
 
 
 @dataclass(frozen=True)

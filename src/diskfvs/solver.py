@@ -50,7 +50,7 @@ from .graph import (
     peel_degree_one,
 )
 from .oracle import DEFAULT_BUDGET, min_fvs_bruteforce
-from .partition import ContractedGraph, KappaPartition, contract, greedy_partition
+from .partition import KappaPartition, contract, greedy_partition
 from .reduction import (
     Partition,
     RepresentativeTable,
@@ -94,11 +94,6 @@ class Solution:
     fvs: tuple[int, ...] | None
     certificate: str
     stats: dict[str, Any] = field(default_factory=dict, compare=False)
-
-
-def quick_reject_highdeg(g_peeled: Graph, k: int, c1: float) -> bool:
-    """True iff the peeled graph has more than c1 * k high-degree vertices."""
-    return count_high_degree(g_peeled) > c1 * k
 
 
 def local_selections(cls, cover) -> list[tuple[int, ...]]:
@@ -422,7 +417,6 @@ class Pipeline:
     """One component's stage artifacts, ready for the DP."""
 
     partition: KappaPartition
-    contracted: ContractedGraph
     nice: NiceDecomposition
     weighted_width: int
 
@@ -445,7 +439,7 @@ def build_pipeline(gc: Graph) -> Pipeline:
     report = validate_decomposition(nd.to_tree_decomposition(), cg.base)
     if not report.ok:
         raise InternalError(f"nice decomposition invalid: {report.violations}")
-    return Pipeline(partition=part, contracted=cg, nice=nd, weighted_width=w)
+    return Pipeline(partition=part, nice=nd, weighted_width=w)
 
 
 @dataclass
@@ -510,7 +504,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     stats["high_degree_count"] = count_high_degree(gp)
     timings["peel"] = time.perf_counter() - t0
 
-    if cfg.thresholds and quick_reject_highdeg(gp, cfg.k, DEFAULT_HIGHDEG_COEFF):
+    if cfg.thresholds and stats["high_degree_count"] > DEFAULT_HIGHDEG_COEFF * cfg.k:
         timings["total"] = time.perf_counter() - t0
         stats["timings"] = timings
         return Solution(verdict="no", fvs=None, certificate="highdeg-threshold", stats=stats)

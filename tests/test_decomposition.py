@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from diskfvs import (
     TreeDecomposition,
     blowup,
@@ -50,12 +48,11 @@ class TestDecompose:
         assert td.bags == (frozenset(),)
         assert validate_decomposition(td, g).ok
 
-    @pytest.mark.parametrize("effort", ["min-degree", "min-fill", "best"])
-    def test_always_valid(self, effort):
+    def test_always_valid(self):
         rng = random.Random(17)
         for _ in range(40):
             g = random_graph(rng.randint(1, 14), rng.choice([0.15, 0.3, 0.5]), rng)
-            td = decompose_unweighted(g, effort)
+            td = decompose_unweighted(g)
             assert validate_decomposition(td, g).ok
 
     def test_heuristic_at_least_exact(self):
@@ -65,10 +62,17 @@ class TestDecompose:
             td = decompose_unweighted(g)
             assert td.width >= exact_treewidth(g)
 
-    def test_branch_and_bound_exact_on_small_graphs(self):
+    def test_min_fill_exact_on_small_graphs(self):
         rng = random.Random(19)
-        for _ in range(40):
-            g = random_graph(rng.randint(1, 9), rng.choice([0.25, 0.5, 0.7]), rng)
+        graphs = [random_graph(rng.randint(1, 9), rng.choice([0.25, 0.5, 0.7]), rng)
+                  for _ in range(40)]
+        # treewidth 3; min-degree elimination starts at vertex 1 and leaves
+        # a K5, width 4
+        graphs.append(from_edge_list(6, [
+            (0, 2), (0, 3), (0, 4), (0, 5), (1, 2),
+            (1, 3), (1, 5), (2, 4), (3, 4), (4, 5),
+        ]))
+        for g in graphs:
             assert decompose_unweighted(g).width == exact_treewidth(g)
 
     def test_disconnected_graph(self):

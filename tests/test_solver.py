@@ -7,13 +7,13 @@ from diskfvs import (
     SolveConfig,
     ValidationError,
     build_intersection_graph,
+    count_high_degree,
     from_edge_list,
     induced_subgraph,
     is_forest,
     local_selections,
     min_fvs_bruteforce,
     peel_degree_one,
-    quick_reject_highdeg,
     random_udg,
     solve,
     solve_min_fvs,
@@ -100,13 +100,15 @@ class TestDpRun:
 
 
 class TestQuickReject:
+    """The high-degree certificate fires iff count_high_degree > c1 * k."""
+
     def test_forest_never_fires(self):
         peeled = peel_degree_one(path_graph(9)).reduced
         for k in range(5):
-            assert not quick_reject_highdeg(peeled, k, 10.0)
+            assert not count_high_degree(peeled) > 10.0 * k
 
     def test_k5_at_zero_budget_fires(self):
-        assert quick_reject_highdeg(complete_graph(5), 0, 10.0)
+        assert count_high_degree(complete_graph(5)) > 10.0 * 0
 
     def test_planted_sweep_never_fires_with_default_coeff(self):
         from diskfvs import planted_yes_instance
@@ -117,7 +119,7 @@ class TestQuickReject:
                 objs, _ = planted_yes_instance(k, 30, seed)
                 g = build_intersection_graph(objs)
                 peeled = peel_degree_one(g).reduced
-                assert not quick_reject_highdeg(peeled, k, DEFAULT_HIGHDEG_COEFF)
+                assert not count_high_degree(peeled) > DEFAULT_HIGHDEG_COEFF * k
 
 
 class TestSolveBasics:
