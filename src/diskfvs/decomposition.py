@@ -156,7 +156,6 @@ class BlowupGraph:
     """
 
     graph: Graph
-    member_of: tuple[int, ...]
     cliques: tuple[tuple[int, ...], ...]
 
 
@@ -169,9 +168,6 @@ def blowup(cg: ContractedGraph) -> BlowupGraph:
     cliques = tuple(
         tuple(range(offsets[i], offsets[i] + cg.weight[i])) for i in range(len(cg.weight))
     )
-    member_of = tuple(
-        i for i in range(len(cg.weight)) for _ in range(cg.weight[i])
-    )
     edges = []
     for clique in cliques:
         for a_idx in range(len(clique)):
@@ -181,9 +177,7 @@ def blowup(cg: ContractedGraph) -> BlowupGraph:
         for a in cliques[u]:
             for b in cliques[v]:
                 edges.append((a, b))
-    return BlowupGraph(
-        graph=from_edge_list(total, edges), member_of=member_of, cliques=cliques
-    )
+    return BlowupGraph(graph=from_edge_list(total, edges), cliques=cliques)
 
 
 def project(td_b: TreeDecomposition, bg: BlowupGraph, cg: ContractedGraph) -> TreeDecomposition:

@@ -12,7 +12,7 @@ it against DEFAULT_DELTA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .graph import Graph, from_edge_list, induced_subgraph, connected_components
@@ -31,7 +31,6 @@ class KappaPartition:
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    center_of: tuple[int, ...]
     clique_cover: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
@@ -41,16 +40,11 @@ class KappaPartition:
 
 @dataclass(frozen=True)
 class ContractedGraph:
-    """Class-level graph; class i weighs ceil(log2 |P_i|) + 1.
-
-    edge_witness maps each contracted edge (i, j), i < j, to one original
-    edge crossing the two classes.
-    """
+    """Class-level graph; class i weighs ceil(log2 |P_i|) + 1."""
 
     base: Graph
     weight: tuple[int, ...]
-    class_size: tuple[int, ...]
-    edge_witness: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
+
 
 def class_weight(size: int) -> int:
     """ceil(log2(size)) + 1; weight 1 exactly for singleton classes."""
@@ -69,7 +63,6 @@ def greedy_partition(g: Graph) -> KappaPartition:
         position[v] = pos
     class_of = [-1] * g.n
     classes: list[tuple[int, ...]] = []
-    seeds: list[int] = []
     for v in order:
         if class_of[v] != -1:
             continue
@@ -82,11 +75,9 @@ def greedy_partition(g: Graph) -> KappaPartition:
                 members.append(w)
                 class_of[w] = idx
         classes.append(tuple(sorted(members)))
-        seeds.append(v)
     return KappaPartition(
         classes=tuple(classes),
         class_of=tuple(class_of),
-        center_of=tuple(seeds),
         clique_cover=tuple((cls,) for cls in classes),
     )
 
@@ -94,22 +85,14 @@ def greedy_partition(g: Graph) -> KappaPartition:
 def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
     """Contract every class to one vertex, dropping loops and parallels."""
     _check_partition_shape(g, p)
-    t = len(p.classes)
-    witness: dict[tuple[int, int], tuple[int, int]] = {}
-    for (u, v) in g.edges():
-        cu, cv = p.class_of[u], p.class_of[v]
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        if key not in witness:
-            witness[key] = (u, v) if cu < cv else (v, u)
-    base = from_edge_list(t, witness.keys())
-    sizes = tuple(len(c) for c in p.classes)
+    class_edges = {
+        (p.class_of[u], p.class_of[v])
+        for (u, v) in g.edges()
+        if p.class_of[u] != p.class_of[v]
+    }
     return ContractedGraph(
-        base=base,
-        weight=tuple(class_weight(s) for s in sizes),
-        class_size=sizes,
-        edge_witness=witness,
+        base=from_edge_list(len(p.classes), class_edges),
+        weight=tuple(class_weight(len(c)) for c in p.classes),
     )
 
 

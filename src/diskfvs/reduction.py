@@ -1,9 +1,10 @@
 """Representative reduction of forest-connectivity state tables.
 
-A DP row is (kept-signature, partition, value) where the partition records
-which kept vertices are already connected in the partial forest. Rows with
-the same signature compete: row p can be dropped when, for every way q the
-future could connect the kept vertices, some retained row matches p's
+A DP row is (kept, partition, value): kept is the sorted tuple of vertices
+the partial forest keeps in the current bag, and the partition records
+which of them are already connected. Rows with the same kept tuple
+compete: row p can be dropped when, for every way q the future could
+connect the kept vertices, some retained row matches p's
 acyclic-compatibility with q at equal or better value.
 
 The reduction works over GF(2). Each partition p maps to a bit vector
@@ -16,7 +17,7 @@ Such an A-column equals the acyclic-compatibility column of the partition
 compatibility matrix's column space; their span covers it (the matrix has
 GF(2) rank exactly 2^(s-1)). Rows are scanned best-value first and kept
 exactly when their vector is linearly independent of the vectors kept so
-far, which bounds each signature's surviving rows by 2^(s-1).
+far, which bounds the surviving rows of each kept tuple by 2^(s-1).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Any
 REDUCE_MAX_GROUND = 8
 
 Partition = tuple[int, ...]
-Signature = tuple[tuple[int, ...], ...]
+Kept = tuple[int, ...]
 
 
 def block_count(part: Partition) -> int:
@@ -62,9 +63,9 @@ def transversal_vector(part: Partition) -> int:
 
 @dataclass
 class RepresentativeTable:
-    """Signature-keyed rows: signature -> partition -> (value, payload)."""
+    """Rows keyed by kept tuple: kept -> partition -> (value, payload)."""
 
-    rows: dict[Signature, dict[Partition, tuple[int, Any]]]
+    rows: dict[Kept, dict[Partition, tuple[int, Any]]]
 
     def row_count(self) -> int:
         return sum(len(group) for group in self.rows.values())
@@ -73,7 +74,7 @@ class RepresentativeTable:
 def reduce_rows(
     group: dict[Partition, tuple[int, Any]], ground_size: int
 ) -> dict[Partition, tuple[int, Any]]:
-    """Keep a representative, value-optimal subset of one signature group."""
+    """Keep a representative, value-optimal subset of one kept tuple's rows."""
     if len(group) <= 1 or ground_size > REDUCE_MAX_GROUND:
         return group
     order = sorted(group.items(), key=lambda item: (-item[1][0], item[0]))
@@ -91,9 +92,8 @@ def reduce_rows(
 
 
 def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
-    """Reduce every signature group of the table."""
-    out: dict[Signature, dict[Partition, tuple[int, Any]]] = {}
-    for sig, group in table.rows.items():
-        ground = sum(len(sel) for sel in sig)
-        out[sig] = reduce_rows(group, ground)
+    """Reduce the rows of every kept tuple, with the tuple as ground set."""
+    out: dict[Kept, dict[Partition, tuple[int, Any]]] = {}
+    for kept, group in table.rows.items():
+        out[kept] = reduce_rows(group, len(kept))
     return RepresentativeTable(rows=out)

@@ -8,15 +8,14 @@ c * sqrt(k), or more than c1 * k high-degree survivors) can short-circuit
 with a "no"; their constants are fitted on geometric instances, not
 proven, so they stay off unless SolveConfig.thresholds is set.
 
-DP state at a nice-decomposition node: the selection of surviving vertices
-per bag class (at most two, since every class is a clique), the partition of
-the selected vertices into connected pieces of the partial forest, and the
-total number of vertices kept so far (maximized). Edges are committed when
-the later of their two classes is introduced; at join nodes both branches
-have committed the edges induced inside the shared bag, so the acyclicity
-test counts those shared edges once:
-
-    blocks(join(p1, p2)) == blocks(p1) + blocks(p2) + shared_edges - |kept|
+DP state at a nice-decomposition node: the sorted tuple of vertices kept
+in the bag's classes (at most two per class, since every class is a
+clique), the partition of those vertices into connected pieces of the
+partial forest, and the total number of vertices kept so far (maximized).
+Edges are committed when the later of their two classes is introduced; at
+join nodes both branches have committed the edges induced inside the kept
+tuple, so the union of the two partitions stays acyclic exactly when it
+merges |kept| - shared_edges pairs of blocks.
 """
 
 from __future__ import annotations
@@ -52,9 +51,9 @@ from .graph import (
 from .oracle import DEFAULT_BUDGET, min_fvs_bruteforce
 from .partition import KappaPartition, contract, greedy_partition
 from .reduction import (
+    Kept,
     Partition,
     RepresentativeTable,
-    Signature,
     block_count,
     canonicalize,
     rank_reduce,
@@ -158,8 +157,10 @@ class _EdgeAccounting:
                     x = self.parent[x]
 
 
-_Row = tuple[int, Any]  # (value, backref)
-_Table = dict[Signature, dict[Partition, _Row]]
+# (value, backref); the backref is the child row's (kept, partition) at
+# introduce and forget nodes, (left, right) partitions at joins, None at leaves
+_Row = tuple[int, Any]
+_Table = dict[Kept, dict[Partition, _Row]]
 
 
 def _uf_find(parent: list[int], x: int) -> int:
@@ -180,7 +181,7 @@ def dp_run(
     """Maximum induced forest size over the nice decomposition.
 
     Returns the optimum and the per-node tables (with backrefs) for
-    reconstruction. Tables are keyed by kept-signature, then by partition.
+    reconstruction. Tables are keyed by kept tuple, then by partition.
     The state count is exponential in the weighted width; state_budget
     caps the number of candidate states examined and raises ResourceError
     beyond it rather than grinding on an infeasible instance.
@@ -202,34 +203,9 @@ def dp_run(
 
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
-    bag_classes: list[tuple[int, ...]] = [tuple(sorted(b)) for b in nd.bags]
 
-    kept_cache: dict[Signature, tuple[int, ...]] = {}
-
-    def kept_of(sig: Signature) -> tuple[int, ...]:
-        got = kept_cache.get(sig)
-        if got is None:
-            got = tuple(sorted(v for sel in sig for v in sel))
-            kept_cache[sig] = got
-        return got
-
-    shared_edge_cache: dict[Signature, int] = {}
-
-    def shared_edges(sig: Signature) -> int:
-        got = shared_edge_cache.get(sig)
-        if got is None:
-            kept = kept_of(sig)
-            got = sum(
-                1
-                for i in range(len(kept))
-                for j in range(i + 1, len(kept))
-                if g.has_edge(kept[i], kept[j])
-            )
-            shared_edge_cache[sig] = got
-        return got
-
-    def put(table: _Table, sig: Signature, part: Partition, value: int, back) -> None:
-        group = table.setdefault(sig, {})
+    def put(table: _Table, kept: Kept, part: Partition, value: int, back) -> None:
+        group = table.setdefault(kept, {})
         old = group.get(part)
         if old is None or value > old[0]:
             group[part] = (value, back)
@@ -238,115 +214,81 @@ def dp_run(
         kind = nd.kind[node]
         table: _Table = {}
         if kind == LEAF:
-            table[()] = {(): (0, ("leaf",))}
+            table[()] = {(): (0, None)}
         elif kind == INTRODUCE:
-            child = nd.children[node][0]
             v_cl = nd.vtx[node]
-            idx = bag_classes[node].index(v_cl)
-            child_table = tables[child]
-            for sig_c, group in child_table.items():
-                kept_c = kept_of(sig_c)
+            for kept_c, group in tables[nd.children[node][0]].items():
+                s_c = len(kept_c)
                 for sel in selections[v_cl]:
-                    sig_n = sig_c[:idx] + (sel,) + sig_c[idx:]
-                    kept_n = kept_of(sig_n)
-                    pos_n = {v: i for i, v in enumerate(kept_n)}
-                    old_pos = [pos_n[v] for v in kept_c]
-                    sel_pos = [pos_n[v] for v in sel]
+                    # positions: the child's kept vertices, then sel's
+                    joined = kept_c + sel
+                    order = sorted(range(len(joined)), key=joined.__getitem__)
+                    kept_n = tuple(joined[i] for i in order)
                     # edges the new class is responsible for
                     new_edges = []
                     for i, x in enumerate(sel):
-                        for y in sel[i + 1:]:
+                        for j in range(i + 1, len(sel)):
+                            if g.has_edge(x, sel[j]):
+                                new_edges.append((s_c + i, s_c + j))
+                                if accounting:
+                                    accounting.record(node, x, sel[j])
+                        for j, y in enumerate(kept_c):
                             if g.has_edge(x, y):
-                                new_edges.append((pos_n[x], pos_n[y]))
+                                new_edges.append((s_c + i, j))
                                 if accounting:
                                     accounting.record(node, x, y)
-                        for y in kept_c:
-                            if g.has_edge(x, y):
-                                new_edges.append((pos_n[x], pos_n[y]))
-                                if accounting:
-                                    accounting.record(node, x, y)
-                    s_n = len(kept_n)
                     charge(len(group))
                     for part_c, (value, _) in group.items():
-                        labels = [-1] * s_n
-                        for i, lab in enumerate(part_c):
-                            labels[old_pos[i]] = lab
-                        nxt = block_count(part_c)
-                        for sp in sel_pos:
-                            labels[sp] = nxt
-                            nxt += 1
-                        parent = list(range(s_n))
-                        first_of: dict[int, int] = {}
-                        for i in range(s_n):
-                            lab = labels[i]
-                            if lab in first_of:
-                                parent[_uf_find(parent, i)] = _uf_find(
-                                    parent, first_of[lab]
-                                )
-                            else:
-                                first_of[lab] = i
-                        ok = True
-                        for (a, b) in new_edges:
-                            ra, rb = _uf_find(parent, a), _uf_find(parent, b)
+                        nc = block_count(part_c)
+                        labels = part_c + tuple(range(nc, nc + len(sel)))
+                        parent = list(range(nc + len(sel)))
+                        for a, b in new_edges:
+                            ra = _uf_find(parent, labels[a])
+                            rb = _uf_find(parent, labels[b])
                             if ra == rb:
-                                ok = False
                                 break
                             parent[rb] = ra
-                        if not ok:
-                            continue
-                        part_n = canonicalize([_uf_find(parent, i) for i in range(s_n)])
-                        put(table, sig_n, part_n, value + len(sel),
-                            ("intro", sig_c, part_c))
+                        else:
+                            roots = [_uf_find(parent, labels[i]) for i in order]
+                            put(table, kept_n, canonicalize(roots), value + len(sel),
+                                (kept_c, part_c))
         elif kind == FORGET:
-            child = nd.children[node][0]
             v_cl = nd.vtx[node]
-            idx = bag_classes[child].index(v_cl)
-            child_table = tables[child]
-            for sig_c, group in child_table.items():
-                sel = sig_c[idx]
-                sig_n = sig_c[:idx] + sig_c[idx + 1:]
-                kept_c = kept_of(sig_c)
-                dropped = set(sel)
-                keep_pos = [i for i, v in enumerate(kept_c) if v not in dropped]
+            for kept_c, group in tables[nd.children[node][0]].items():
+                keep_pos = [i for i, v in enumerate(kept_c) if p.class_of[v] != v_cl]
+                kept_n = tuple(kept_c[i] for i in keep_pos)
                 charge(len(group))
                 for part_c, (value, _) in group.items():
                     part_n = canonicalize([part_c[i] for i in keep_pos])
-                    put(table, sig_n, part_n, value, ("forget", sig_c, part_c))
+                    put(table, kept_n, part_n, value, (kept_c, part_c))
         elif kind == JOIN:
             left, right = nd.children[node]
-            lt, rt = tables[left], tables[right]
-            for sig, lgroup in lt.items():
-                rgroup = rt.get(sig)
+            rt = tables[right]
+            for kept, lgroup in tables[left].items():
+                rgroup = rt.get(kept)
                 if rgroup is None:
                     continue
-                kept = kept_of(sig)
                 s = len(kept)
-                e_shared = shared_edges(sig)
-                kept_count = s
+                shared = sum(
+                    1 for i in range(s) for j in range(i + 1, s)
+                    if g.has_edge(kept[i], kept[j])
+                )
                 charge(len(lgroup) * len(rgroup))
                 for part_l, (val_l, _) in lgroup.items():
                     nl = block_count(part_l)
                     for part_r, (val_r, _) in rgroup.items():
-                        nr = block_count(part_r)
-                        parent = list(range(s))
-                        blocks = s
-                        for part in (part_l, part_r):
-                            first_of: dict[int, int] = {}
-                            for i in range(s):
-                                lab = part[i]
-                                if lab in first_of:
-                                    ra = _uf_find(parent, first_of[lab])
-                                    rb = _uf_find(parent, i)
-                                    if ra != rb:
-                                        parent[rb] = ra
-                                        blocks -= 1
-                                else:
-                                    first_of[lab] = i
-                        if blocks != nl + nr + e_shared - s:
+                        # left then right block labels, joined per position
+                        parent = list(range(nl + block_count(part_r)))
+                        merges = 0
+                        for a, b in zip(part_l, part_r):
+                            ra, rb = _uf_find(parent, a), _uf_find(parent, nl + b)
+                            if ra != rb:
+                                parent[rb] = ra
+                                merges += 1
+                        if merges != s - shared:
                             continue
-                        part_n = canonicalize([_uf_find(parent, i) for i in range(s)])
-                        put(table, sig, part_n, val_l + val_r - kept_count,
-                            ("join", (sig, part_l), (sig, part_r)))
+                        part_n = canonicalize([_uf_find(parent, a) for a in part_l])
+                        put(table, kept, part_n, val_l + val_r - s, (part_l, part_r))
         else:
             raise InternalError(f"unknown nice node kind {kind!r}")
 
@@ -370,38 +312,27 @@ def reconstruct(
 ) -> frozenset[int]:
     """Trace backrefs from the root optimum to a verified deletion set."""
     chosen: dict[int, tuple[int, ...]] = {}
-    stack: list[tuple[int, Signature, Partition]] = [(nd.root, (), ())]
+    stack: list[tuple[int, Kept, Partition]] = [(nd.root, (), ())]
     while stack:
-        node, sig, part = stack.pop()
-        _, back = tables[node][sig][part]
-        kind = back[0]
-        if kind == "leaf":
-            continue
-        if kind == "intro":
-            _, sig_c, part_c = back
+        node, kept, part = stack.pop()
+        back = tables[node][kept][part][1]
+        kind = nd.kind[node]
+        if kind == INTRODUCE:
             v_cl = nd.vtx[node]
-            idx = tuple(sorted(nd.bags[node])).index(v_cl)
-            sel = sig[idx]
-            if v_cl in chosen and chosen[v_cl] != sel:
+            sel = tuple(v for v in kept if p.class_of[v] == v_cl)
+            if chosen.setdefault(v_cl, sel) != sel:
                 raise InternalError(f"inconsistent selection for class {v_cl}")
-            chosen[v_cl] = sel
-            stack.append((nd.children[node][0], sig_c, part_c))
-        elif kind == "forget":
-            _, sig_c, part_c = back
-            stack.append((nd.children[node][0], sig_c, part_c))
-        elif kind == "join":
-            _, (sig_l, part_l), (sig_r, part_r) = back
+            stack.append((nd.children[node][0], *back))
+        elif kind == FORGET:
+            stack.append((nd.children[node][0], *back))
+        elif kind == JOIN:
+            part_l, part_r = back
             left, right = nd.children[node]
-            stack.append((left, sig_l, part_l))
-            stack.append((right, sig_r, part_r))
-        else:
-            raise InternalError(f"unknown backref kind {kind!r}")
-    kept: set[int] = set()
-    for v_cl, sel in chosen.items():
-        kept.update(sel)
-    all_vertices = set(range(g.n))
-    deleted = frozenset(all_vertices - kept)
-    sub, _, _ = induced_subgraph(g, sorted(kept))
+            stack.append((left, kept, part_l))
+            stack.append((right, kept, part_r))
+    survivors = {v for sel in chosen.values() for v in sel}
+    deleted = frozenset(range(g.n)) - survivors
+    sub, _, _ = induced_subgraph(g, sorted(survivors))
     if not is_forest(sub):
         raise InternalError("reconstructed kept set does not induce a forest")
     best_value = tables[nd.root][()][()][0]

@@ -171,14 +171,11 @@ class TestBlowup:
         cg = ContractedGraph(
             base=from_edge_list(2, [(0, 1)]),
             weight=(2, 3),
-            class_size=(2, 5),
-            edge_witness={(0, 1): (0, 2)},
         )
         bg = blowup(cg)
         assert bg.graph.n == 5
         assert bg.graph.m == 10  # complete graph on the two blown cliques
         assert bg.cliques == ((0, 1), (2, 3, 4))
-        assert bg.member_of == (0, 0, 1, 1, 1)
 
     def test_blown_structure_from_pipeline(self):
         g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
@@ -255,7 +252,6 @@ class TestProject:
         p = KappaPartition(
             classes=classes,
             class_of=(0, 0, 1, 1, 2, 2),
-            center_of=(0, 2, 4),
             clique_cover=tuple((c,) for c in classes),
         )
         cg = contract(g, p)
@@ -274,7 +270,6 @@ class TestWeightedWidth:
         p = KappaPartition(
             classes=((0, 1, 2, 3, 4),),
             class_of=(0, 0, 0, 0, 0),
-            center_of=(0,),
             clique_cover=(((0, 1), (2,), (3,), (4,)),),
         )
         cg = contract(g, p)  # single class of size 5 -> weight 4
@@ -287,8 +282,6 @@ class TestWeightedWidth:
         cg = ContractedGraph(
             base=from_edge_list(2, [(0, 1)]),
             weight=(1, 2),
-            class_size=(1, 2),
-            edge_witness={(0, 1): (0, 1)},
         )
         td = TreeDecomposition(
             tree=((1,), (0,)), bags=(frozenset({0}), frozenset({0, 1}))
@@ -299,7 +292,7 @@ class TestWeightedWidth:
         g = from_edge_list(0, [])
         from diskfvs.partition import ContractedGraph
 
-        cg = ContractedGraph(base=g, weight=(), class_size=(), edge_witness={})
+        cg = ContractedGraph(base=g, weight=())
         td = TreeDecomposition(tree=((),), bags=(frozenset(),))
         assert weighted_width(td, cg) == 0
 

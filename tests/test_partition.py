@@ -52,14 +52,12 @@ class TestGreedyPartition:
     def test_clique_single_class(self):
         p = greedy_partition(complete_graph(5))
         assert p.classes == ((0, 1, 2, 3, 4),)
-        assert p.center_of == (0,)
 
     def test_c6_hand_simulation(self):
         # degrees all tie, so processing order is 0..5. Seed 0 scans its
         # uncovered neighbours 1, 5: 1 joins, 5 is not adjacent to 1. Seed 2
         # takes 3 (1 is covered); seed 4 takes 5 (3 is covered).
         p = greedy_partition(cycle_graph(6))
-        assert p.center_of == (0, 2, 4)
         assert p.classes == ((0, 1), (2, 3), (4, 5))
         assert p.clique_cover == (((0, 1),), ((2, 3),), ((4, 5),))
         cg = contract(cycle_graph(6), p)
@@ -78,17 +76,6 @@ class TestGreedyPartition:
             g = random_graph(n, 0.3, rng)
             p = greedy_partition(g)
             assert sorted(p.classes) == reference_greedy_partition(g)
-
-    def test_classes_are_stars_around_seed(self):
-        rng = random.Random(4)
-        for _ in range(40):
-            n = rng.randint(1, 14)
-            g = random_graph(n, 0.25, rng)
-            p = greedy_partition(g)
-            for idx, cls in enumerate(p.classes):
-                seed = p.center_of[idx]
-                for v in cls:
-                    assert v == seed or g.has_edge(v, seed)
 
     def test_every_class_induces_a_clique(self):
         rng = random.Random(6)
@@ -114,7 +101,6 @@ class TestContract:
         p = KappaPartition(
             classes=tuple((v,) for v in range(5)),
             class_of=tuple(range(5)),
-            center_of=tuple(range(5)),
             clique_cover=tuple(((v,),) for v in range(5)),
         )
         cg = contract(g, p)
@@ -127,7 +113,6 @@ class TestContract:
         p = KappaPartition(
             classes=classes,
             class_of=(0, 0, 1, 1, 2, 2),
-            center_of=(0, 2, 4),
             clique_cover=tuple((c,) for c in classes),
         )
         cg = contract(g, p)
@@ -141,20 +126,11 @@ class TestContract:
         assert class_weight(8) == 4
         assert class_weight(9) == 5
 
-    def test_witness_edges_cross_their_classes(self):
-        g = cycle_graph(6)
-        p = greedy_partition(g)
-        cg = contract(g, p)
-        for (i, j), (u, v) in cg.edge_witness.items():
-            assert p.class_of[u] == i and p.class_of[v] == j
-            assert g.has_edge(u, v)
-
     def test_invalid_partition_rejected(self):
         g = cycle_graph(4)
         p = KappaPartition(
             classes=((0, 2), (1, 3)),  # disconnected classes
             class_of=(0, 1, 0, 1),
-            center_of=(0, 1),
             clique_cover=(((0,), (2,)), ((1,), (3,))),
         )
         with pytest.raises(ValidationError):
@@ -176,7 +152,6 @@ class TestValidatePartition:
         p = KappaPartition(
             classes=((0, 2), (1, 3)),
             class_of=(0, 1, 0, 1),
-            center_of=(0, 1),
             clique_cover=(((0,), (2,)), ((1,), (3,))),
         )
         report = validate_partition(g, p)
@@ -187,7 +162,6 @@ class TestValidatePartition:
         p = KappaPartition(
             classes=tuple((v,) for v in range(5)),
             class_of=tuple(range(5)),
-            center_of=tuple(range(5)),
             clique_cover=tuple(((v,),) for v in range(5)),
         )
         report = validate_partition(g, p)
@@ -199,7 +173,6 @@ class TestValidatePartition:
         p = KappaPartition(
             classes=((0, 1, 2),),
             class_of=(0, 0, 0),
-            center_of=(0,),
             clique_cover=(((0, 1, 2),),),  # 0-2 and 1-2 are not edges
         )
         report = validate_partition(g, p)

@@ -98,6 +98,28 @@ class TestDpRun:
             best, _ = dp_run(nd, g, p, mode=mode)
             assert best == 5
 
+    def test_tables_keyed_by_kept_vertices(self):
+        from collections import Counter
+
+        from diskfvs import build_pipeline, connected_components, dp_run, reconstruct
+
+        for seed in range(3):
+            peeled = peel_degree_one(build_intersection_graph(random_udg(60, 1.5, seed)))
+            for comp in connected_components(peeled.reduced):
+                g, _, _ = induced_subgraph(peeled.reduced, comp)
+                pipe = build_pipeline(g)
+                nd, p = pipe.nice, pipe.partition
+                for mode in ("dp-naive", "dp-rank"):
+                    best, tables = dp_run(nd, g, p, mode=mode)
+                    for node, table in enumerate(tables):
+                        for kept, group in table.items():
+                            assert all(a < b for a, b in zip(kept, kept[1:]))
+                            per_class = Counter(p.class_of[v] for v in kept)
+                            assert set(per_class) <= nd.bags[node]
+                            assert max(per_class.values(), default=0) <= 2
+                            assert all(len(part) == len(kept) for part in group)
+                    assert len(reconstruct(tables, nd, g, p)) == g.n - best
+
 
 class TestQuickReject:
     """The high-degree certificate fires iff count_high_degree > c1 * k."""
