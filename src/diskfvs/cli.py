@@ -67,6 +67,7 @@ def _solution_payload(sol, cfg) -> dict:
         "weighted_width": sol.stats.get("weighted_width"),
         "high_degree_count": sol.stats.get("high_degree_count"),
         "class_count": sol.stats.get("class_count"),
+        "cliques": sol.stats.get("cliques", []),
         "timings": sol.stats.get("timings", {}),
     }
 
@@ -76,7 +77,7 @@ def _cmd_solve(args) -> int:
     kwargs = {}
     if args.state_budget is not None:
         kwargs["state_budget"] = args.state_budget
-    cfg = SolveConfig(k=args.k, mode=args.mode, thresholds=args.thresholds, **kwargs)
+    cfg = SolveConfig(k=args.k, mode=args.mode, **kwargs)
     sol = solve(g, cfg)
     if args.json:
         print(json.dumps(_solution_payload(sol, cfg), sort_keys=True))
@@ -198,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="graph or points file")
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--mode", choices=MODES, default="auto")
-    p_solve.add_argument("--thresholds", action="store_true",
-                         help="allow fitted threshold no-certificates")
     p_solve.add_argument("--state-budget", type=int, default=None,
                          help="cap on DP states examined (default 50M)")
     p_solve.add_argument("--json", action="store_true")

@@ -134,6 +134,13 @@ def serialize_decomposition(td: TreeDecomposition, n_vertices: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(lineno: int, fields: list[str], what: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError as exc:
+        raise InputError(f"line {lineno}: bad {what}") from exc
+
+
 def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     header = None
     bags: dict[int, frozenset[int]] = {}
@@ -145,20 +152,22 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
                 raise InputError(f"line {lineno}: duplicate header")
             if len(parts) != 5 or parts[1] != "td":
                 raise InputError(f"line {lineno}: expected 's td <bags> <max_bag> <n>'")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = tuple(_ints(lineno, parts[2:], "header counts"))
         elif parts[0] == "b":
             if header is None:
                 raise InputError(f"line {lineno}: bag before header")
-            bag_id = int(parts[1])
+            if len(parts) < 2:
+                raise InputError(f"line {lineno}: expected 'b <bag_id> <v...>'")
+            bag_id, *bag = _ints(lineno, parts[1:], "bag")
             if bag_id in bags:
                 raise InputError(f"line {lineno}: duplicate bag {bag_id}")
-            bags[bag_id] = frozenset(int(x) for x in parts[2:])
+            bags[bag_id] = frozenset(bag)
         else:
             if header is None:
                 raise InputError(f"line {lineno}: edge before header")
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected '<i> <j>' tree edge")
-            tree_edges.append((int(parts[0]), int(parts[1])))
+            tree_edges.append(tuple(_ints(lineno, parts, "tree edge")))
     if header is None:
         raise InputError("missing header 's td <bags> <max_bag> <n>'")
     num_bags, max_bag, n_vertices = header

@@ -3,10 +3,11 @@
 Pipeline: peel degree <= 1 vertices, split into components, partition each
 component into cliques, contract to the weighted class graph, decompose via
 blowup and projection, then run the clique-constrained connectivity DP over
-the nice decomposition. Threshold certificates (contraction width above
-c * sqrt(k), or more than c1 * k high-degree survivors) can short-circuit
-with a "no"; their constants are fitted on geometric instances, not
-proven, so they stay off unless SolveConfig.thresholds is set.
+the nice decomposition. Before any DP runs, the classes give a proven lower
+bound: a forest keeps at most two vertices of a clique and the classes are
+disjoint cliques, so every feedback vertex set has at least
+sum(max(0, |class| - 2)) vertices. When that exceeds k the answer is "no"
+with the cliques as a certificate anyone can check.
 
 DP state at a nice-decomposition node: the sorted tuple of vertices kept
 in the bag's classes (at most two per class, since every class is a
@@ -21,7 +22,6 @@ merges |kept| - shared_edges pairs of blocks.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -61,8 +61,6 @@ from .reduction import (
 
 MODES = ("auto", "dp-naive", "dp-rank", "oracle")
 
-DEFAULT_WIDTH_COEFF = 5.0
-DEFAULT_HIGHDEG_COEFF = 10.0
 WIDTH_SAFETY_CAP = 64
 STATE_BUDGET = 50_000_000
 
@@ -71,13 +69,11 @@ STATE_BUDGET = 50_000_000
 class SolveConfig:
     """Decide FVS <= k in the given mode.
 
-    thresholds allows the fitted "no" certificates (DEFAULT_WIDTH_COEFF,
-    DEFAULT_HIGHDEG_COEFF); no mode turns them on by itself.
+    state_budget caps the candidate DP states examined per component.
     """
 
     k: int
     mode: str = "auto"
-    thresholds: bool = False
     state_budget: int = STATE_BUDGET
 
     def __post_init__(self):
@@ -85,6 +81,8 @@ class SolveConfig:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if self.state_budget <= 0:
+            raise ValidationError(f"state_budget must be > 0, got {self.state_budget}")
 
 
 @dataclass(frozen=True)
@@ -373,24 +371,15 @@ def build_pipeline(gc: Graph) -> Pipeline:
     return Pipeline(partition=part, nice=nd, weighted_width=w)
 
 
-@dataclass
-class _ComponentResult:
-    deleted: frozenset[int]
-    weighted_width: int
-    class_count: int
-    used_oracle: bool = False
-    width_exceeded: bool = False
-
-
 def _solve_component(
-    gc: Graph, cfg: SolveConfig, dp_mode: str, width_limit: float | None
-) -> _ComponentResult:
-    """Exact minimum deletion set for one peeled component."""
-    pipe = build_pipeline(gc)
+    gc: Graph, pipe: Pipeline, dp_mode: str, state_budget: int
+) -> tuple[frozenset[int], bool]:
+    """Exact minimum deletion set for one peeled component.
+
+    The flag is True when the oracle found the set, after the DP hit the
+    width safety cap or the state budget.
+    """
     w = pipe.weighted_width
-    class_count = len(pipe.partition.classes)
-    if width_limit is not None and w > width_limit:
-        return _ComponentResult(frozenset(), w, class_count, width_exceeded=True)
     try:
         if w > WIDTH_SAFETY_CAP:
             raise ResourceError(
@@ -398,22 +387,23 @@ def _solve_component(
                 f"on a component of {gc.n} vertices"
             )
         _, tables = dp_run(
-            pipe.nice, gc, pipe.partition, mode=dp_mode, state_budget=cfg.state_budget
+            pipe.nice, gc, pipe.partition, mode=dp_mode, state_budget=state_budget
         )
     except ResourceError:
         if gc.n > DEFAULT_BUDGET.max_n_subsets:
             raise
         _, witness = min_fvs_bruteforce(gc)
-        return _ComponentResult(witness, w, class_count, used_oracle=True)
-    deleted = reconstruct(tables, pipe.nice, gc, pipe.partition)
-    return _ComponentResult(deleted, w, class_count)
+        return witness, True
+    return reconstruct(tables, pipe.nice, gc, pipe.partition), False
 
 
 def solve(g: Graph, cfg: SolveConfig) -> Solution:
     """Decide whether g has a feedback vertex set of size <= cfg.k.
 
-    With thresholds off this is exact for every input graph. A returned
-    "yes" always carries a witness re-verified against the original graph.
+    Exact for every input graph. A "no" comes from the DP, the oracle, or
+    the clique-packing bound, whose cliques (original vertex ids) are
+    checked against g and returned in stats["cliques"]. A returned "yes"
+    always carries a witness re-verified against the original graph.
     """
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
@@ -435,38 +425,41 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     stats["high_degree_count"] = count_high_degree(gp)
     timings["peel"] = time.perf_counter() - t0
 
-    if cfg.thresholds and stats["high_degree_count"] > DEFAULT_HIGHDEG_COEFF * cfg.k:
-        timings["total"] = time.perf_counter() - t0
-        stats["timings"] = timings
-        return Solution(verdict="no", fvs=None, certificate="highdeg-threshold", stats=stats)
-
-    dp_mode = "dp-rank" if cfg.mode in ("auto", "dp-rank") else "dp-naive"
-    width_limit = DEFAULT_WIDTH_COEFF * math.sqrt(cfg.k) if cfg.thresholds else None
-    deleted_reduced: set[int] = set()
-    max_width = 0
-    class_count = 0
-    used_oracle = False
     t1 = time.perf_counter()
+    components = []
     for comp in connected_components(gp):
         sub, old_of_new, _ = induced_subgraph(gp, comp)
-        res = _solve_component(sub, cfg, dp_mode, width_limit)
-        max_width = max(max_width, res.weighted_width)
-        class_count += res.class_count
-        used_oracle = used_oracle or res.used_oracle
-        if res.width_exceeded:
-            stats["weighted_width"] = max_width
-            stats["class_count"] = class_count
-            timings["pipeline"] = time.perf_counter() - t1
-            timings["total"] = time.perf_counter() - t0
-            stats["timings"] = timings
-            return Solution(
-                verdict="no", fvs=None, certificate="width-threshold", stats=stats
-            )
-        deleted_reduced.update(old_of_new[v] for v in res.deleted)
+        components.append((sub, old_of_new, build_pipeline(sub)))
+    stats["weighted_width"] = max((p.weighted_width for *_, p in components), default=0)
+    stats["class_count"] = sum(len(p.partition.classes) for *_, p in components)
+
+    cliques = [
+        tuple(peel.kept[old_of_new[v]] for v in cls)
+        for _, old_of_new, pipe in components
+        for cls in pipe.partition.classes
+        if len(cls) > 2
+    ]
+    stats["lower_bound"] = sum(len(c) - 2 for c in cliques)
+    if stats["lower_bound"] > cfg.k:
+        for c in cliques:
+            if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
+                raise InternalError(f"clique-packing certificate: {c} is not a clique")
+        stats["cliques"] = cliques
+        timings["pipeline"] = time.perf_counter() - t1
+        timings["total"] = time.perf_counter() - t0
+        stats["timings"] = timings
+        return Solution(verdict="no", fvs=None, certificate="clique-packing", stats=stats)
+
+    dp_mode = "dp-rank" if cfg.mode in ("auto", "dp-rank") else "dp-naive"
+    deleted_reduced: set[int] = set()
+    used_oracle = False
+    while components:  # pop, so each pipeline is freed once its DP is done
+        sub, old_of_new, pipe = components.pop()
+        deleted, oracle = _solve_component(sub, pipe, dp_mode, cfg.state_budget)
+        used_oracle = used_oracle or oracle
+        deleted_reduced.update(old_of_new[v] for v in deleted)
     timings["pipeline"] = time.perf_counter() - t1
 
-    stats["weighted_width"] = max_width
-    stats["class_count"] = class_count
     deleted_original = sorted(peel.kept[v] for v in deleted_reduced)
     stats["min_fvs"] = len(deleted_original)
 
@@ -487,12 +480,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
 def solve_min_fvs(g: Graph, cfg: SolveConfig | None = None) -> tuple[int, tuple[int, ...]]:
     """Minimum feedback vertex set size and witness via the DP pipeline."""
     base = cfg or SolveConfig(k=0, mode="dp-rank")
-    big = replace(
-        base,
-        k=g.n,
-        mode=base.mode if base.mode != "oracle" else "dp-rank",
-        thresholds=False,
-    )
+    big = replace(base, k=g.n, mode=base.mode if base.mode != "oracle" else "dp-rank")
     sol = solve(g, big)
     assert sol.fvs is not None
     return len(sol.fvs), sol.fvs

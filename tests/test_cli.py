@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from diskfvs.cli import main
 from diskfvs.fileio import serialize_graph
 
@@ -73,17 +75,23 @@ class TestSolveCommand:
         assert code in (0, 1)
         assert payload["verdict"] in ("yes", "no")
 
-    def test_thresholds_only_when_asked(self, tmp_path, capsys):
+    def test_clique_packing_certificate(self, tmp_path, capsys):
         out = tmp_path / "dense"
         main(["gen", "--udg", "-n", "15", "--density", "3.0", "--seed", "0",
               "--out", str(out)])
         points = str(out.with_suffix(".points"))
         capsys.readouterr()
+        # clique-packing bound 6, minimum 8
         assert main(["solve", points, "--k", "0", "--json"]) == 1
-        assert json.loads(capsys.readouterr().out)["certificate"] == "dp"
-        assert main(["solve", points, "--k", "0", "--json", "--thresholds"]) == 1
-        certificate = json.loads(capsys.readouterr().out)["certificate"]
-        assert certificate in ("highdeg-threshold", "width-threshold")
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"] == "clique-packing"
+        assert sum(len(c) - 2 for c in payload["cliques"]) == 6
+        assert main(["solve", points, "--k", "6", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"] == "dp" and payload["cliques"] == []
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", points, "--k", "0", "--thresholds"])
+        assert exc.value.code == 2
 
 
 class TestOracleCommand:

@@ -80,6 +80,19 @@ class TestDecompositionFormat:
         assert int(parts[2]) == td.node_count()
         assert int(parts[4]) == g.n
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("s td x 1 1\n", 1),
+            ("s td 1 1 1\nb\n", 2),
+            ("s td 1 1 1\nb 1 z\n", 2),
+            ("s td 2 1 2\nb 1 0\nb 2 1\n1 q\n", 4),
+        ],
+    )
+    def test_malformed_line_is_input_error(self, text, lineno):
+        with pytest.raises(InputError, match=f"^line {lineno}: "):
+            parse_decomposition(text)
+
     def test_bad_bag_ids(self):
         with pytest.raises(InputError):
             parse_decomposition("s td 2 1 2\nb 1 0\nb 3 1\n1 2\n")

@@ -7,7 +7,6 @@ from diskfvs import (
     SolveConfig,
     ValidationError,
     build_intersection_graph,
-    count_high_degree,
     from_edge_list,
     induced_subgraph,
     is_forest,
@@ -121,29 +120,6 @@ class TestDpRun:
                     assert len(reconstruct(tables, nd, g, p)) == g.n - best
 
 
-class TestQuickReject:
-    """The high-degree certificate fires iff count_high_degree > c1 * k."""
-
-    def test_forest_never_fires(self):
-        peeled = peel_degree_one(path_graph(9)).reduced
-        for k in range(5):
-            assert not count_high_degree(peeled) > 10.0 * k
-
-    def test_k5_at_zero_budget_fires(self):
-        assert count_high_degree(complete_graph(5)) > 10.0 * 0
-
-    def test_planted_sweep_never_fires_with_default_coeff(self):
-        from diskfvs import planted_yes_instance
-        from diskfvs.solver import DEFAULT_HIGHDEG_COEFF
-
-        for seed in range(10):
-            for k in (1, 2, 4, 9):
-                objs, _ = planted_yes_instance(k, 30, seed)
-                g = build_intersection_graph(objs)
-                peeled = peel_degree_one(g).reduced
-                assert not count_high_degree(peeled) > DEFAULT_HIGHDEG_COEFF * k
-
-
 class TestSolveBasics:
     def test_c4_k1_yes_with_witness(self):
         sol = solve(cycle_graph(4), SolveConfig(k=1, mode="dp-rank"))
@@ -178,6 +154,8 @@ class TestSolveBasics:
             SolveConfig(k=-1)
         with pytest.raises(ValidationError):
             SolveConfig(k=0, mode="nonsense")
+        with pytest.raises(ValidationError):
+            SolveConfig(k=0, state_budget=0)
 
 
 class TestSolveAgainstOracle:
@@ -328,59 +306,68 @@ class TestSolveInvariants:
             assert is_forest(sub)
 
 
-class TestThresholds:
-    def test_disabled_by_default(self):
-        g = complete_graph(9)  # heavy high-degree count
-        sol = solve(g, SolveConfig(k=0, mode="dp-rank"))
-        assert sol.certificate == "dp"
+class TestCliquePacking:
+    """Every class is a clique and a forest keeps at most two vertices of a
+    clique, so sum(|class| - 2) bounds the minimum from below."""
 
-    def test_highdeg_certificate(self):
-        g = complete_graph(9)
-        sol = solve(g, SolveConfig(k=0, mode="dp-rank", thresholds=True))
-        assert sol.verdict == "no" and sol.certificate == "highdeg-threshold"
-
-    def test_auto_mode_needs_the_switch(self):
-        g = complete_graph(9)
-        off = solve(g, SolveConfig(k=0, mode="auto"))
-        on = solve(g, SolveConfig(k=0, mode="auto", thresholds=True))
-        assert off.verdict == on.verdict == "no"
-        assert off.certificate == "dp"
-        assert on.certificate in ("highdeg-threshold", "width-threshold")
-
-    def test_oracle_mode_ignores_the_switch(self):
-        sol = solve(complete_graph(9), SolveConfig(k=0, mode="oracle", thresholds=True))
-        assert sol.verdict == "no" and sol.certificate == "oracle"
-
-    def test_threshold_soundness_desk_scale(self):
-        # fired certificates must agree with the exhaustive answer
+    def test_soundness_desk_scale(self):
         fired = 0
         for seed in range(40):
             objs = random_udg(6 + seed % 13, [0.2, 0.5, 1.0][seed % 3], seed)
             g = build_intersection_graph(objs)
             size, _ = min_fvs_bruteforce(g)
             for k in range(0, min(g.n, 6)):
-                cfg = SolveConfig(k=k, mode="dp-rank", thresholds=True)
-                sol = solve(g, cfg)
-                if sol.certificate in ("highdeg-threshold", "width-threshold"):
+                sol = solve(g, SolveConfig(k=k, mode="dp-rank"))
+                if sol.certificate == "clique-packing":
                     fired += 1
-                    assert size > k, (seed, k)
+                    assert sol.verdict == "no" and size > k, (seed, k)
                 else:
                     assert sol.verdict == ("yes" if size <= k else "no")
-        assert fired > 0  # the sweep must actually exercise the certificates
+        assert fired > 0  # the sweep must actually exercise the certificate
+
+    def test_certificate_cliques_in_original_graph(self):
+        # peeling and the component split both renumber vertices
+        g = build_intersection_graph(random_udg(60, 1.5, seed=2))
+        assert peel_degree_one(g).reduced.n < g.n
+        sol = solve(g, SolveConfig(k=0))
+        assert sol.verdict == "no" and sol.certificate == "clique-packing"
+        cliques = sol.stats["cliques"]
+        seen = set()
+        for c in cliques:
+            assert len(c) >= 3
+            assert all(g.has_edge(u, v) for i, u in enumerate(c) for v in c[i + 1:])
+            assert seen.isdisjoint(c)
+            seen.update(c)
+        assert sum(len(c) - 2 for c in cliques) == sol.stats["lower_bound"] > 0
+
+    def test_oracle_mode_never_answers_it(self):
+        sol = solve(complete_graph(9), SolveConfig(k=0, mode="oracle"))
+        assert sol.verdict == "no" and sol.certificate == "oracle"
+        assert solve(complete_graph(9), SolveConfig(k=0)).certificate == "clique-packing"
+
+
+class TestThresholds:
+    """Paths behind the bound: the DP, the width safety cap and the state
+    budget, each reached at a k the clique-packing bound cannot reject."""
+
+    def test_disabled_by_default(self):
+        g = complete_graph(9)  # bound 7 = minimum
+        sol = solve(g, SolveConfig(k=7, mode="dp-rank"))
+        assert sol.certificate == "dp"
 
     def test_width_safety_cap_falls_back_to_oracle(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
         g = complete_graph(12)  # blown-up clique exceeds a tiny cap
-        sol = solve(g, SolveConfig(k=2, mode="dp-rank"))
+        sol = solve(g, SolveConfig(k=10, mode="dp-rank"))  # bound 10 = minimum
         assert sol.certificate == "oracle"
-        assert sol.verdict == "no"
+        assert sol.verdict == "yes" and len(sol.fvs) == 10
 
     def test_width_safety_cap_resource_error(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
         rng = random.Random(60)
         g = random_graph(24, 0.5, rng)
         with pytest.raises(ResourceError):
-            solve(g, SolveConfig(k=2, mode="dp-rank"))
+            solve(g, SolveConfig(k=g.n, mode="dp-rank"))
 
     def test_state_budget_oracle_fallback(self):
         g = build_intersection_graph(random_udg(16, 0.5, 3))
@@ -393,4 +380,4 @@ class TestThresholds:
         rng = random.Random(61)
         g = random_graph(30, 0.4, rng)
         with pytest.raises(ResourceError):
-            solve(g, SolveConfig(k=3, mode="dp-rank", state_budget=50))
+            solve(g, SolveConfig(k=g.n, mode="dp-rank", state_budget=50))
