@@ -68,6 +68,7 @@ def _solution_payload(sol, cfg) -> dict:
         "high_degree_count": sol.stats.get("high_degree_count"),
         "class_count": sol.stats.get("class_count"),
         "cliques": sol.stats.get("cliques", []),
+        "pruned_rows": sol.stats.get("pruned_rows", 0),
         "timings": sol.stats.get("timings", {}),
     }
 

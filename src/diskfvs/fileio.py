@@ -17,7 +17,7 @@ from __future__ import annotations
 from .decomposition import TreeDecomposition
 from .errors import InputError
 from .geometry import FatObject, ObjectSet
-from .graph import Graph, from_edge_list
+from .graph import Graph, connected_components, from_edge_list
 
 
 def _data_lines(text: str):
@@ -37,6 +37,7 @@ def serialize_graph(g: Graph) -> str:
 def parse_graph(text: str) -> Graph:
     n = m = None
     edges = []
+    seen: set[tuple[int, int]] = set()
     for lineno, line in _data_lines(text):
         parts = line.split()
         if parts[0] == "p":
@@ -54,9 +55,14 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected 'e <u> <v>'")
             try:
-                edges.append((int(parts[1]), int(parts[2])))
+                u, v = int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise InputError(f"line {lineno}: bad edge") from exc
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise InputError(f"line {lineno}: repeated edge {u} {v}")
+            seen.add(key)
+            edges.append((u, v))
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
@@ -144,7 +150,7 @@ def _ints(lineno: int, fields: list[str], what: str) -> list[int]:
 def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     header = None
     bags: dict[int, frozenset[int]] = {}
-    tree_edges = []
+    tree_edges: dict[tuple[int, int], int] = {}  # (smaller, larger) -> line
     for lineno, line in _data_lines(text):
         parts = line.split()
         if parts[0] == "s":
@@ -161,26 +167,43 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
             bag_id, *bag = _ints(lineno, parts[1:], "bag")
             if bag_id in bags:
                 raise InputError(f"line {lineno}: duplicate bag {bag_id}")
+            outside = [v for v in bag if not 0 <= v < header[2]]
+            if outside:
+                raise InputError(
+                    f"line {lineno}: bag vertex {outside[0]} outside 0..{header[2] - 1}"
+                )
             bags[bag_id] = frozenset(bag)
         else:
             if header is None:
                 raise InputError(f"line {lineno}: edge before header")
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected '<i> <j>' tree edge")
-            tree_edges.append(tuple(_ints(lineno, parts, "tree edge")))
+            i, j = _ints(lineno, parts, "tree edge")
+            if i == j:
+                raise InputError(f"line {lineno}: self-loop tree edge {i} {j}")
+            key = (i, j) if i < j else (j, i)
+            if key in tree_edges:
+                raise InputError(f"line {lineno}: duplicate tree edge {i} {j}")
+            tree_edges[key] = lineno
     if header is None:
         raise InputError("missing header 's td <bags> <max_bag> <n>'")
     num_bags, max_bag, n_vertices = header
     if sorted(bags) != list(range(1, num_bags + 1)):
         raise InputError("bag ids must be 1..num_bags")
-    adj: list[list[int]] = [[] for _ in range(num_bags)]
-    for (i, j) in tree_edges:
+    edges = []
+    for (i, j), lineno in tree_edges.items():
         if not (1 <= i <= num_bags and 1 <= j <= num_bags):
-            raise InputError(f"tree edge ({i}, {j}) out of range")
-        adj[i - 1].append(j - 1)
-        adj[j - 1].append(i - 1)
+            raise InputError(f"line {lineno}: tree edge ({i}, {j}) out of range")
+        edges.append((i - 1, j - 1))
+    if len(edges) != max(num_bags - 1, 0):
+        raise InputError(
+            f"a tree on {num_bags} bags has {max(num_bags - 1, 0)} edges, found {len(edges)}"
+        )
+    tree = from_edge_list(num_bags, edges)
+    if len(connected_components(tree)) > 1:
+        raise InputError("tree edges do not connect every bag")
     td = TreeDecomposition(
-        tree=tuple(tuple(sorted(a)) for a in adj),
+        tree=tree.adj,
         bags=tuple(bags[i + 1] for i in range(num_bags)),
         root=0,
     )

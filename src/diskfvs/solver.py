@@ -3,11 +3,21 @@
 Pipeline: peel degree <= 1 vertices, split into components, partition each
 component into cliques, contract to the weighted class graph, decompose via
 blowup and projection, then run the clique-constrained connectivity DP over
-the nice decomposition. Before any DP runs, the classes give a proven lower
-bound: a forest keeps at most two vertices of a clique and the classes are
-disjoint cliques, so every feedback vertex set has at least
+the nice decomposition. Right after partitioning, the classes give a proven
+lower bound: a forest keeps at most two vertices of a clique and the
+classes are disjoint cliques, so every feedback vertex set has at least
 sum(max(0, |class| - 2)) vertices. When that exceeds k the answer is "no"
 with the cliques as a certificate anyone can check.
+
+The same bound prunes the DP in decision solves. A component C is solved
+with slack = k - done - rest - LB_C, where done sums the exact minima of
+the components already solved, rest the bounds of those still to come and
+LB_C is C's own bound. A row at node t has deleted proc(t) - value of the
+proc(t) vertices in its subtree's classes, and lbsub(t) of the bound
+belongs to those classes, so a row with value < proc(t) - lbsub(t) - slack
+cannot lead to a set of at most k vertices and is dropped (see dp_run). An
+optimal set never breaks that floor at any node, so a surviving root row
+is exact, and an empty root proves C's minimum exceeds its share of k.
 
 DP state at a nice-decomposition node: the sorted tuple of vertices kept
 in the bag's classes (at most two per class, since every class is a
@@ -168,6 +178,11 @@ def _uf_find(parent: list[int], x: int) -> int:
     return x
 
 
+def _packing_bound(part: KappaPartition) -> int:
+    """Clique-packing lower bound: every class keeps at most two vertices."""
+    return sum(len(cls) - 2 for cls in part.classes if len(cls) > 2)
+
+
 def dp_run(
     nd: NiceDecomposition,
     g: Graph,
@@ -175,7 +190,9 @@ def dp_run(
     mode: str = "dp-rank",
     debug_edge_accounting: bool = False,
     state_budget: int | None = None,
-) -> tuple[int, list[_Table]]:
+    max_deletions: int | None = None,
+    stats: dict[str, Any] | None = None,
+) -> tuple[int | None, list[_Table]]:
     """Maximum induced forest size over the nice decomposition.
 
     Returns the optimum and the per-node tables (with backrefs) for
@@ -183,11 +200,35 @@ def dp_run(
     The state count is exponential in the weighted width; state_budget
     caps the number of candidate states examined and raises ResourceError
     beyond it rather than grinding on an infeasible instance.
+
+    max_deletions is the most vertices the caller can still accept deleting
+    in this component; None keeps every row. With slack = max_deletions -
+    LB, LB the clique-packing bound of all of p's classes, a row at node t
+    with value < proc(t) - lbsub(t) - slack is dropped before its
+    union-find work. proc(t) sums |c| and lbsub(t) sums max(0, |c| - 2)
+    over the classes in t's subtree, so the floor is cap(t) - slack with
+    cap(t) = sum(min(2, |c|)), the most a row at t can keep. Such a row has
+    deleted proc(t) - value vertices and every class still to come needs
+    its own max(0, |c| - 2), so it cannot end within max_deletions. The
+    rows of an optimal set never break the floor, and a stored row is
+    never worse than the one it stands for (rank reduction included), so
+    the root value is exact whenever the minimum is at most max_deletions;
+    otherwise the root table is empty and the optimum is returned as None.
+    If stats is given, stats["pruned_rows"] grows by the candidate rows
+    the floor dropped.
     """
     if mode not in ("dp-naive", "dp-rank"):
         raise ValidationError(f"dp_run mode must be dp-naive or dp-rank, got {mode!r}")
+    if debug_edge_accounting and max_deletions is not None:
+        raise ValidationError("edge accounting needs every row; pass max_deletions=None")
     selections = [local_selections(cls, cov) for cls, cov in zip(p.classes, p.clique_cover)]
     accounting = _EdgeAccounting(nd) if debug_edge_accounting else None
+    keep_cap = [min(2, len(cls)) for cls in p.classes]
+    if max_deletions is None:
+        slack = g.n  # cap(t) <= g.n, so no floor is above 0
+    else:
+        slack = max_deletions - _packing_bound(p)
+    pruned = 0
     work = 0
 
     def charge(units: int) -> None:
@@ -201,6 +242,7 @@ def dp_run(
 
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
+    cap = [0] * n_nodes
 
     def put(table: _Table, kept: Kept, part: Partition, value: int, back) -> None:
         group = table.setdefault(kept, {})
@@ -215,9 +257,19 @@ def dp_run(
             table[()] = {(): (0, None)}
         elif kind == INTRODUCE:
             v_cl = nd.vtx[node]
-            for kept_c, group in tables[nd.children[node][0]].items():
+            child = nd.children[node][0]
+            cap[node] = cap[child] + keep_cap[v_cl]
+            floor = cap[node] - slack
+            for kept_c, group in tables[child].items():
                 s_c = len(kept_c)
+                # no row is dropped while floor <= 0, so skip the scan then
+                best_c = max(row[0] for row in group.values()) if floor > 0 else 0
                 for sel in selections[v_cl]:
+                    charge(len(group))
+                    need = floor - len(sel)  # the least child value that survives
+                    if best_c < need:
+                        pruned += len(group)
+                        continue
                     # positions: the child's kept vertices, then sel's
                     joined = kept_c + sel
                     order = sorted(range(len(joined)), key=joined.__getitem__)
@@ -235,8 +287,10 @@ def dp_run(
                                 new_edges.append((s_c + i, j))
                                 if accounting:
                                     accounting.record(node, x, y)
-                    charge(len(group))
                     for part_c, (value, _) in group.items():
+                        if value < need:
+                            pruned += 1
+                            continue
                         nc = block_count(part_c)
                         labels = part_c + tuple(range(nc, nc + len(sel)))
                         parent = list(range(nc + len(sel)))
@@ -252,7 +306,9 @@ def dp_run(
                                 (kept_c, part_c))
         elif kind == FORGET:
             v_cl = nd.vtx[node]
-            for kept_c, group in tables[nd.children[node][0]].items():
+            child = nd.children[node][0]
+            cap[node] = cap[child]  # the row values do not change either
+            for kept_c, group in tables[child].items():
                 keep_pos = [i for i, v in enumerate(kept_c) if p.class_of[v] != v_cl]
                 kept_n = tuple(kept_c[i] for i in keep_pos)
                 charge(len(group))
@@ -261,6 +317,9 @@ def dp_run(
                     put(table, kept_n, part_n, value, (kept_c, part_c))
         elif kind == JOIN:
             left, right = nd.children[node]
+            # the bag's classes are in both subtrees
+            cap[node] = cap[left] + cap[right] - sum(keep_cap[c] for c in nd.bags[node])
+            floor = cap[node] - slack
             rt = tables[right]
             for kept, lgroup in tables[left].items():
                 rgroup = rt.get(kept)
@@ -272,9 +331,18 @@ def dp_run(
                     if g.has_edge(kept[i], kept[j])
                 )
                 charge(len(lgroup) * len(rgroup))
+                best_r = max(row[0] for row in rgroup.values()) if floor > 0 else 0
                 for part_l, (val_l, _) in lgroup.items():
+                    # val_l >= s, so need <= 0 while floor <= 0
+                    need = floor + s - val_l  # the least right value that survives
+                    if best_r < need:
+                        pruned += len(rgroup)
+                        continue
                     nl = block_count(part_l)
                     for part_r, (val_r, _) in rgroup.items():
+                        if val_r < need:
+                            pruned += 1
+                            continue
                         # left then right block labels, joined per position
                         parent = list(range(nl + block_count(part_r)))
                         merges = 0
@@ -294,10 +362,15 @@ def dp_run(
             reduced = rank_reduce(RepresentativeTable(rows=table))
             table = reduced.rows
         tables[node] = table
+        if not table:  # only the floor empties a table; every ancestor's is empty too
+            break
 
-    root_table = tables[nd.root]
-    root_group = root_table.get((), {})
+    if stats is not None:
+        stats["pruned_rows"] = stats.get("pruned_rows", 0) + pruned
+    root_group = tables[nd.root].get((), {})
     if () not in root_group:
+        if max_deletions is not None:
+            return None, tables
         raise InternalError("DP produced no state at the empty root bag")
     best_value = root_group[()][0]
     if accounting is not None:
@@ -350,16 +423,19 @@ class Pipeline:
     weighted_width: int
 
 
-def build_pipeline(gc: Graph) -> Pipeline:
+def build_pipeline(gc: Graph, part: KappaPartition | None = None) -> Pipeline:
     """Partition, contract and decompose one component for the DP.
 
-    The weighted decomposition of the contraction comes from blowing each
-    class up into a clique, decomposing the blown graph and projecting the
-    bags back. Only the nice form, which the DP consumes, is validated: its
-    bags are the projected bags and subsets of them, so it is valid exactly
-    when the projection is. A violation is a bug and raises InternalError.
+    part is the component's greedy clique partition when the caller has
+    already made it. The weighted decomposition of the contraction comes
+    from blowing each class up into a clique, decomposing the blown graph
+    and projecting the bags back. Only the nice form, which the DP
+    consumes, is validated: its bags are the projected bags and subsets of
+    them, so it is valid exactly when the projection is. A violation is a
+    bug and raises InternalError.
     """
-    part = greedy_partition(gc)
+    if part is None:
+        part = greedy_partition(gc)
     cg = contract(gc, part)
     bg = blowup(cg)
     td = project(decompose_unweighted(bg.graph), bg, cg)
@@ -372,10 +448,16 @@ def build_pipeline(gc: Graph) -> Pipeline:
 
 
 def _solve_component(
-    gc: Graph, pipe: Pipeline, dp_mode: str, state_budget: int
-) -> tuple[frozenset[int], bool]:
-    """Exact minimum deletion set for one peeled component.
+    gc: Graph,
+    pipe: Pipeline,
+    dp_mode: str,
+    state_budget: int,
+    max_deletions: int | None,
+    stats: dict[str, Any],
+) -> tuple[frozenset[int] | None, bool]:
+    """Minimum deletion set for one peeled component.
 
+    The set is None when the DP proved the minimum exceeds max_deletions.
     The flag is True when the oracle found the set, after the DP hit the
     width safety cap or the state budget.
     """
@@ -386,14 +468,17 @@ def _solve_component(
                 f"weighted width {w} exceeds safety cap {WIDTH_SAFETY_CAP} "
                 f"on a component of {gc.n} vertices"
             )
-        _, tables = dp_run(
-            pipe.nice, gc, pipe.partition, mode=dp_mode, state_budget=state_budget
+        best, tables = dp_run(
+            pipe.nice, gc, pipe.partition, mode=dp_mode, state_budget=state_budget,
+            max_deletions=max_deletions, stats=stats,
         )
     except ResourceError:
         if gc.n > DEFAULT_BUDGET.max_n_subsets:
             raise
         _, witness = min_fvs_bruteforce(gc)
         return witness, True
+    if best is None:
+        return None, False
     return reconstruct(tables, pipe.nice, gc, pipe.partition), False
 
 
@@ -404,6 +489,16 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     the clique-packing bound, whose cliques (original vertex ids) are
     checked against g and returned in stats["cliques"]. A returned "yes"
     always carries a witness re-verified against the original graph.
+
+    Components are solved smallest first, each with the deletions left
+    once the solved components' minima and the other components' bounds
+    are taken from k, and the DP drops the rows that cannot stay within
+    that (see dp_run). The solve stops with "no" as soon as the solved
+    minima plus the bounds still to come exceed k, so stats["min_fvs"] is
+    set only when every component's minimum was computed, and
+    stats["weighted_width"] covers only the components whose pipeline was
+    built (0 when none was). stats["pruned_rows"] counts the candidate DP
+    rows the bound dropped.
     """
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
@@ -429,52 +524,69 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     components = []
     for comp in connected_components(gp):
         sub, old_of_new, _ = induced_subgraph(gp, comp)
-        components.append((sub, old_of_new, build_pipeline(sub)))
-    stats["weighted_width"] = max((p.weighted_width for *_, p in components), default=0)
-    stats["class_count"] = sum(len(p.partition.classes) for *_, p in components)
+        part = greedy_partition(sub)
+        components.append((sub, old_of_new, part, _packing_bound(part)))
+    stats["class_count"] = sum(len(c[2].classes) for c in components)
+    stats["weighted_width"] = 0
+    stats["pruned_rows"] = 0
 
-    cliques = [
-        tuple(peel.kept[old_of_new[v]] for v in cls)
-        for _, old_of_new, pipe in components
-        for cls in pipe.partition.classes
-        if len(cls) > 2
-    ]
-    stats["lower_bound"] = sum(len(c) - 2 for c in cliques)
-    if stats["lower_bound"] > cfg.k:
+    rest = stats["lower_bound"] = sum(c[3] for c in components)
+    if rest > cfg.k:  # the loop below then never runs
+        cliques = [
+            tuple(peel.kept[old_of_new[v]] for v in cls)
+            for _, old_of_new, part, _ in components
+            for cls in part.classes
+            if len(cls) > 2
+        ]
         for c in cliques:
             if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
                 raise InternalError(f"clique-packing certificate: {c} is not a clique")
         stats["cliques"] = cliques
-        timings["pipeline"] = time.perf_counter() - t1
-        timings["total"] = time.perf_counter() - t0
-        stats["timings"] = timings
-        return Solution(verdict="no", fvs=None, certificate="clique-packing", stats=stats)
 
     dp_mode = "dp-rank" if cfg.mode in ("auto", "dp-rank") else "dp-naive"
+    # popped from the end, smallest first: their exact minima tighten the
+    # budget of the larger, costlier DPs that follow
+    components.sort(key=lambda c: c[0].n, reverse=True)
     deleted_reduced: set[int] = set()
-    used_oracle = False
-    while components:  # pop, so each pipeline is freed once its DP is done
-        sub, old_of_new, pipe = components.pop()
-        deleted, oracle = _solve_component(sub, pipe, dp_mode, cfg.state_budget)
+    used_oracle = refuted = False
+    # stop once the minima so far plus the bounds still to come exceed k
+    while components and len(deleted_reduced) + rest <= cfg.k:
+        sub, old_of_new, part, bound = components.pop()
+        rest -= bound
+        budget = cfg.k - len(deleted_reduced) - rest
+        pipe = build_pipeline(sub, part)
+        stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
+        deleted, oracle = _solve_component(
+            sub, pipe, dp_mode, cfg.state_budget,
+            budget if budget < sub.n else None, stats,
+        )
         used_oracle = used_oracle or oracle
+        if deleted is None:
+            refuted = True
+            break
         deleted_reduced.update(old_of_new[v] for v in deleted)
     timings["pipeline"] = time.perf_counter() - t1
 
-    deleted_original = sorted(peel.kept[v] for v in deleted_reduced)
-    stats["min_fvs"] = len(deleted_original)
-
+    fvs = None
+    if not (refuted or components):
+        deleted_original = sorted(peel.kept[v] for v in deleted_reduced)
+        stats["min_fvs"] = len(deleted_original)
+        if len(deleted_original) <= cfg.k:
+            fvs = tuple(deleted_original)
+            deleted = set(fvs)
+            remaining = [v for v in range(g.n) if v not in deleted]
+            sub, _, _ = induced_subgraph(g, remaining)
+            if not is_forest(sub):
+                raise InternalError("final verification failed: deletion leaves a cycle")
     timings["total"] = time.perf_counter() - t0
     stats["timings"] = timings
-    certificate = "oracle" if used_oracle else "dp"
-    if len(deleted_original) <= cfg.k:
-        fvs = tuple(deleted_original)
-        deleted = set(fvs)
-        remaining = [v for v in range(g.n) if v not in deleted]
-        sub, _, _ = induced_subgraph(g, remaining)
-        if not is_forest(sub):
-            raise InternalError("final verification failed: deletion leaves a cycle")
-        return Solution(verdict="yes", fvs=fvs, certificate=certificate, stats=stats)
-    return Solution(verdict="no", fvs=None, certificate=certificate, stats=stats)
+    if "cliques" in stats:
+        certificate = "clique-packing"
+    else:
+        certificate = "oracle" if used_oracle else "dp"
+    return Solution(
+        verdict="no" if fvs is None else "yes", fvs=fvs, certificate=certificate, stats=stats
+    )
 
 
 def solve_min_fvs(g: Graph, cfg: SolveConfig | None = None) -> tuple[int, tuple[int, ...]]:

@@ -89,6 +89,10 @@ class TestSolveCommand:
         assert main(["solve", points, "--k", "6", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"] == "dp" and payload["cliques"] == []
+        # the minimum minus one: the DP refutes it with rows pruned against k
+        assert main(["solve", points, "--k", "7", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"] == "dp" and payload["pruned_rows"] > 0
         with pytest.raises(SystemExit) as exc:
             main(["solve", points, "--k", "0", "--thresholds"])
         assert exc.value.code == 2

@@ -37,6 +37,11 @@ class TestGraphFormat:
         with pytest.raises(InputError):
             parse_graph("p fvs 2 1\nx 0 1\n")
 
+    @pytest.mark.parametrize("second", ["e 1 0", "e 0 1"])
+    def test_repeated_edge_is_input_error(self, second):
+        with pytest.raises(InputError, match="^line 3: repeated edge"):
+            parse_graph(f"p fvs 2 2\ne 0 1\n{second}\n")
+
 
 class TestObjectsFormat:
     def test_round_trip_byte_identical(self):
@@ -87,10 +92,27 @@ class TestDecompositionFormat:
             ("s td 1 1 1\nb\n", 2),
             ("s td 1 1 1\nb 1 z\n", 2),
             ("s td 2 1 2\nb 1 0\nb 2 1\n1 q\n", 4),
+            ("s td 2 1 2\nb 1 0\nb 2 1\n1 1\n", 4),  # self-loop tree edge
+            ("s td 2 1 2\nb 1 0\nb 2 1\n1 2\n2 1\n", 5),  # duplicate tree edge
+            ("s td 1 1 1\nb 1 1\n", 2),  # bag vertex outside 0..n-1
+            ("s td 1 1 1\nb 1 -1\n", 2),
         ],
     )
     def test_malformed_line_is_input_error(self, text, lineno):
         with pytest.raises(InputError, match=f"^line {lineno}: "):
+            parse_decomposition(text)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("s td 2 1 2\nb 1 0\nb 2 1\n", "has 1 edges, found 0"),
+            ("s td 3 1 3\nb 1 0\nb 2 1\nb 3 2\n1 2\n2 3\n1 3\n", "has 2 edges, found 3"),
+            # three edges on four bags, but a triangle and an isolated bag
+            ("s td 4 1 4\nb 1 0\nb 2 1\nb 3 2\nb 4 3\n1 2\n2 3\n1 3\n", "do not connect"),
+        ],
+    )
+    def test_tree_edges_not_a_tree(self, text, match):
+        with pytest.raises(InputError, match=match):
             parse_decomposition(text)
 
     def test_bad_bag_ids(self):

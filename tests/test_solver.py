@@ -346,6 +346,68 @@ class TestCliquePacking:
         assert solve(complete_graph(9), SolveConfig(k=0)).certificate == "clique-packing"
 
 
+class TestPruning:
+    """Decision solves drop the DP rows whose deletions so far plus the
+    clique-packing bound of everything still to come exceed k."""
+
+    def test_every_k_desk_scale(self):
+        pruned = 0
+        for seed in range(40):
+            objs = random_udg(6 + seed % 13, [0.2, 0.5, 1.0][seed % 3], seed)
+            g = build_intersection_graph(objs)
+            size, _ = min_fvs_bruteforce(g)
+            for mode in ("dp-naive", "dp-rank"):
+                for k in range(g.n + 1):
+                    sol = solve(g, SolveConfig(k=k, mode=mode))
+                    assert sol.verdict == ("yes" if size <= k else "no"), (seed, mode, k)
+                    assert sol.stats.get("min_fvs", size) == size
+                    pruned += sol.stats["pruned_rows"]
+                    if sol.verdict == "yes":
+                        assert len(sol.fvs) <= k
+                        keep = [v for v in range(g.n) if v not in set(sol.fvs)]
+                        assert is_forest(induced_subgraph(g, keep)[0])
+        assert pruned > 0
+
+    def test_dp_run_floor(self):
+        from diskfvs import build_pipeline, connected_components, dp_run, reconstruct
+
+        refuted = 0
+        for seed in range(4):
+            peeled = peel_degree_one(build_intersection_graph(random_udg(60, 1.0, seed)))
+            for comp in connected_components(peeled.reduced):
+                g, _, _ = induced_subgraph(peeled.reduced, comp)
+                pipe = build_pipeline(g)
+                nd, p = pipe.nice, pipe.partition
+                best, _ = dp_run(nd, g, p, mode="dp-naive")
+                minimum = g.n - best
+                for mode in ("dp-naive", "dp-rank"):
+                    got, tables = dp_run(nd, g, p, mode=mode, max_deletions=minimum)
+                    assert got == best
+                    assert len(reconstruct(tables, nd, g, p)) == minimum
+                    if minimum == 0:
+                        continue
+                    stats = {}
+                    got, tables = dp_run(
+                        nd, g, p, mode=mode, max_deletions=minimum - 1, stats=stats
+                    )
+                    assert got is None and not tables[nd.root]
+                    assert stats["pruned_rows"] > 0
+                    refuted += 1
+        assert refuted > 10
+        with pytest.raises(ValidationError):
+            dp_run(nd, g, p, debug_edge_accounting=True, max_deletions=0)
+
+    def test_min_fvs_only_when_every_component_is_exact(self):
+        # two 5-cycles: every class has at most two vertices, so the bound is 0
+        g = from_edge_list(10, [(i, (i + 1) % 5) for i in range(5)]
+                           + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+        sol = solve(g, SolveConfig(k=1))
+        assert (sol.verdict, sol.certificate) == ("no", "dp")
+        assert "min_fvs" not in sol.stats and sol.stats["pruned_rows"] > 0
+        sol = solve(g, SolveConfig(k=2))
+        assert sol.verdict == "yes" and sol.stats["min_fvs"] == 2
+
+
 class TestThresholds:
     """Paths behind the bound: the DP, the width safety cap and the state
     budget, each reached at a k the clique-packing bound cannot reject."""
