@@ -38,6 +38,7 @@ from .partition import (
     KappaPartition,
     contract,
     greedy_partition,
+    local_selections,
     validate_partition,
 )
 from .decomposition import (
@@ -59,7 +60,6 @@ from .solver import (
     SolveConfig,
     build_pipeline,
     dp_run,
-    local_selections,
     reconstruct,
     solve,
     solve_min_fvs,
@@ -92,6 +92,7 @@ __all__ = [
     "KappaPartition",
     "contract",
     "greedy_partition",
+    "local_selections",
     "validate_partition",
     "BlowupGraph",
     "NiceDecomposition",
@@ -113,7 +114,6 @@ __all__ = [
     "SolveConfig",
     "build_pipeline",
     "dp_run",
-    "local_selections",
     "reconstruct",
     "solve",
     "solve_min_fvs",

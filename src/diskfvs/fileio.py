@@ -6,6 +6,7 @@ so parse -> serialize round-trips byte-identically on canonical files.
 Graph:          p fvs <n> <m>          then m lines  e <u> <v>   (0-based)
 Objects:        p objects <n> <alpha> <gamma>
                 then n lines           o <shape> <x> <y> <inner_r> <outer_r>
+                (the set must pass geometry.validate_object_set)
 Decomposition:  s td <num_bags> <max_bag_size> <n>
                 then bag lines         b <bag_id> <v...>          (bags 1-based)
                 then tree edges        <i> <j>                    (1-based)
@@ -14,9 +15,11 @@ Lines starting with "c " (or "c" alone) are comments everywhere.
 
 from __future__ import annotations
 
+import math
+
 from .decomposition import TreeDecomposition
 from .errors import InputError
-from .geometry import FatObject, ObjectSet
+from .geometry import FatObject, ObjectSet, validate_object_set
 from .graph import Graph, connected_components, from_edge_list
 
 
@@ -108,24 +111,23 @@ def parse_objects(text: str) -> ObjectSet:
                     f"line {lineno}: expected 'o <shape> <x> <y> <inner_r> <outer_r>'"
                 )
             try:
-                objects.append(
-                    FatObject(
-                        x=float(parts[2]),
-                        y=float(parts[3]),
-                        inner_radius=float(parts[4]),
-                        outer_radius=float(parts[5]),
-                        shape_tag=parts[1],
-                    )
-                )
+                values = [float(f) for f in parts[2:]]
+                if not all(map(math.isfinite, values)):
+                    raise InputError(f"non-finite value in {values}")
+                objects.append(FatObject(*values, shape_tag=parts[1]))
             except ValueError as exc:
                 raise InputError(f"line {lineno}: bad object values") from exc
+            except InputError as exc:
+                raise InputError(f"line {lineno}: {exc}") from exc
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise InputError("missing problem line 'p objects <n> <alpha> <gamma>'")
     if len(objects) != n:
         raise InputError(f"header declares {n} objects, found {len(objects)}")
-    return ObjectSet(objects=tuple(objects), alpha=alpha, gamma=gamma)
+    objs = ObjectSet(objects=tuple(objects), alpha=alpha, gamma=gamma)
+    validate_object_set(objs)
+    return objs
 
 
 def serialize_decomposition(td: TreeDecomposition, n_vertices: int) -> str:

@@ -74,8 +74,8 @@ def validate_object_set(objs: ObjectSet, tol: float = 1e-9) -> None:
     """Raise InputError when the set-level invariants fail."""
     if not (0.0 < objs.alpha <= 1.0):
         raise InputError(f"alpha must be in (0, 1], got {objs.alpha}")
-    if objs.gamma < 1.0:
-        raise InputError(f"gamma must be >= 1, got {objs.gamma}")
+    if not 1.0 <= objs.gamma < math.inf:
+        raise InputError(f"gamma must be finite and >= 1, got {objs.gamma}")
     if not objs.objects:
         return
     diams = [o.diameter for o in objs.objects]

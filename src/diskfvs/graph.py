@@ -25,9 +25,6 @@ class Graph:
         if not self._nbr:
             object.__setattr__(self, "_nbr", tuple(frozenset(a) for a in self.adj))
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._nbr[u]
 
@@ -40,9 +37,6 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,33 @@
-"""Greedy clique partition and weighted contraction.
+"""Kappa-partitions: the contract, the greedy clique partition, contraction.
 
-Vertices are processed in non-increasing degree order (ties by smaller id).
-An uncovered vertex seeds a new class; its uncovered neighbors are then
-scanned in the same order, and each joins if it is adjacent to every
-member already in the class. Every class is therefore a clique around its
-seed: a kappa-partition with kappa = 1 in the sense of de Berg, Bodlaender,
-Kisfaludi-Bak, Marx and van der Zanden (SICOMP 2020). The greedy rule does
-not bound the contraction degree by construction; validate_partition audits
-it against DEFAULT_DELTA.
+A kappa-partition (de Berg, Bodlaender, Kisfaludi-Bak, Marx and van der
+Zanden, SICOMP 2020) puts each vertex in exactly one connected class and
+covers each class with at most kappa cliques; contract() enforces this. A
+forest keeps at most two vertices of a clique (local_selections), so every
+feedback vertex set deletes at least sum(max(0, |q| - 2)) over the cover
+cliques q (packing_bound), certified by those of more than two vertices.
+
+greedy_partition processes vertices in non-increasing degree order (ties by
+smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
+are then scanned in the same order, and each joins if it is adjacent to
+every member already in the class. Every class is therefore a clique around
+its seed and its own cover (kappa = 1). The greedy rule does not bound the
+contraction degree by construction; validate_partition audits it against
+DEFAULT_DELTA.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, from_edge_list, induced_subgraph, connected_components
+from .graph import Graph, connected_components, from_edge_list, induced_subgraph
 
 DEFAULT_KAPPA = 6
 DEFAULT_DELTA = 40
+# a forest keeps at most two vertices of any clique
+KEEP_PER_CLIQUE = 2
 
 
 @dataclass(frozen=True)
@@ -26,7 +35,8 @@ class KappaPartition:
     """Partition of V into connected classes with per-class clique covers.
 
     greedy_partition makes every class a clique, so its cover is the class
-    itself; hand-built partitions may cover a class with several cliques.
+    itself; hand-built partitions may cover a class with several cliques,
+    and the capacities and the bound count cliques, not classes.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -82,9 +92,82 @@ def greedy_partition(g: Graph) -> KappaPartition:
     )
 
 
+def local_selections(cls, cover) -> list[tuple[int, ...]]:
+    """All ways to keep at most two vertices from each cover clique of a class.
+
+    These are the only kept sets worth considering for one class. The
+    enumeration is deterministic: per clique the empty set, then singletons
+    and pairs in id order, combined in cover order.
+    """
+    options_per_clique = [
+        [sel for r in range(KEEP_PER_CLIQUE + 1) for sel in itertools.combinations(clique, r)]
+        for clique in cover
+    ]
+    return [
+        tuple(sorted(v for part in combo for v in part))
+        for combo in itertools.product(*options_per_clique)
+    ]
+
+
+def packing_cliques(p: KappaPartition) -> list[tuple[int, ...]]:
+    """The cover cliques a feedback vertex set must cut into: the certificate."""
+    return [q for cover in p.clique_cover for q in cover if len(q) > KEEP_PER_CLIQUE]
+
+
+def packing_bound(p: KappaPartition) -> int:
+    """Clique-packing lower bound on every feedback vertex set."""
+    return sum(len(q) - KEEP_PER_CLIQUE for q in packing_cliques(p))
+
+
+def _violations(g: Graph, p: KappaPartition):
+    """Yield each way p breaks the contract, in one scan."""
+    owner = [-1] * g.n
+    outside, doubled = [], []
+    for i, cls in enumerate(p.classes):
+        if not cls:
+            yield f"class {i} is empty"
+        for v in cls:
+            if not 0 <= v < g.n:
+                outside.append(v)
+            elif owner[v] != -1:
+                doubled.append(v)
+            else:
+                owner[v] = i
+    if outside:
+        yield f"vertices outside graph: {outside[:5]}"
+        return  # the checks below index g by vertex id
+    missing = [v for v in range(g.n) if owner[v] == -1]
+    if missing:
+        yield f"uncovered vertices: {missing[:5]}"
+    if doubled:
+        yield f"overlapping vertices: {doubled[:5]}"
+    if not (missing or doubled) and list(p.class_of) != owner:
+        yield "class_of does not match the classes"
+    if len(p.clique_cover) != len(p.classes):
+        yield f"{len(p.clique_cover)} clique covers for {len(p.classes)} classes"
+    for i, (cls, cover) in enumerate(zip(p.classes, p.clique_cover)):
+        if sorted(v for q in cover for v in q) != sorted(cls):
+            yield f"clique cover of class {i} does not partition it"
+            continue  # the cover's ids need not lie in g
+        non_adjacent = [
+            (a, b) for q in cover for a, b in itertools.combinations(q, 2)
+            if not g.has_edge(a, b)
+        ]
+        for a, b in non_adjacent:
+            yield f"non-adjacent pair {a},{b} in a cover clique of class {i}"
+        # one clique is connected, so only other classes need the search
+        if len(cover) > 1 or non_adjacent:
+            if len(connected_components(induced_subgraph(g, cls)[0])) > 1:
+                yield f"class {i} disconnected"
+
+
 def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
-    """Contract every class to one vertex, dropping loops and parallels."""
-    _check_partition_shape(g, p)
+    """Contract every class to one vertex, dropping loops and parallels.
+
+    Raises ValidationError on the first breach of the contract.
+    """
+    for violation in _violations(g, p):
+        raise ValidationError(violation)
     class_edges = {
         (p.class_of[u], p.class_of[v])
         for (u, v) in g.edges()
@@ -94,21 +177,6 @@ def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
         base=from_edge_list(len(p.classes), class_edges),
         weight=tuple(class_weight(len(c)) for c in p.classes),
     )
-
-
-def _check_partition_shape(g: Graph, p: KappaPartition) -> None:
-    seen = [0] * g.n
-    for cls in p.classes:
-        for v in cls:
-            if not (0 <= v < g.n):
-                raise ValidationError(f"class member {v} outside graph")
-            seen[v] += 1
-    if any(c != 1 for c in seen):
-        raise ValidationError("classes do not partition the vertex set")
-    for i, cls in enumerate(p.classes):
-        sub, _, _ = induced_subgraph(g, cls)
-        if len(connected_components(sub)) > 1:
-            raise ValidationError(f"class {i} induces a disconnected subgraph")
 
 
 @dataclass(frozen=True)
@@ -123,62 +191,17 @@ class PartitionReport:
         return not self.violations
 
 
-def validate_partition(
-    g: Graph,
-    p: KappaPartition,
-    delta_bound: int = DEFAULT_DELTA,
-    kappa_bound: int = DEFAULT_KAPPA,
-) -> PartitionReport:
-    """Structural audit: covering, connectivity, clique covers, degree caps."""
-    violations: list[str] = []
-    seen = [0] * g.n
-    for cls in p.classes:
-        for v in cls:
-            if 0 <= v < g.n:
-                seen[v] += 1
-            else:
-                violations.append(f"vertex {v} outside graph")
-    missing = [v for v in range(g.n) if seen[v] == 0]
-    doubled = [v for v in range(g.n) if seen[v] > 1]
-    if missing:
-        violations.append(f"uncovered vertices: {missing[:5]}")
-    if doubled:
-        violations.append(f"overlapping vertices: {doubled[:5]}")
-
-    for i, cls in enumerate(p.classes):
-        ok_members = [v for v in cls if 0 <= v < g.n]
-        if ok_members:
-            sub, _, _ = induced_subgraph(g, ok_members)
-            if len(connected_components(sub)) > 1:
-                violations.append(f"class {i} disconnected")
-        covered = sorted(v for clique in p.clique_cover[i] for v in clique)
-        if covered != sorted(cls):
-            violations.append(f"clique cover of class {i} does not partition it")
-        for clique in p.clique_cover[i]:
-            for a_idx in range(len(clique)):
-                for b_idx in range(a_idx + 1, len(clique)):
-                    if not g.has_edge(clique[a_idx], clique[b_idx]):
-                        violations.append(
-                            f"non-adjacent pair {clique[a_idx]},{clique[b_idx]} "
-                            f"in a cover clique of class {i}"
-                        )
-
+def validate_partition(g: Graph, p: KappaPartition) -> PartitionReport:
+    """Every contract violation, then the kappa and contraction-degree audits."""
+    violations = list(_violations(g, p))
     kappa_obs = p.kappa_observed
-    if kappa_obs > kappa_bound:
-        violations.append(f"kappa_observed {kappa_obs} exceeds bound {kappa_bound}")
-
+    if kappa_obs > DEFAULT_KAPPA:
+        violations.append(f"kappa_observed {kappa_obs} exceeds bound {DEFAULT_KAPPA}")
     max_deg = 0
-    if not missing and not doubled:
-        try:
-            cg = contract(g, p)
-            max_deg = max((len(a) for a in cg.base.adj), default=0)
-            if max_deg > delta_bound:
-                violations.append(
-                    f"contraction degree {max_deg} exceeds bound {delta_bound}"
-                )
-        except ValidationError as exc:
-            violations.append(str(exc))
-
+    if not violations:  # a contraction exists only for a valid partition
+        max_deg = max((len(a) for a in contract(g, p).base.adj), default=0)
+        if max_deg > DEFAULT_DELTA:
+            violations.append(f"contraction degree {max_deg} exceeds bound {DEFAULT_DELTA}")
     return PartitionReport(
         violations=tuple(violations),
         kappa_observed=kappa_obs,

@@ -3,26 +3,26 @@
 Pipeline: peel degree <= 1 vertices, split into components, partition each
 component into cliques, contract to the weighted class graph, decompose via
 blowup and projection, then run the clique-constrained connectivity DP over
-the nice decomposition. Right after partitioning, the classes give a proven
-lower bound: a forest keeps at most two vertices of a clique and the
-classes are disjoint cliques, so every feedback vertex set has at least
-sum(max(0, |class| - 2)) vertices. When that exceeds k the answer is "no"
-with the cliques as a certificate anyone can check.
+the nice decomposition. Right after partitioning, the disjoint cover
+cliques q of the classes give a proven lower bound, sum(max(0, |q| - 2))
+(partition.packing_bound). When that exceeds k the answer is "no" with the
+cliques as a certificate anyone can check.
 
 The same bound prunes the DP in decision solves. A component C is solved
 with slack = k - done - rest - LB_C, where done sums the exact minima of
 the components already solved, rest the bounds of those still to come and
 LB_C is C's own bound. A row at node t has deleted proc(t) - value of the
 proc(t) vertices in its subtree's classes, and lbsub(t) of the bound
-belongs to those classes, so a row with value < proc(t) - lbsub(t) - slack
-cannot lead to a set of at most k vertices and is dropped (see dp_run). An
-optimal set never breaks that floor at any node, so a surviving root row
-is exact, and an empty root proves C's minimum exceeds its share of k.
+belongs to those classes' cover cliques, so a row with value <
+proc(t) - lbsub(t) - slack cannot lead to a set of at most k vertices and
+is dropped (see dp_run). An optimal set never breaks that floor at any
+node, so a surviving root row is exact, and an empty root proves C's
+minimum exceeds its share of k.
 
 DP state at a nice-decomposition node: the sorted tuple of vertices kept
-in the bag's classes (at most two per class, since every class is a
-clique), the partition of those vertices into connected pieces of the
-partial forest, and the total number of vertices kept so far (maximized).
+in the bag's classes (at most two per cover clique: local_selections), the
+partition of those vertices into connected pieces of the partial forest,
+and the total number of vertices kept so far (maximized).
 Edges are committed when the later of their two classes is introduced; at
 join nodes both branches have committed the edges induced inside the kept
 tuple, so the union of the two partitions stays acyclic exactly when it
@@ -59,7 +59,14 @@ from .graph import (
     peel_degree_one,
 )
 from .oracle import DEFAULT_BUDGET, min_fvs_bruteforce
-from .partition import KappaPartition, contract, greedy_partition
+from .partition import (
+    KappaPartition,
+    contract,
+    greedy_partition,
+    local_selections,
+    packing_bound,
+    packing_cliques,
+)
 from .reduction import (
     Kept,
     Partition,
@@ -101,27 +108,6 @@ class Solution:
     fvs: tuple[int, ...] | None
     certificate: str
     stats: dict[str, Any] = field(default_factory=dict, compare=False)
-
-
-def local_selections(cls, cover) -> list[tuple[int, ...]]:
-    """All ways to keep at most two vertices from each cover clique.
-
-    A feedback vertex set must take all but two vertices of any clique, so
-    these are the only survivor sets worth considering for one class. The
-    enumeration is deterministic: per clique the empty set, then singletons
-    and pairs in id order, combined in cover order.
-    """
-    options_per_clique = []
-    for clique in cover:
-        opts: list[tuple[int, ...]] = [()]
-        opts.extend((v,) for v in clique)
-        opts.extend(itertools.combinations(clique, 2))
-        options_per_clique.append(opts)
-    out = []
-    for combo in itertools.product(*options_per_clique):
-        merged = tuple(sorted(v for part in combo for v in part))
-        out.append(merged)
-    return out
 
 
 class _EdgeAccounting:
@@ -178,11 +164,6 @@ def _uf_find(parent: list[int], x: int) -> int:
     return x
 
 
-def _packing_bound(part: KappaPartition) -> int:
-    """Clique-packing lower bound: every class keeps at most two vertices."""
-    return sum(len(cls) - 2 for cls in part.classes if len(cls) > 2)
-
-
 def dp_run(
     nd: NiceDecomposition,
     g: Graph,
@@ -203,17 +184,17 @@ def dp_run(
 
     max_deletions is the most vertices the caller can still accept deleting
     in this component; None keeps every row. With slack = max_deletions -
-    LB, LB the clique-packing bound of all of p's classes, a row at node t
-    with value < proc(t) - lbsub(t) - slack is dropped before its
-    union-find work. proc(t) sums |c| and lbsub(t) sums max(0, |c| - 2)
-    over the classes in t's subtree, so the floor is cap(t) - slack with
-    cap(t) = sum(min(2, |c|)), the most a row at t can keep. Such a row has
-    deleted proc(t) - value vertices and every class still to come needs
-    its own max(0, |c| - 2), so it cannot end within max_deletions. The
-    rows of an optimal set never break the floor, and a stored row is
-    never worse than the one it stands for (rank reduction included), so
-    the root value is exact whenever the minimum is at most max_deletions;
-    otherwise the root table is empty and the optimum is returned as None.
+    packing_bound(p), a row at node t with value < cap(t) - slack is
+    dropped before its union-find work. cap(t) sums min(2, |q|) over the
+    cover cliques q of the classes in t's subtree: the most a row at t can
+    keep, and their size less their share of the bound. Such a row has
+    deleted cap(t) - value vertices beyond that share, and every cover
+    clique still to come needs its own max(0, |q| - 2), so it cannot end
+    within max_deletions. The rows of an optimal set never break the
+    floor, and a stored row is never worse than the one it stands for
+    (rank reduction included), so the root value is exact whenever the
+    minimum is at most max_deletions; otherwise the root table is empty
+    and the optimum is returned as None.
     If stats is given, stats["pruned_rows"] grows by the candidate rows
     the floor dropped.
     """
@@ -223,11 +204,11 @@ def dp_run(
         raise ValidationError("edge accounting needs every row; pass max_deletions=None")
     selections = [local_selections(cls, cov) for cls, cov in zip(p.classes, p.clique_cover)]
     accounting = _EdgeAccounting(nd) if debug_edge_accounting else None
-    keep_cap = [min(2, len(cls)) for cls in p.classes]
+    keep_cap = [max(map(len, sels)) for sels in selections]  # the most a class keeps
     if max_deletions is None:
         slack = g.n  # cap(t) <= g.n, so no floor is above 0
     else:
-        slack = max_deletions - _packing_bound(p)
+        slack = max_deletions - packing_bound(p)
     pruned = 0
     work = 0
 
@@ -525,7 +506,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     for comp in connected_components(gp):
         sub, old_of_new, _ = induced_subgraph(gp, comp)
         part = greedy_partition(sub)
-        components.append((sub, old_of_new, part, _packing_bound(part)))
+        components.append((sub, old_of_new, part, packing_bound(part)))
     stats["class_count"] = sum(len(c[2].classes) for c in components)
     stats["weighted_width"] = 0
     stats["pruned_rows"] = 0
@@ -533,10 +514,9 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     rest = stats["lower_bound"] = sum(c[3] for c in components)
     if rest > cfg.k:  # the loop below then never runs
         cliques = [
-            tuple(peel.kept[old_of_new[v]] for v in cls)
+            tuple(peel.kept[old_of_new[v]] for v in q)
             for _, old_of_new, part, _ in components
-            for cls in part.classes
-            if len(cls) > 2
+            for q in packing_cliques(part)
         ]
         for c in cliques:
             if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):

@@ -62,6 +62,12 @@ class TestSolveCommand:
         assert main(["solve", str(bad), "--k", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_points_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "nan.points"
+        bad.write_text("p objects 2 1.0 1.0\no disk 0.0 0.0 0.5 0.5\no disk nan 0.0 0.5 0.5\n")
+        assert main(["solve", str(bad), "--k", "0"]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self):
         assert main(["solve", "/nonexistent/x.graph", "--k", "0"]) == 2
 

@@ -65,6 +65,40 @@ class TestObjectsFormat:
         with pytest.raises(InputError):
             parse_objects("p objects 2 1.0 1.0\no disk 0.0 0.0 0.5 0.5\n")
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("o disk nan 0.0 0.5 0.5", "finite"),
+            ("o disk 0.0 -inf 0.5 0.5", "finite"),
+            ("o disk 0.0 0.0 inf inf", "finite"),
+            ("o disk 0.0 1e400 0.5 0.5", "finite"),
+            ("o disk 0.0 0.0 0.4 0.5", "disk requires"),
+            ("o hexagon 0.0 0.0 0.5 0.5", "unsupported shape"),
+            ("o disk 0.0 0.0 0.6 0.5", "need 0 < inner <= outer"),
+            ("o disk 0.0 zero 0.5 0.5", "bad object values"),
+        ],
+    )
+    def test_bad_object_is_line_numbered(self, line, match):
+        text = f"p objects 2 1.0 1.0\no disk 5.0 5.0 0.5 0.5\n{line}\n"
+        with pytest.raises(InputError, match=f"^line 3: .*{match}"):
+            parse_objects(text)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            # a disk of diameter 6 and a square of fatness 1/sqrt(2) under
+            # alpha = gamma = 1
+            ("p objects 2 1.0 1.0\no disk 0.0 0.0 3.0 3.0\n"
+             "o square 9.0 9.0 0.3535533905932738 0.5\n", "exceeds gamma"),
+            ("p objects 1 1.0 1.0\no disk 0.0 0.0 1.0 1.0\n", "smallest diameter must be 1"),
+            ("p objects 1 1.0 nan\no disk 0.0 0.0 0.5 0.5\n", "gamma must be finite"),
+            ("p objects 1 inf 1.0\no disk 0.0 0.0 0.5 0.5\n", "alpha must be in"),
+        ],
+    )
+    def test_objects_contradicting_header(self, text, match):
+        with pytest.raises(InputError, match=match):
+            parse_objects(text)
+
 
 class TestDecompositionFormat:
     def test_round_trip_byte_identical(self):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,15 +7,16 @@ from diskfvs import (
     KappaPartition,
     ValidationError,
     build_intersection_graph,
+    build_pipeline,
     contract,
     from_edge_list,
     greedy_partition,
     random_udg,
     validate_partition,
 )
-from diskfvs.partition import class_weight
+from diskfvs.partition import class_weight, local_selections, packing_bound, packing_cliques
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 
 def reference_greedy_partition(g):
@@ -135,6 +137,69 @@ class TestContract:
         )
         with pytest.raises(ValidationError):
             contract(g, p)
+
+    def test_non_clique_cover_rejected(self):
+        # the path 0-1-2 is connected, but (0, 1, 2) is not a clique of it
+        g = path_graph(3)
+        p = KappaPartition(classes=((0, 1, 2),), class_of=(0, 0, 0), clique_cover=(((0, 1, 2),),))
+        assert not validate_partition(g, p).ok
+        with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
+            contract(g, p)
+        with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
+            build_pipeline(g, p)
+
+    @pytest.mark.parametrize(
+        "classes, class_of, cover, match",
+        [
+            (((0, 1, 5), (2, 3)), (0, 0, 1, 1), (((0, 1, 5),), ((2, 3),)), "outside graph"),
+            (((0, 1), (2,)), (0, 0, 1, 1), (((0, 1),), ((2,),)), "uncovered vertices: \\[3\\]"),
+            (((0, 1), (1, 2, 3)), (0, 0, 1, 1), (((0, 1),), ((1, 2), (3,))), "overlapping"),
+            (((0, 1), (2, 3)), (0, 1, 1, 1), (((0, 1),), ((2, 3),)), "class_of"),
+            (((0, 1), (2, 3)), (0, 0, 1, 1), (((0, 1),),), "1 clique covers for 2 classes"),
+            (((0, 1), (2, 3)), (0, 0, 1, 1), (((0, 1),), ((2,),)), "does not partition"),
+            (((0, 1, 2, 3), ()), (0, 0, 0, 0), (((0, 1), (2, 3)), ()), "class 1 is empty"),
+        ],
+    )
+    def test_each_breach_rejected(self, classes, class_of, cover, match):
+        g = cycle_graph(4)
+        p = KappaPartition(classes=classes, class_of=class_of, clique_cover=cover)
+        with pytest.raises(ValidationError, match=match):
+            contract(g, p)
+        assert any(re.search(match, v) for v in validate_partition(g, p).violations)
+
+    def test_single_clique_classes_skip_the_connectivity_search(self, monkeypatch):
+        import diskfvs.partition as partition
+
+        calls = []
+        real = partition.induced_subgraph
+        monkeypatch.setattr(
+            partition, "induced_subgraph", lambda *a: calls.append(1) or real(*a)
+        )
+        g = build_intersection_graph(random_udg(80, 1.0, seed=1))
+        contract(g, greedy_partition(g))
+        assert calls == []
+        two_cliques = KappaPartition(
+            classes=((0, 1, 2, 3),), class_of=(0, 0, 0, 0), clique_cover=(((0, 1), (2, 3)),)
+        )
+        contract(cycle_graph(4), two_cliques)
+        assert calls == [1]
+
+
+class TestCoverCliqueRule:
+    """A forest keeps at most two vertices of each cover clique."""
+
+    def test_counts_cliques_not_classes(self):
+        # a class of two 2-cliques and a triangle class: only the triangle
+        # must lose a vertex, and the first class can keep all four
+        p = KappaPartition(
+            classes=((0, 1, 2, 3), (4, 5, 6)),
+            class_of=(0, 0, 0, 0, 1, 1, 1),
+            clique_cover=(((0, 1), (2, 3)), ((4, 5, 6),)),
+        )
+        assert packing_bound(p) == 1
+        assert packing_cliques(p) == [(4, 5, 6)]
+        sels = local_selections(p.classes[0], p.clique_cover[0])
+        assert max(map(len, sels)) == 4 and (0, 1, 2, 3) in sels
 
 
 class TestValidatePartition:

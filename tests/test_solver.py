@@ -3,6 +3,7 @@ import random
 import pytest
 
 from diskfvs import (
+    KappaPartition,
     ResourceError,
     SolveConfig,
     ValidationError,
@@ -406,6 +407,86 @@ class TestPruning:
         assert "min_fvs" not in sol.stats and sol.stats["pruned_rows"] > 0
         sol = solve(g, SolveConfig(k=2))
         assert sol.verdict == "yes" and sol.stats["min_fvs"] == 2
+
+
+def merged_partition(g):
+    """greedy_partition with each class merged into one adjacent class.
+
+    Classes are taken in order; each untaken class joins the smallest
+    untaken class next to it, if any. Each result class is covered by its
+    (at most two) greedy cliques, so the partition has kappa <= 2.
+    """
+    from diskfvs import greedy_partition
+
+    p = greedy_partition(g)
+    groups = []
+    taken = set()
+    for i, cls in enumerate(p.classes):
+        if i in taken:
+            continue
+        nbrs = sorted({p.class_of[w] for v in cls for w in g.adj[v]} - taken - {i})
+        groups.append([i] + nbrs[:1])
+        taken.update(groups[-1])
+    class_of = [0] * g.n
+    for c, group in enumerate(groups):
+        for v in (v for j in group for v in p.classes[j]):
+            class_of[v] = c
+    return KappaPartition(
+        classes=tuple(tuple(sorted(v for j in grp for v in p.classes[j])) for grp in groups),
+        class_of=tuple(class_of),
+        clique_cover=tuple(tuple(p.classes[j] for j in grp) for grp in groups),
+    )
+
+
+class TestCoverCliques:
+    """A class covered by several cliques keeps up to two vertices of each
+    clique, and only cliques of more than two vertices add to the bound."""
+
+    def test_merged_classes_every_k(self):
+        from diskfvs import build_pipeline, connected_components, dp_run, \
+            reconstruct, validate_partition
+
+        merged = 0
+        for seed in range(40):
+            g = build_intersection_graph(
+                random_udg(8 + seed % 11, (1.0, 2.0)[seed % 2], seed)
+            )
+            peeled = peel_degree_one(g).reduced
+            for comp in connected_components(peeled):
+                sub, _, _ = induced_subgraph(peeled, comp)
+                p = merged_partition(sub)
+                assert validate_partition(sub, p).ok
+                merged += sum(len(cover) > 1 for cover in p.clique_cover)
+                minimum, _ = min_fvs_bruteforce(sub)
+                nd = build_pipeline(sub, p).nice
+                for mode in ("dp-naive", "dp-rank"):
+                    for k in range(sub.n + 1):
+                        best, tables = dp_run(nd, sub, p, mode=mode, max_deletions=k)
+                        if minimum > k:
+                            assert best is None, (seed, mode, k)
+                            continue
+                        assert best == sub.n - minimum, (seed, mode, k)
+                        assert len(reconstruct(tables, nd, sub, p)) == minimum
+        assert merged >= 40
+
+    def test_path_of_two_cliques_beside_a_triangle(self):
+        from diskfvs import build_pipeline, dp_run, reconstruct
+
+        # the path 0-1-2-3 as cliques (0, 1) and (2, 3), edge 3-4, triangle 4, 5, 6
+        g = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
+        p = KappaPartition(
+            classes=((0, 1, 2, 3), (4, 5, 6)),
+            class_of=(0, 0, 0, 0, 1, 1, 1),
+            clique_cover=(((0, 1), (2, 3)), ((4, 5, 6),)),
+        )
+        assert min_fvs_bruteforce(g)[0] == 1
+        nd = build_pipeline(g, p).nice
+        for mode in ("dp-naive", "dp-rank"):
+            for k in (None, 1, 2):
+                best, tables = dp_run(nd, g, p, mode=mode, max_deletions=k)
+                assert best == 6, (mode, k)
+                assert len(reconstruct(tables, nd, g, p)) == 1
+            assert dp_run(nd, g, p, mode=mode, max_deletions=0)[0] is None
 
 
 class TestThresholds:
