@@ -69,6 +69,7 @@ def _solution_payload(sol, cfg) -> dict:
         "class_count": sol.stats.get("class_count"),
         "cliques": sol.stats.get("cliques", []),
         "pruned_rows": sol.stats.get("pruned_rows", 0),
+        "bound_solved": sol.stats.get("bound_solved", 0),
         "timings": sol.stats.get("timings", {}),
     }
 

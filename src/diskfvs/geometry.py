@@ -47,6 +47,13 @@ class FatObject:
             )
         if self.shape_tag == DISK and self.inner_radius != self.outer_radius:
             raise InputError("disk requires inner_radius == outer_radius")
+        if self.shape_tag == SQUARE and not math.isclose(
+            self.outer_radius, self.inner_radius * math.sqrt(2.0), rel_tol=1e-9
+        ):
+            raise InputError(
+                f"square requires outer_radius == inner_radius * sqrt(2), got "
+                f"({self.inner_radius}, {self.outer_radius})"
+            )
 
     @property
     def diameter(self) -> float:
@@ -121,10 +128,17 @@ def build_intersection_graph(objs: ObjectSet) -> Graph:
     if n == 0:
         return from_edge_list(0, [])
     cell = max(o.diameter for o in objs.objects)
+    if not math.isfinite(cell):
+        raise InputError(f"largest diameter must be finite, got {cell}")
     buckets: dict[tuple[int, int], list[int]] = {}
     coords = []
     for i, o in enumerate(objs.objects):
-        key = (math.floor(o.x / cell), math.floor(o.y / cell))
+        try:
+            key = (math.floor(o.x / cell), math.floor(o.y / cell))
+        except (ValueError, OverflowError) as exc:
+            raise InputError(
+                f"object {i}: center ({o.x}, {o.y}) over cell side {cell} is not finite"
+            ) from exc
         buckets.setdefault(key, []).append(i)
         coords.append(key)
     edges = []

@@ -121,6 +121,14 @@ def is_forest(g: Graph) -> bool:
     return g.m == g.n - len(connected_components(g))
 
 
+def uf_find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def count_high_degree(g: Graph) -> int:
     """Number of vertices of degree at least three."""
     return sum(1 for v in range(g.n) if len(g.adj[v]) >= 3)

@@ -6,6 +6,8 @@ covers each class with at most kappa cliques; contract() enforces this. A
 forest keeps at most two vertices of a clique (local_selections), so every
 feedback vertex set deletes at least sum(max(0, |q| - 2)) over the cover
 cliques q (packing_bound), certified by those of more than two vertices.
+When keeping two vertices of each such clique already leaves a forest, the
+deleted rest meets that bound and is a minimum (packing_completion).
 
 greedy_partition processes vertices in non-increasing degree order (ties by
 smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
@@ -22,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, connected_components, from_edge_list, induced_subgraph
+from .graph import Graph, connected_components, from_edge_list, induced_subgraph, uf_find
 
 DEFAULT_KAPPA = 6
 DEFAULT_DELTA = 40
@@ -117,6 +119,28 @@ def packing_cliques(p: KappaPartition) -> list[tuple[int, ...]]:
 def packing_bound(p: KappaPartition) -> int:
     """Clique-packing lower bound on every feedback vertex set."""
     return sum(len(q) - KEEP_PER_CLIQUE for q in packing_cliques(p))
+
+
+def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int] | None:
+    """A feedback vertex set of packing_bound(p) vertices, or None.
+
+    Keeps the two vertices of lowest degree (ties to the smaller id) of
+    every cover clique of more than two vertices and deletes the rest.
+    When the kept vertices induce a forest, the deleted set meets the
+    lower bound and is therefore a minimum feedback vertex set of g.
+    """
+    deleted: set[int] = set()
+    for q in packing_cliques(p):
+        deleted.update(sorted(q, key=lambda v: (len(g.adj[v]), v))[KEEP_PER_CLIQUE:])
+    parent = list(range(g.n))
+    for u, v in g.edges():
+        if u in deleted or v in deleted:
+            continue
+        ru, rv = uf_find(parent, u), uf_find(parent, v)
+        if ru == rv:  # the kept edge closes a cycle
+            return None
+        parent[rv] = ru
+    return frozenset(deleted)
 
 
 def _violations(g: Graph, p: KappaPartition):

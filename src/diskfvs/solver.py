@@ -6,7 +6,11 @@ blowup and projection, then run the clique-constrained connectivity DP over
 the nice decomposition. Right after partitioning, the disjoint cover
 cliques q of the classes give a proven lower bound, sum(max(0, |q| - 2))
 (partition.packing_bound). When that exceeds k the answer is "no" with the
-cliques as a certificate anyone can check.
+cliques as a certificate anyone can check. A component where keeping the
+two lowest-degree vertices of each clique of more than two vertices
+already leaves a forest (partition.packing_completion) needs no
+decomposition and no DP: the deleted rest meets the bound, so it is a
+minimum.
 
 The same bound prunes the DP in decision solves. A component C is solved
 with slack = k - done - rest - LB_C, where done sums the exact minima of
@@ -57,6 +61,7 @@ from .graph import (
     induced_subgraph,
     is_forest,
     peel_degree_one,
+    uf_find,
 )
 from .oracle import DEFAULT_BUDGET, min_fvs_bruteforce
 from .partition import (
@@ -66,6 +71,7 @@ from .partition import (
     local_selections,
     packing_bound,
     packing_cliques,
+    packing_completion,
 )
 from .reduction import (
     Kept,
@@ -155,13 +161,6 @@ class _EdgeAccounting:
 # introduce and forget nodes, (left, right) partitions at joins, None at leaves
 _Row = tuple[int, Any]
 _Table = dict[Kept, dict[Partition, _Row]]
-
-
-def _uf_find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def dp_run(
@@ -276,13 +275,13 @@ def dp_run(
                         labels = part_c + tuple(range(nc, nc + len(sel)))
                         parent = list(range(nc + len(sel)))
                         for a, b in new_edges:
-                            ra = _uf_find(parent, labels[a])
-                            rb = _uf_find(parent, labels[b])
+                            ra = uf_find(parent, labels[a])
+                            rb = uf_find(parent, labels[b])
                             if ra == rb:
                                 break
                             parent[rb] = ra
                         else:
-                            roots = [_uf_find(parent, labels[i]) for i in order]
+                            roots = [uf_find(parent, labels[i]) for i in order]
                             put(table, kept_n, canonicalize(roots), value + len(sel),
                                 (kept_c, part_c))
         elif kind == FORGET:
@@ -328,13 +327,13 @@ def dp_run(
                         parent = list(range(nl + block_count(part_r)))
                         merges = 0
                         for a, b in zip(part_l, part_r):
-                            ra, rb = _uf_find(parent, a), _uf_find(parent, nl + b)
+                            ra, rb = uf_find(parent, a), uf_find(parent, nl + b)
                             if ra != rb:
                                 parent[rb] = ra
                                 merges += 1
                         if merges != s - shared:
                             continue
-                        part_n = canonicalize([_uf_find(parent, a) for a in part_l])
+                        part_n = canonicalize([uf_find(parent, a) for a in part_l])
                         put(table, kept, part_n, val_l + val_r - s, (part_l, part_r))
         else:
             raise InternalError(f"unknown nice node kind {kind!r}")
@@ -479,7 +478,8 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     set only when every component's minimum was computed, and
     stats["weighted_width"] covers only the components whose pipeline was
     built (0 when none was). stats["pruned_rows"] counts the candidate DP
-    rows the bound dropped.
+    rows the bound dropped, and stats["bound_solved"] the components whose
+    minimum packing_completion proved without a decomposition or a DP.
     """
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
@@ -510,6 +510,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     stats["class_count"] = sum(len(c[2].classes) for c in components)
     stats["weighted_width"] = 0
     stats["pruned_rows"] = 0
+    stats["bound_solved"] = 0
 
     rest = stats["lower_bound"] = sum(c[3] for c in components)
     if rest > cfg.k:  # the loop below then never runs
@@ -534,16 +535,21 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
         sub, old_of_new, part, bound = components.pop()
         rest -= bound
         budget = cfg.k - len(deleted_reduced) - rest
-        pipe = build_pipeline(sub, part)
-        stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
-        deleted, oracle = _solve_component(
-            sub, pipe, dp_mode, cfg.state_budget,
-            budget if budget < sub.n else None, stats,
-        )
-        used_oracle = used_oracle or oracle
-        if deleted is None:
-            refuted = True
-            break
+        # the loop condition gives budget >= bound, so a completion always fits
+        deleted = packing_completion(sub, part)
+        if deleted is not None:
+            stats["bound_solved"] += 1
+        else:
+            pipe = build_pipeline(sub, part)
+            stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
+            deleted, oracle = _solve_component(
+                sub, pipe, dp_mode, cfg.state_budget,
+                budget if budget < sub.n else None, stats,
+            )
+            used_oracle = used_oracle or oracle
+            if deleted is None:
+                refuted = True
+                break
         deleted_reduced.update(old_of_new[v] for v in deleted)
     timings["pipeline"] = time.perf_counter() - t1
 

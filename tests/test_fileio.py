@@ -76,6 +76,8 @@ class TestObjectsFormat:
             ("o hexagon 0.0 0.0 0.5 0.5", "unsupported shape"),
             ("o disk 0.0 0.0 0.6 0.5", "need 0 < inner <= outer"),
             ("o disk 0.0 zero 0.5 0.5", "bad object values"),
+            # half side 0.5 has half diagonal 0.707, not 0.5
+            ("o square 0.0 0.0 0.5 0.5", "square requires"),
         ],
     )
     def test_bad_object_is_line_numbered(self, line, match):

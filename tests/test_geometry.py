@@ -82,6 +82,20 @@ class TestIntersection:
         with pytest.raises(InputError):
             FatObject(x=0, y=0, inner_radius=1, outer_radius=1, shape_tag="blob")
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (disk(math.nan, 0.0), "object 1: center"),
+            (disk(0.0, -math.inf), "object 1: center"),
+            (disk(0.0, 0.0, math.inf), "largest diameter must be finite"),
+        ],
+    )
+    def test_non_finite_input_is_input_error(self, bad, match):
+        # library-built sets skip parse_objects' finiteness check
+        objs = ObjectSet(objects=(disk(5.0, 5.0), bad))
+        with pytest.raises(InputError, match=match):
+            build_intersection_graph(objs)
+
     def test_matches_all_pairs_on_generated_instances(self):
         for seed in range(12):
             n = [60, 120, 200][seed % 3]

@@ -8,13 +8,24 @@ from diskfvs import (
     ValidationError,
     build_intersection_graph,
     build_pipeline,
+    connected_components,
     contract,
     from_edge_list,
     greedy_partition,
+    induced_subgraph,
+    is_forest,
+    min_fvs_bruteforce,
+    peel_degree_one,
     random_udg,
     validate_partition,
 )
-from diskfvs.partition import class_weight, local_selections, packing_bound, packing_cliques
+from diskfvs.partition import (
+    class_weight,
+    local_selections,
+    packing_bound,
+    packing_cliques,
+    packing_completion,
+)
 
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -200,6 +211,42 @@ class TestCoverCliqueRule:
         assert packing_cliques(p) == [(4, 5, 6)]
         sels = local_selections(p.classes[0], p.clique_cover[0])
         assert max(map(len, sels)) == 4 and (0, 1, 2, 3) in sels
+
+
+class TestPackingCompletion:
+    """Keeping two vertices of each cover clique meets the clique-packing
+    bound; when the kept vertices induce a forest, that is a minimum."""
+
+    def test_soundness_desk_scale(self):
+        # the 40 desk-scale UDGs of test_solver.py::TestCliquePacking
+        fired = declined = 0
+        for seed in range(40):
+            objs = random_udg(6 + seed % 13, [0.2, 0.5, 1.0][seed % 3], seed)
+            peeled = peel_degree_one(build_intersection_graph(objs)).reduced
+            for comp in connected_components(peeled):
+                g, _, _ = induced_subgraph(peeled, comp)
+                p = greedy_partition(g)
+                deleted = packing_completion(g, p)
+                if deleted is None:
+                    declined += 1
+                    continue
+                fired += 1
+                assert len(deleted) == packing_bound(p) == min_fvs_bruteforce(g)[0], seed
+                keep = [v for v in range(g.n) if v not in deleted]
+                assert is_forest(induced_subgraph(g, keep)[0]), seed
+        assert fired > 0 and declined > 0
+
+    def test_c4_declines(self):
+        g = cycle_graph(4)  # the bound is 0 and the cycle remains
+        assert packing_completion(g, greedy_partition(g)) is None
+
+    def test_diamond_keeps_the_lowest_degrees(self):
+        # triangle 0, 1, 2 plus vertex 3 adjacent to 0 and 1; keeping the
+        # two smallest ids, 0 and 1, would leave the triangle 0, 1, 3
+        g = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        p = greedy_partition(g)
+        assert packing_cliques(p) == [(0, 1, 2)]
+        assert packing_completion(g, p) == {1}
 
 
 class TestValidatePartition:

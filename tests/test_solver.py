@@ -251,8 +251,11 @@ class TestPipeline:
         g = build_intersection_graph(random_udg(60, 0.8, seed=3))
         components = len(connected_components(peel_degree_one(g).reduced))
         assert components >= 3
-        solve(g, SolveConfig(k=g.n))
-        assert len(calls) == components
+        sol = solve(g, SolveConfig(k=g.n))
+        # the components the packing completion solved are never decomposed
+        left_to_dp = components - sol.stats["bound_solved"]
+        assert left_to_dp > 0
+        assert len(calls) == left_to_dp
 
 
 class TestDenseUdg:
@@ -500,10 +503,13 @@ class TestThresholds:
 
     def test_width_safety_cap_falls_back_to_oracle(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
-        g = complete_graph(12)  # blown-up clique exceeds a tiny cap
-        sol = solve(g, SolveConfig(k=10, mode="dp-rank"))  # bound 10 = minimum
+        # one 16-vertex component that the packing completion leaves to the DP
+        g = build_intersection_graph(random_udg(16, 1.0, 0))
+        size, _ = min_fvs_bruteforce(g)
+        sol = solve(g, SolveConfig(k=size, mode="dp-rank"))
+        assert sol.stats["bound_solved"] == 0
         assert sol.certificate == "oracle"
-        assert sol.verdict == "yes" and len(sol.fvs) == 10
+        assert sol.verdict == "yes" and len(sol.fvs) == size
 
     def test_width_safety_cap_resource_error(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
@@ -513,9 +519,11 @@ class TestThresholds:
             solve(g, SolveConfig(k=g.n, mode="dp-rank"))
 
     def test_state_budget_oracle_fallback(self):
-        g = build_intersection_graph(random_udg(16, 0.5, 3))
+        # one 10-vertex component that the packing completion leaves to the DP
+        g = build_intersection_graph(random_udg(16, 1.0, 2))
         size, _ = min_fvs_bruteforce(g)
         sol = solve(g, SolveConfig(k=size, mode="dp-rank", state_budget=10))
+        assert sol.stats["bound_solved"] == 0
         assert sol.certificate == "oracle"
         assert sol.verdict == "yes" and len(sol.fvs) <= size
 
