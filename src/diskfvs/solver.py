@@ -468,7 +468,9 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     Exact for every input graph. A "no" comes from the DP, the oracle, or
     the clique-packing bound, whose cliques (original vertex ids) are
     checked against g and returned in stats["cliques"]. A returned "yes"
-    always carries a witness re-verified against the original graph.
+    always carries a witness re-verified against the original graph. Its
+    certificate is "oracle" when the oracle solved some component and "dp"
+    otherwise, also when packing_completion solved every component.
 
     Components are solved smallest first, each with the deletions left
     once the solved components' minima and the other components' bounds

@@ -194,6 +194,9 @@ def test_criterion_4_width_scaling():
     report = planted_sweep()
     assert all(r.status == "ok" for r in report.rows)
     assert all(r.verdict == "yes" for r in report.rows)
+    # every planted instance keeps a cycle after peeling, so a zero width
+    # would mean the sweep measured nothing
+    assert all(r.weighted_width > 0 for r in report.rows)
     assert report.slope is not None and report.slope <= 0.7, report.slope
     c = report.coeff_c
     assert c is not None and c <= CRITERION_4_WIDTH_COEFF, c

@@ -3,8 +3,16 @@ from pathlib import Path
 
 import pytest
 
+from diskfvs import (
+    build_intersection_graph,
+    connected_components,
+    greedy_partition,
+    induced_subgraph,
+    peel_degree_one,
+)
 from diskfvs.cli import main
-from diskfvs.fileio import serialize_graph
+from diskfvs.fileio import parse_objects, serialize_graph
+from diskfvs.partition import packing_completion
 
 from conftest import cycle_graph, path_graph
 
@@ -141,7 +149,17 @@ class TestValidateCommand:
         assert len(components) >= 2
         main(["solve", points, "--k", "40", "--json"])
         solved = json.loads(capsys.readouterr().out)
-        assert solved["weighted_width"] == max(c["weighted_width"] for c in components)
+        # solve decomposes only the components the packing completion declines;
+        # validate lists the components in the same order
+        g = build_intersection_graph(parse_objects(Path(points).read_text()))
+        peeled = peel_degree_one(g).reduced
+        declined = []
+        for comp, report in zip(connected_components(peeled), components):
+            sub, _, _ = induced_subgraph(peeled, comp)
+            if packing_completion(sub, greedy_partition(sub)) is None:
+                declined.append(report["weighted_width"])
+        assert declined and len(declined) == len(components) - solved["bound_solved"]
+        assert solved["weighted_width"] == max(declined)
 
 
 class TestCompareCommand:

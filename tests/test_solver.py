@@ -497,8 +497,11 @@ class TestThresholds:
     budget, each reached at a k the clique-packing bound cannot reject."""
 
     def test_disabled_by_default(self):
-        g = complete_graph(9)  # bound 7 = minimum
-        sol = solve(g, SolveConfig(k=7, mode="dp-rank"))
+        # one 16-vertex component that the packing completion leaves to the DP
+        g = build_intersection_graph(random_udg(16, 1.0, 0))
+        size, _ = min_fvs_bruteforce(g)
+        sol = solve(g, SolveConfig(k=size, mode="dp-rank"))
+        assert sol.stats["bound_solved"] == 0
         assert sol.certificate == "dp"
 
     def test_width_safety_cap_falls_back_to_oracle(self, monkeypatch):
