@@ -70,6 +70,7 @@ def _solution_payload(sol, cfg) -> dict:
         "cliques": sol.stats.get("cliques", []),
         "pruned_rows": sol.stats.get("pruned_rows", 0),
         "bound_solved": sol.stats.get("bound_solved", 0),
+        "greedy_optimal": sol.stats.get("greedy_optimal", 0),
         "timings": sol.stats.get("timings", {}),
     }
 

@@ -6,8 +6,9 @@ covers each class with at most kappa cliques; contract() enforces this. A
 forest keeps at most two vertices of a clique (local_selections), so every
 feedback vertex set deletes at least sum(max(0, |q| - 2)) over the cover
 cliques q (packing_bound), certified by those of more than two vertices.
-When keeping two vertices of each such clique already leaves a forest, the
-deleted rest meets that bound and is a minimum (packing_completion).
+packing_completion deletes the rest of each such clique and then greedily
+breaks the cycles left: a feedback vertex set, so an upper bound on the
+minimum, and a minimum whenever it has at most max(bound, 1) vertices.
 
 greedy_partition processes vertices in non-increasing degree order (ties by
 smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
@@ -24,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, connected_components, from_edge_list, induced_subgraph, uf_find
+from .graph import Graph, connected_components, from_edge_list, induced_subgraph
 
 DEFAULT_KAPPA = 6
 DEFAULT_DELTA = 40
@@ -121,26 +122,47 @@ def packing_bound(p: KappaPartition) -> int:
     return sum(len(q) - KEEP_PER_CLIQUE for q in packing_cliques(p))
 
 
-def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int] | None:
-    """A feedback vertex set of packing_bound(p) vertices, or None.
+def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
+    """A feedback vertex set of g that starts from the clique-packing bound.
 
-    Keeps the two vertices of lowest degree (ties to the smaller id) of
-    every cover clique of more than two vertices and deletes the rest.
-    When the kept vertices induce a forest, the deleted set meets the
-    lower bound and is therefore a minimum feedback vertex set of g.
+    Deletes all but the two vertices of lowest degree (ties to the smaller
+    id) of every cover clique of more than two vertices. Then, until no
+    vertex is kept, it peels the kept vertices of degree at most 1 and
+    deletes the kept vertex of highest degree among the kept ones (ties to
+    the smaller id). The set is deterministic and leaves a forest, so the
+    minimum is at most its size. It is a minimum when it has at most
+    max(packing_bound(p), 1) vertices: a nonempty set means g has a cycle.
     """
-    deleted: set[int] = set()
+    kept = [True] * g.n
+    degree = [len(nbrs) for nbrs in g.adj]  # counts kept neighbors only
+    leaves = [v for v in range(g.n) if degree[v] <= 1]
+
+    def drop(v: int) -> None:
+        kept[v] = False
+        for w in g.adj[v]:
+            if kept[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+
+    deleted: list[int] = []
     for q in packing_cliques(p):
-        deleted.update(sorted(q, key=lambda v: (len(g.adj[v]), v))[KEEP_PER_CLIQUE:])
-    parent = list(range(g.n))
-    for u, v in g.edges():
-        if u in deleted or v in deleted:
-            continue
-        ru, rv = uf_find(parent, u), uf_find(parent, v)
-        if ru == rv:  # the kept edge closes a cycle
-            return None
-        parent[rv] = ru
-    return frozenset(deleted)
+        for v in sorted(q, key=lambda v: (len(g.adj[v]), v))[KEEP_PER_CLIQUE:]:
+            deleted.append(v)
+            drop(v)
+    left = range(g.n)
+    while True:
+        while leaves:
+            v = leaves.pop()
+            if kept[v]:
+                drop(v)
+        left = [v for v in left if kept[v]]
+        if not left:
+            return frozenset(deleted)
+        # every kept vertex now has degree >= 2, so they hold a cycle
+        v = max(left, key=lambda v: (degree[v], -v))
+        deleted.append(v)
+        drop(v)
 
 
 def _violations(g: Graph, p: KappaPartition):

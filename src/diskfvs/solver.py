@@ -6,22 +6,27 @@ blowup and projection, then run the clique-constrained connectivity DP over
 the nice decomposition. Right after partitioning, the disjoint cover
 cliques q of the classes give a proven lower bound, sum(max(0, |q| - 2))
 (partition.packing_bound). When that exceeds k the answer is "no" with the
-cliques as a certificate anyone can check. A component where keeping the
-two lowest-degree vertices of each clique of more than two vertices
-already leaves a forest (partition.packing_completion) needs no
-decomposition and no DP: the deleted rest meets the bound, so it is a
-minimum.
+cliques as a certificate anyone can check. partition.packing_completion
+gives every component a feedback vertex set from above: it deletes all but
+the two lowest-degree vertices of each clique of more than two vertices,
+then breaks the cycles left greedily. When that set has ub <= max(LB, 1)
+vertices, LB the component's bound, it is a minimum (a peeled component
+holds a cycle), and when it also fits the component's share of k the
+component needs no decomposition and no DP.
 
-The same bound prunes the DP in decision solves. A component C is solved
-with slack = k - done - rest - LB_C, where done sums the exact minima of
-the components already solved, rest the bounds of those still to come and
-LB_C is C's own bound. A row at node t has deleted proc(t) - value of the
-proc(t) vertices in its subtree's classes, and lbsub(t) of the bound
-belongs to those classes' cover cliques, so a row with value <
-proc(t) - lbsub(t) - slack cannot lead to a set of at most k vertices and
-is dropped (see dp_run). An optimal set never breaks that floor at any
-node, so a surviving root row is exact, and an empty root proves C's
-minimum exceeds its share of k.
+The two bounds prune every DP. A component C has budget = k - done - rest,
+where done sums the exact minima of the components already solved and rest
+the bounds of those still to come, and is solved with max_deletions =
+min(budget, ub - 1): the DP looks only for a set smaller than the greedy
+one, with slack = max_deletions - LB_C. A row at node t has deleted
+proc(t) - value of the proc(t) vertices in its subtree's classes, and
+lbsub(t) of the bound belongs to those classes' cover cliques, so a row
+with value < proc(t) - lbsub(t) - slack cannot lead to a set of at most
+max_deletions vertices and is dropped (see dp_run). An optimal set never
+breaks that floor at any node, so a surviving root row is exact. An empty
+root proves C's minimum exceeds max_deletions: the greedy set is then a
+minimum when ub <= budget, and otherwise C's minimum exceeds its share of
+k.
 
 DP state at a nice-decomposition node: the sorted tuple of vertices kept
 in the bag's classes (at most two per cover clique: local_selections), the
@@ -182,7 +187,9 @@ def dp_run(
     beyond it rather than grinding on an infeasible instance.
 
     max_deletions is the most vertices the caller can still accept deleting
-    in this component; None keeps every row. With slack = max_deletions -
+    in this component: solve passes the smaller of the component's share of
+    k and one less than a known feedback vertex set. None keeps every row,
+    which only direct callers use. With slack = max_deletions -
     packing_bound(p), a row at node t with value < cap(t) - slack is
     dropped before its union-find work. cap(t) sums min(2, |q|) over the
     cover cliques q of the classes in t's subtree: the most a row at t can
@@ -432,7 +439,7 @@ def _solve_component(
     pipe: Pipeline,
     dp_mode: str,
     state_budget: int,
-    max_deletions: int | None,
+    max_deletions: int,
     stats: dict[str, Any],
 ) -> tuple[frozenset[int] | None, bool]:
     """Minimum deletion set for one peeled component.
@@ -472,16 +479,21 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     certificate is "oracle" when the oracle solved some component and "dp"
     otherwise, also when packing_completion solved every component.
 
-    Components are solved smallest first, each with the deletions left
-    once the solved components' minima and the other components' bounds
-    are taken from k, and the DP drops the rows that cannot stay within
-    that (see dp_run). The solve stops with "no" as soon as the solved
-    minima plus the bounds still to come exceed k, so stats["min_fvs"] is
-    set only when every component's minimum was computed, and
-    stats["weighted_width"] covers only the components whose pipeline was
-    built (0 when none was). stats["pruned_rows"] counts the candidate DP
-    rows the bound dropped, and stats["bound_solved"] the components whose
-    minimum packing_completion proved without a decomposition or a DP.
+    Components are solved smallest first, each with a budget: the
+    deletions left once the solved components' minima and the other
+    components' bounds are taken from k. packing_completion's greedy set
+    of ub vertices is taken without a decomposition or a DP when ub <=
+    max(bound, 1) and ub <= budget (stats["bound_solved"] counts these
+    components). Otherwise the DP runs with max_deletions = min(budget,
+    ub - 1) and drops the rows that cannot stay within it (see dp_run).
+    When its root comes back empty, the greedy set is a minimum if ub <=
+    budget (stats["greedy_optimal"] counts these components), and the
+    component is refuted otherwise. The solve stops with "no" as soon as
+    the solved minima plus the bounds still to come exceed k, so
+    stats["min_fvs"] is set only when every component's minimum was
+    computed, and stats["weighted_width"] covers only the components
+    whose pipeline was built (0 when none was). stats["pruned_rows"]
+    counts the candidate DP rows the floor dropped.
     """
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
@@ -513,6 +525,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     stats["weighted_width"] = 0
     stats["pruned_rows"] = 0
     stats["bound_solved"] = 0
+    stats["greedy_optimal"] = 0
 
     rest = stats["lower_bound"] = sum(c[3] for c in components)
     if rest > cfg.k:  # the loop below then never runs
@@ -537,21 +550,26 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
         sub, old_of_new, part, bound = components.pop()
         rest -= bound
         budget = cfg.k - len(deleted_reduced) - rest
-        # the loop condition gives budget >= bound, so a completion always fits
-        deleted = packing_completion(sub, part)
-        if deleted is not None:
+        greedy = packing_completion(sub, part)
+        ub = len(greedy)
+        if ub <= budget and ub <= max(bound, 1):  # a peeled component holds a cycle
+            deleted = greedy
             stats["bound_solved"] += 1
         else:
             pipe = build_pipeline(sub, part)
             stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
+            # the loop condition gives budget >= bound, and ub - 1 >= bound here
+            # unless bound = budget = 0, so max_deletions >= 0
             deleted, oracle = _solve_component(
-                sub, pipe, dp_mode, cfg.state_budget,
-                budget if budget < sub.n else None, stats,
+                sub, pipe, dp_mode, cfg.state_budget, min(budget, ub - 1), stats,
             )
             used_oracle = used_oracle or oracle
             if deleted is None:
-                refuted = True
-                break
+                if ub > budget:
+                    refuted = True
+                    break
+                deleted = greedy  # the DP proved no smaller set exists
+                stats["greedy_optimal"] += 1
         deleted_reduced.update(old_of_new[v] for v in deleted)
     timings["pipeline"] = time.perf_counter() - t1
 

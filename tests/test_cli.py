@@ -12,7 +12,7 @@ from diskfvs import (
 )
 from diskfvs.cli import main
 from diskfvs.fileio import parse_objects, serialize_graph
-from diskfvs.partition import packing_completion
+from diskfvs.partition import packing_bound, packing_completion
 
 from conftest import cycle_graph, path_graph
 
@@ -149,14 +149,15 @@ class TestValidateCommand:
         assert len(components) >= 2
         main(["solve", points, "--k", "40", "--json"])
         solved = json.loads(capsys.readouterr().out)
-        # solve decomposes only the components the packing completion declines;
-        # validate lists the components in the same order
+        # solve decomposes only the components whose packing completion is
+        # above max(bound, 1); validate lists the components in the same order
         g = build_intersection_graph(parse_objects(Path(points).read_text()))
         peeled = peel_degree_one(g).reduced
         declined = []
         for comp, report in zip(connected_components(peeled), components):
             sub, _, _ = induced_subgraph(peeled, comp)
-            if packing_completion(sub, greedy_partition(sub)) is None:
+            p = greedy_partition(sub)
+            if len(packing_completion(sub, p)) > max(packing_bound(p), 1):
                 declined.append(report["weighted_width"])
         assert declined and len(declined) == len(components) - solved["bound_solved"]
         assert solved["weighted_width"] == max(declined)

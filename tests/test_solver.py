@@ -412,6 +412,49 @@ class TestPruning:
         assert sol.verdict == "yes" and sol.stats["min_fvs"] == 2
 
 
+class TestGreedyUpperBound:
+    """packing_completion's feedback vertex set bounds every component from
+    above: it is taken when it meets max(bound, 1), and otherwise the DP
+    searches only for a strictly smaller set."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_chordless_cycle_skips_the_pipeline(self, monkeypatch, n):
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("build_pipeline called")
+
+        monkeypatch.setattr("diskfvs.solver.build_pipeline", no_pipeline)
+        sol = solve(cycle_graph(n), SolveConfig(k=n))
+        assert sol.verdict == "yes" and len(sol.fvs) == 1
+        assert sol.stats["bound_solved"] == 1 and sol.stats["min_fvs"] == 1
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_chordless_cycle_k0_refuted_by_the_dp(self, n):
+        # the one-vertex set does not fit k = 0, so the DP must refute
+        sol = solve(cycle_graph(n), SolveConfig(k=0))
+        assert (sol.verdict, sol.certificate) == ("no", "dp")
+        assert sol.stats["bound_solved"] == 0
+
+    def test_minimum_desk_scale(self):
+        from diskfvs import connected_components
+
+        smaller = proven = 0
+        for seed in range(40):
+            objs = random_udg(8 + seed % 11, (1.0, 2.0)[seed % 2], seed)
+            g = build_intersection_graph(objs)
+            size, _ = min_fvs_bruteforce(g)
+            components = len(connected_components(peel_degree_one(g).reduced))
+            for mode in ("dp-naive", "dp-rank"):
+                sol = solve(g, SolveConfig(k=g.n, mode=mode))
+                assert sol.stats["min_fvs"] == len(sol.fvs) == size, (seed, mode)
+                assert sol.certificate == "dp"
+                keep = [v for v in range(g.n) if v not in set(sol.fvs)]
+                assert is_forest(induced_subgraph(g, keep)[0])
+                # at k = n the DP either beats the greedy set or proves it minimal
+                proven += sol.stats["greedy_optimal"]
+                smaller += components - sol.stats["bound_solved"] - sol.stats["greedy_optimal"]
+        assert smaller > 0 and proven > 0
+
+
 def merged_partition(g):
     """greedy_partition with each class merged into one adjacent class.
 
@@ -522,8 +565,9 @@ class TestThresholds:
             solve(g, SolveConfig(k=g.n, mode="dp-rank"))
 
     def test_state_budget_oracle_fallback(self):
-        # one 10-vertex component that the packing completion leaves to the DP
-        g = build_intersection_graph(random_udg(16, 1.0, 2))
+        # one 10-vertex component whose DP, pruned against the greedy set,
+        # still examines more than 10 states
+        g = build_intersection_graph(random_udg(16, 1.0, 10))
         size, _ = min_fvs_bruteforce(g)
         sol = solve(g, SolveConfig(k=size, mode="dp-rank", state_budget=10))
         assert sol.stats["bound_solved"] == 0
