@@ -1,11 +1,14 @@
 """Immutable undirected simple graphs and cycle-free preprocessing.
 
 Vertex ids are dense 0-based integers. Adjacency lists are sorted tuples,
-kept symmetric, with no loops or parallel edges.
+kept symmetric, with no loops or parallel edges. induced_subgraph relies on
+these invariants: it renumbers g's lists in place of rebuilding them from
+an edge list, so its result is sorted, symmetric and simple because g is.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -79,20 +82,24 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, tuple[int, ...], dict[int, int
     """Subgraph induced by vertex set s.
 
     Returns (subgraph, old_of_new, new_of_old): old_of_new[i] is the
-    original id of new vertex i; new_of_old maps the other way.
+    original id of new vertex i; new_of_old maps the other way. Renumbering
+    by the sorted old_of_new keeps each of g's sorted lists sorted.
     """
     old_of_new = tuple(sorted(s))
-    for v in old_of_new:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} not in graph of size {g.n}")
+    if old_of_new and not (0 <= old_of_new[0] and old_of_new[-1] < g.n):
+        # the smallest out-of-range id, as a scan in sorted order would find
+        bad = old_of_new[0] if old_of_new[0] < 0 else old_of_new[bisect_left(old_of_new, g.n)]
+        raise InputError(f"vertex {bad} not in graph of size {g.n}")
     new_of_old = {v: i for i, v in enumerate(old_of_new)}
-    edges = []
-    for i, v in enumerate(old_of_new):
-        for w in g.adj[v]:
-            j = new_of_old.get(w)
-            if j is not None and i < j:
-                edges.append((i, j))
-    return from_edge_list(len(old_of_new), edges), old_of_new, new_of_old
+    if len(new_of_old) != len(old_of_new):
+        dup = next(v for v, w in zip(old_of_new, old_of_new[1:]) if v == w)
+        raise InputError(f"vertex {dup} selected more than once")
+    get = new_of_old.get
+    adj = tuple([
+        tuple([j for w in g.adj[v] if (j := get(w)) is not None]) for v in old_of_new
+    ])
+    sub = Graph(n=len(old_of_new), adj=adj, m=sum(map(len, adj)) // 2)
+    return sub, old_of_new, new_of_old
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -116,9 +123,28 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def is_forest(g: Graph) -> bool:
-    """True iff g is acyclic: m == n - (number of components)."""
-    return g.m == g.n - len(connected_components(g))
+def is_forest(g: Graph, deleted=()) -> bool:
+    """True iff g minus the deleted vertices is acyclic.
+
+    One union-find pass over g's edges that skips the deleted vertices; no
+    subgraph is built.
+    """
+    alive = [True] * g.n
+    for v in deleted:
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v} not in graph of size {g.n}")
+        alive[v] = False
+    parent = list(range(g.n))
+    for u, nbrs in enumerate(g.adj):
+        if not alive[u]:
+            continue
+        for v in nbrs:
+            if v > u and alive[v]:
+                ru, rv = uf_find(parent, u), uf_find(parent, v)
+                if ru == rv:
+                    return False
+                parent[ru] = rv
+    return True
 
 
 def uf_find(parent: list[int], x: int) -> int:

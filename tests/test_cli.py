@@ -59,6 +59,7 @@ class TestSolveCommand:
         assert payload["verdict"] == "yes"
         assert len(payload["fvs"]) == 1
         assert payload["schema"] == 1
+        assert payload["timings"]["verify"] >= 0
 
     def test_c4_k0_exit_one(self, tmp_path):
         path = write_graph(tmp_path, cycle_graph(4))

@@ -112,6 +112,19 @@ class TestIsForest:
             g = random_graph(rng.randint(0, 14), rng.choice([0.1, 0.2, 0.4]), rng)
             assert is_forest(g) == (not naive_has_cycle(g))
 
+    def test_deleted_matches_induced_rest(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 14), rng.choice([0.1, 0.2, 0.4]), rng)
+            deleted = [v for v in range(g.n) if rng.random() < 0.3]
+            rest, _, _ = induced_subgraph(g, [v for v in range(g.n) if v not in deleted])
+            assert is_forest(g, deleted) == is_forest(rest) == (not naive_has_cycle(rest))
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_deleted_out_of_range_rejected(self, v):
+        with pytest.raises(InputError, match=f"vertex {v} not in graph of size 4"):
+            is_forest(cycle_graph(4), [v])
+
 
 class TestCountHighDegree:
     @pytest.mark.parametrize(
@@ -140,6 +153,37 @@ class TestInducedSubgraph:
     def test_empty_selection(self):
         sub, old, new = induced_subgraph(cycle_graph(4), [])
         assert sub.n == 0 and sub.m == 0 and old == () and new == {}
+
+    def test_matches_edge_list_reference(self):
+        rng = random.Random(13)
+        for trial in range(240):
+            g = random_graph(rng.randint(0, 16), rng.choice([0.1, 0.3, 0.6]), rng)
+            if trial % 8 == 0:
+                s = []
+            elif trial % 8 == 1:
+                s = list(range(g.n))
+            else:
+                s = [v for v in range(g.n) if rng.random() < 0.5]
+            rng.shuffle(s)
+            old = tuple(sorted(s))
+            new = {v: i for i, v in enumerate(old)}
+            ref = from_edge_list(
+                len(old), [(new[u], new[v]) for u, v in g.edges() if u in new and v in new]
+            )
+            sub, old_of_new, new_of_old = induced_subgraph(g, s)
+            assert sub == ref
+            assert old_of_new == old and new_of_old == new
+
+    @pytest.mark.parametrize(
+        "s,bad", [([0, 4], 4), ([5, 1, 4], 4), ([-2, 0, 9], -2), ([-1], -1)]
+    )
+    def test_out_of_range_names_first_bad_vertex(self, s, bad):
+        with pytest.raises(InputError, match=f"vertex {bad} not in graph of size 4"):
+            induced_subgraph(cycle_graph(4), s)
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(InputError, match="vertex 1 selected more than once"):
+            induced_subgraph(complete_graph(3), [1, 1, 2])
 
     def test_full_selection_identity(self):
         rng = random.Random(11)

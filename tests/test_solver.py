@@ -3,6 +3,7 @@ import random
 import pytest
 
 from diskfvs import (
+    InternalError,
     KappaPartition,
     ResourceError,
     SolveConfig,
@@ -426,6 +427,23 @@ class TestGreedyUpperBound:
         sol = solve(cycle_graph(n), SolveConfig(k=n))
         assert sol.verdict == "yes" and len(sol.fvs) == 1
         assert sol.stats["bound_solved"] == 1 and sol.stats["min_fvs"] == 1
+
+    def test_final_verification_is_timed(self):
+        g = build_intersection_graph(random_udg(60, 1.0, 3))
+        sol = solve(g, SolveConfig(k=g.n))
+        timings = sol.stats["timings"]
+        assert sol.verdict == "yes"
+        assert set(timings) == {"peel", "pipeline", "verify", "total"}
+        assert 0 <= timings["verify"] <= timings["total"] - timings["pipeline"]
+        # no witness, nothing to verify
+        assert "verify" not in solve(cycle_graph(4), SolveConfig(k=0)).stats["timings"]
+
+    def test_bad_witness_fails_final_verification(self, monkeypatch):
+        # an empty "feedback vertex set" of K4 passes every check before the
+        # final one, which re-checks the witness against the input graph
+        monkeypatch.setattr("diskfvs.solver.packing_completion", lambda g, p: frozenset())
+        with pytest.raises(InternalError, match="final verification failed"):
+            solve(complete_graph(4), SolveConfig(k=4))
 
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_chordless_cycle_k0_refuted_by_the_dp(self, n):
