@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 
@@ -22,11 +23,11 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
     m: int
-    _nbr: tuple[frozenset[int], ...] = field(repr=False, compare=False, default=())
 
-    def __post_init__(self):
-        if not self._nbr:
-            object.__setattr__(self, "_nbr", tuple(frozenset(a) for a in self.adj))
+    @cached_property
+    def _nbr(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets, built on the first has_edge or neighbors call."""
+        return tuple(frozenset(a) for a in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._nbr[u]

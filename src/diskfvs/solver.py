@@ -87,7 +87,7 @@ from .reduction import (
     rank_reduce,
 )
 
-MODES = ("auto", "dp-naive", "dp-rank", "oracle")
+MODES = ("auto", "dp-naive", "dp-rank")
 
 WIDTH_SAFETY_CAP = 64
 STATE_BUDGET = 50_000_000
@@ -444,16 +444,19 @@ def _solve_component(
     """Minimum deletion set for one peeled component.
 
     The set is None when the DP proved the minimum exceeds max_deletions.
-    The flag is True when the oracle found the set, after the DP hit the
-    width safety cap or the state budget.
+    The flag is True when the oracle found the set, which it does only
+    after the DP exceeded the state budget on a component small enough for
+    it. A weighted width above WIDTH_SAFETY_CAP raises ResourceError before
+    the DP starts: the width is at most the vertex count, so such a
+    component has more vertices than the oracle takes.
     """
     w = pipe.weighted_width
+    if w > WIDTH_SAFETY_CAP:
+        raise ResourceError(
+            f"weighted width {w} exceeds safety cap {WIDTH_SAFETY_CAP} "
+            f"on a component of {gc.n} vertices"
+        )
     try:
-        if w > WIDTH_SAFETY_CAP:
-            raise ResourceError(
-                f"weighted width {w} exceeds safety cap {WIDTH_SAFETY_CAP} "
-                f"on a component of {gc.n} vertices"
-            )
         best, tables = dp_run(
             pipe.nice, gc, pipe.partition, mode=dp_mode, state_budget=state_budget,
             max_deletions=max_deletions, stats=stats,
@@ -471,9 +474,12 @@ def _solve_component(
 def solve(g: Graph, cfg: SolveConfig) -> Solution:
     """Decide whether g has a feedback vertex set of size <= cfg.k.
 
-    Exact for every input graph. A "no" comes from the DP, the oracle, or
+    Exact for every input graph. Every mode runs the same pipeline and
+    fills the same stats keys. A "no" comes from the DP, the oracle, or
     the clique-packing bound, whose cliques (original vertex ids) are
-    checked against g and returned in stats["cliques"]. A returned "yes"
+    checked against g and returned in stats["cliques"] (empty otherwise).
+    The oracle solves a component only when the DP exceeded the state
+    budget on it (see _solve_component). A returned "yes"
     always carries a witness re-verified against the original graph by one
     is_forest pass, timed as stats["timings"]["verify"]. Its
     certificate is "oracle" when the oracle solved some component and "dp"
@@ -497,18 +503,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     """
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
-    stats: dict[str, Any] = {}
-
-    if cfg.mode == "oracle":
-        size, witness = min_fvs_bruteforce(g)
-        verdict = "yes" if size <= cfg.k else "no"
-        timings["total"] = time.perf_counter() - t0
-        return Solution(
-            verdict=verdict,
-            fvs=tuple(sorted(witness)) if verdict == "yes" else None,
-            certificate="oracle",
-            stats={"min_fvs": size, "timings": timings},
-        )
+    stats: dict[str, Any] = {"cliques": []}
 
     peel = peel_degree_one(g)
     gp = peel.reduced
@@ -585,7 +580,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             timings["verify"] = time.perf_counter() - t2
     timings["total"] = time.perf_counter() - t0
     stats["timings"] = timings
-    if "cliques" in stats:
+    if stats["cliques"]:
         certificate = "clique-packing"
     else:
         certificate = "oracle" if used_oracle else "dp"
@@ -597,7 +592,6 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
 def solve_min_fvs(g: Graph, cfg: SolveConfig | None = None) -> tuple[int, tuple[int, ...]]:
     """Minimum feedback vertex set size and witness via the DP pipeline."""
     base = cfg or SolveConfig(k=0, mode="dp-rank")
-    big = replace(base, k=g.n, mode=base.mode if base.mode != "oracle" else "dp-rank")
-    sol = solve(g, big)
+    sol = solve(g, replace(base, k=g.n))
     assert sol.fvs is not None
     return len(sol.fvs), sol.fvs

@@ -9,6 +9,7 @@ from diskfvs import (
     greedy_partition,
     induced_subgraph,
     peel_degree_one,
+    solve,
 )
 from diskfvs.cli import main
 from diskfvs.fileio import parse_objects, serialize_graph
@@ -60,6 +61,30 @@ class TestSolveCommand:
         assert len(payload["fvs"]) == 1
         assert payload["schema"] == 1
         assert payload["timings"]["verify"] >= 0
+
+    def test_json_is_the_stats_record(self, tmp_path, capsys, monkeypatch):
+        solved = []
+
+        def recording_solve(g, cfg):
+            solved.append(solve(g, cfg))
+            return solved[-1]
+
+        monkeypatch.setattr("diskfvs.cli.solve", recording_solve)
+        out = tmp_path / "inst"
+        main(["gen", "--udg", "-n", "40", "--density", "1.0", "--seed", "2",
+              "--out", str(out)])
+        capsys.readouterr()
+        for k in ("0", "8", "40"):  # clique-packing "no", DP "no", "yes"
+            main(["solve", str(out.with_suffix(".points")), "--k", k, "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            sol = solved[-1]
+            assert payload.pop("schema") == 1 and payload.pop("k") == int(k)
+            assert payload.pop("verdict") == sol.verdict
+            assert payload.pop("certificate") == sol.certificate
+            assert payload.pop("fvs") == list(sol.fvs or ())
+            assert payload == json.loads(json.dumps(sol.stats))
+            assert "lower_bound" in payload and "cliques" in payload
+        assert payload["min_fvs"] == 9 and payload["lower_bound"] == 7
 
     def test_c4_k0_exit_one(self, tmp_path):
         path = write_graph(tmp_path, cycle_graph(4))
@@ -170,6 +195,10 @@ class TestCompareCommand:
         assert main(["compare", path, "--k", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["agree"] is True
+
+    def test_oracle_size_limit_exit_two(self, tmp_path):
+        path = write_graph(tmp_path, cycle_graph(24))
+        assert main(["compare", path, "--k", "1"]) == 2
 
 
 class TestBenchCommand:

@@ -147,9 +147,10 @@ class TestSolveBasics:
         sol = solve(complete_graph(3), SolveConfig(k=1, mode="dp-naive"))
         assert sol.verdict == "yes" and len(sol.fvs) == 1
 
-    def test_oracle_mode(self):
-        sol = solve(cycle_graph(5), SolveConfig(k=1, mode="oracle"))
-        assert sol.verdict == "yes" and sol.certificate == "oracle"
+    def test_oracle_mode_rejected(self):
+        # the exhaustive solver is min_fvs_bruteforce, not a solve mode
+        with pytest.raises(ValidationError):
+            SolveConfig(k=1, mode="oracle")
 
     def test_bad_config(self):
         with pytest.raises(ValidationError):
@@ -345,10 +346,9 @@ class TestCliquePacking:
             seen.update(c)
         assert sum(len(c) - 2 for c in cliques) == sol.stats["lower_bound"] > 0
 
-    def test_oracle_mode_never_answers_it(self):
-        sol = solve(complete_graph(9), SolveConfig(k=0, mode="oracle"))
-        assert sol.verdict == "no" and sol.certificate == "oracle"
-        assert solve(complete_graph(9), SolveConfig(k=0)).certificate == "clique-packing"
+    def test_k9_refuted_by_the_certificate(self):
+        sol = solve(complete_graph(9), SolveConfig(k=0))
+        assert sol.verdict == "no" and sol.certificate == "clique-packing"
 
 
 class TestPruning:
@@ -427,6 +427,26 @@ class TestGreedyUpperBound:
         sol = solve(cycle_graph(n), SolveConfig(k=n))
         assert sol.verdict == "yes" and len(sol.fvs) == 1
         assert sol.stats["bound_solved"] == 1 and sol.stats["min_fvs"] == 1
+
+    def test_one_stats_record(self):
+        # a clique-packing "no", a DP "no" and a "yes" fill the same keys;
+        # only min_fvs and the verify timing depend on the answer
+        udg = build_intersection_graph(random_udg(60, 1.0, 3))
+        sols = [
+            solve(complete_graph(9), SolveConfig(k=0)),
+            solve(cycle_graph(4), SolveConfig(k=0)),
+            solve(udg, SolveConfig(k=udg.n)),
+        ]
+        assert [(s.verdict, s.certificate) for s in sols] == [
+            ("no", "clique-packing"), ("no", "dp"), ("yes", "dp"),
+        ]
+        assert "min_fvs" not in sols[0].stats and "min_fvs" in sols[2].stats
+        keys = {
+            (frozenset(s.stats) - {"min_fvs"}, frozenset(s.stats["timings"]) - {"verify"})
+            for s in sols
+        }
+        assert len(keys) == 1
+        assert sols[0].stats["cliques"] and sols[1].stats["cliques"] == []
 
     def test_final_verification_is_timed(self):
         g = build_intersection_graph(random_udg(60, 1.0, 3))
@@ -565,15 +585,20 @@ class TestThresholds:
         assert sol.stats["bound_solved"] == 0
         assert sol.certificate == "dp"
 
-    def test_width_safety_cap_falls_back_to_oracle(self, monkeypatch):
-        monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
-        # one 16-vertex component that the packing completion leaves to the DP
+    def test_width_safety_cap_skips_the_oracle(self, monkeypatch):
+        # one 16-vertex component that the packing completion leaves to the
+        # DP, small enough for the oracle: the cap still raises, as it does
+        # on every component whose width can exceed the real cap
         g = build_intersection_graph(random_udg(16, 1.0, 0))
         size, _ = min_fvs_bruteforce(g)
-        sol = solve(g, SolveConfig(k=size, mode="dp-rank"))
-        assert sol.stats["bound_solved"] == 0
-        assert sol.certificate == "oracle"
-        assert sol.verdict == "yes" and len(sol.fvs) == size
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
+        monkeypatch.setattr("diskfvs.solver.min_fvs_bruteforce", no_oracle)
+        with pytest.raises(ResourceError, match="safety cap"):
+            solve(g, SolveConfig(k=size, mode="dp-rank"))
 
     def test_width_safety_cap_resource_error(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
