@@ -9,6 +9,7 @@ its entire clique.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -96,24 +97,11 @@ def validate_decomposition(td: TreeDecomposition, g: Graph) -> DecompositionRepo
     return DecompositionReport(tuple(violations))
 
 
-def _eliminate(adj: list[set[int]], alive: set[int], v: int) -> None:
-    nbrs = adj[v] & alive
-    for a in nbrs:
-        for b in nbrs:
-            if a != b:
-                adj[a].add(b)
-        adj[a].discard(v)
-    alive.discard(v)
-
-
-def _min_fill_score(adj, alive, u) -> int:
-    nbrs = sorted(adj[u] & alive)
-    fill = 0
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            if nbrs[j] not in adj[nbrs[i]]:
-                fill += 1
-    return fill
+def _fill(adj: list[set[int]], u: int) -> int:
+    """Pairs of u's alive neighbours that are not adjacent."""
+    nbrs = adj[u]
+    d = len(nbrs)
+    return d * (d - 1) // 2 - sum(len(adj[a] & nbrs) for a in nbrs) // 2
 
 
 def decompose_unweighted(h: Graph) -> TreeDecomposition:
@@ -124,18 +112,47 @@ def decompose_unweighted(h: Graph) -> TreeDecomposition:
     records its bag: the vertex and those neighbours. Bags are numbered in
     elimination order; each is linked to the bag of its earliest-eliminated
     later neighbour, or to the next bag when it has none.
+
+    The scores live in a heap with lazy invalidation. Eliminating v changes
+    only the scores of v's neighbours, which are recomputed, and of the
+    other common neighbours of each fill edge's ends, which lose one
+    missing pair per such edge. The order is that of rescoring every alive
+    vertex at every step.
     """
     if h.n == 0:
         return TreeDecomposition(tree=((),), bags=(frozenset(),), root=0)
-    adj = [set(a) for a in h.adj]
-    alive = set(range(h.n))
-    pos: dict[int, int] = {}
+    adj = [set(a) for a in h.adj]  # alive neighbours only
+    score = [_fill(adj, u) for u in range(h.n)]
+    heap = [(s, u) for u, s in enumerate(score)]
+    heapq.heapify(heap)
+    alive = [True] * h.n
+    pos = [0] * h.n
     bags: list[frozenset[int]] = []
-    while alive:
-        v = min(alive, key=lambda u: (_min_fill_score(adj, alive, u), u))
+    while heap:
+        s, v = heapq.heappop(heap)
+        if not alive[v] or s != score[v]:
+            continue
+        alive[v] = False
         pos[v] = len(bags)
-        bags.append(frozenset(adj[v] & alive | {v}))
-        _eliminate(adj, alive, v)
+        nbrs = adj[v]
+        bags.append(frozenset(nbrs | {v}))
+        lowered: dict[int, int] = {}
+        for a in nbrs:
+            adj[a].discard(v)
+        for a in nbrs:
+            for b in nbrs - adj[a]:
+                if a < b:
+                    for c in adj[a] & adj[b]:
+                        lowered[c] = lowered.get(c, 0) + 1
+                    adj[a].add(b)
+                    adj[b].add(a)
+        for c, drop in lowered.items():
+            if c not in nbrs:
+                score[c] -= drop
+                heapq.heappush(heap, (score[c], c))
+        for a in nbrs:
+            score[a] = _fill(adj, a)
+            heapq.heappush(heap, (score[a], a))
     edges: list[list[int]] = [[] for _ in range(h.n)]
     for i in range(h.n - 1):
         later = [pos[w] for w in bags[i] if pos[w] > i]
@@ -183,18 +200,27 @@ def blowup(cg: ContractedGraph) -> BlowupGraph:
 def project(td_b: TreeDecomposition, bg: BlowupGraph, cg: ContractedGraph) -> TreeDecomposition:
     """Projected decomposition: class in a bag iff its whole clique is.
 
-    Validity follows because every blown clique (and every union of two
-    adjacent blown cliques) sits inside some bag of a valid decomposition,
-    and intersections of subtrees are subtrees. The result is not
-    validated here; the solver's pipeline validates its nice form once.
+    Each bag counts its blown vertices per class; a class joins when the
+    count reaches its clique size. Validity follows because every blown
+    clique (and every union of two adjacent blown cliques) sits inside some
+    bag of a valid decomposition, and intersections of subtrees are
+    subtrees. The result is not validated here; the solver's pipeline
+    validates its nice form once.
     """
+    class_of = [0] * bg.graph.n
+    for c, clique in enumerate(bg.cliques):
+        for b in clique:
+            class_of[b] = c
     bags = []
     for bag in td_b.bags:
-        bags.append(
-            frozenset(
-                v for v, clique in enumerate(bg.cliques) if all(b in bag for b in clique)
-            )
-        )
+        count: dict[int, int] = {}
+        full = []
+        for b in bag:
+            c = class_of[b]
+            count[c] = count.get(c, 0) + 1
+            if count[c] == len(bg.cliques[c]):
+                full.append(c)
+        bags.append(frozenset(full))
     return TreeDecomposition(tree=td_b.tree, bags=tuple(bags), root=td_b.root)
 
 

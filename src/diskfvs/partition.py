@@ -9,6 +9,9 @@ cliques q (packing_bound), certified by those of more than two vertices.
 packing_completion deletes the rest of each such clique and then greedily
 breaks the cycles left: a feedback vertex set, so an upper bound on the
 minimum, and a minimum whenever it has at most max(bound, 1) vertices.
+Above that size it puts back every deleted vertex that closes no cycle,
+lowest degree first, so the set it returns is inclusion-minimal; at or
+below it the set is already a minimum and the pass is skipped.
 
 greedy_partition processes vertices in non-increasing degree order (ties by
 smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
@@ -25,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, connected_components, from_edge_list, induced_subgraph
+from .graph import Graph, connected_components, from_edge_list, induced_subgraph, uf_find
 
 DEFAULT_KAPPA = 6
 DEFAULT_DELTA = 40
@@ -123,7 +126,8 @@ def packing_bound(p: KappaPartition) -> int:
 
 
 def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
-    """A feedback vertex set of g that starts from the clique-packing bound.
+    """An inclusion-minimal feedback vertex set of g that starts from the
+    clique-packing bound.
 
     Deletes all but the two vertices of lowest degree (ties to the smaller
     id) of every cover clique of more than two vertices. Then, until no
@@ -132,6 +136,11 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
     the smaller id). The set is deterministic and leaves a forest, so the
     minimum is at most its size. It is a minimum when it has at most
     max(packing_bound(p), 1) vertices: a nonempty set means g has a cycle.
+    Otherwise each deleted vertex, lowest degree first (ties to the smaller
+    id), is put back when its neighbours outside the set lie in distinct
+    trees of the forest they leave, one union-find over that forest's
+    edges. A vertex left deleted closes a cycle, and later put-backs only
+    join trees, so no single vertex of the result can be put back.
     """
     kept = [True] * g.n
     degree = [len(nbrs) for nbrs in g.adj]  # counts kept neighbors only
@@ -158,11 +167,28 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
                 drop(v)
         left = [v for v in left if kept[v]]
         if not left:
-            return frozenset(deleted)
+            break
         # every kept vertex now has degree >= 2, so they hold a cycle
         v = max(left, key=lambda v: (degree[v], -v))
         deleted.append(v)
         drop(v)
+    if len(deleted) <= max(packing_bound(p), 1):
+        return frozenset(deleted)  # a minimum: nothing can be put back
+    out = [False] * g.n
+    for v in deleted:
+        out[v] = True
+    parent = list(range(g.n))
+    for u, v in g.edges():
+        if not (out[u] or out[v]):
+            parent[uf_find(parent, u)] = uf_find(parent, v)
+    for v in sorted(deleted, key=lambda v: (len(g.adj[v]), v)):
+        nbrs = [w for w in g.adj[v] if not out[w]]
+        roots = {uf_find(parent, w) for w in nbrs}
+        if len(roots) == len(nbrs):
+            out[v] = False
+            for r in roots:
+                parent[r] = v
+    return frozenset(v for v in deleted if out[v])
 
 
 def _violations(g: Graph, p: KappaPartition):

@@ -9,10 +9,11 @@ cliques q of the classes give a proven lower bound, sum(max(0, |q| - 2))
 cliques as a certificate anyone can check. partition.packing_completion
 gives every component a feedback vertex set from above: it deletes all but
 the two lowest-degree vertices of each clique of more than two vertices,
-then breaks the cycles left greedily. When that set has ub <= max(LB, 1)
-vertices, LB the component's bound, it is a minimum (a peeled component
-holds a cycle), and when it also fits the component's share of k the
-component needs no decomposition and no DP.
+then breaks the cycles left greedily, then puts back every deleted vertex
+that closes no cycle, so no vertex of the set is redundant. When that set
+has ub <= max(LB, 1) vertices, LB the component's bound, it is a minimum
+(a peeled component holds a cycle), and when it also fits the component's
+share of k the component needs no decomposition and no DP.
 
 The two bounds prune every DP. A component C has budget = k - done - rest,
 where done sums the exact minima of the components already solved and rest
@@ -227,6 +228,8 @@ def dp_run(
                 "the instance's weighted width makes the table infeasible"
             )
 
+    # neighbour sets found once, so introduce tests edges by set membership
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
     cap = [0] * n_nodes
@@ -264,13 +267,14 @@ def dp_run(
                     # edges the new class is responsible for
                     new_edges = []
                     for i, x in enumerate(sel):
+                        nbrs_x = nbrs[x]
                         for j in range(i + 1, len(sel)):
-                            if g.has_edge(x, sel[j]):
+                            if sel[j] in nbrs_x:
                                 new_edges.append((s_c + i, s_c + j))
                                 if accounting:
                                     accounting.record(node, x, sel[j])
                         for j, y in enumerate(kept_c):
-                            if g.has_edge(x, y):
+                            if y in nbrs_x:
                                 new_edges.append((s_c + i, j))
                                 if accounting:
                                     accounting.record(node, x, y)

@@ -6,11 +6,13 @@ from diskfvs import (
     TreeDecomposition,
     blowup,
     build_intersection_graph,
+    connected_components,
     contract,
     decompose_unweighted,
     exact_treewidth,
     from_edge_list,
     greedy_partition,
+    induced_subgraph,
     make_nice,
     peel_degree_one,
     project,
@@ -52,6 +54,52 @@ def degree_score(adj, alive, u):
 def fill_score(adj, alive, u):
     nbrs = adj[u] & alive
     return sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
+
+
+def reference_decompose(h):
+    """decompose_unweighted as it was, rescoring every alive vertex at each
+    step: the reference for the incremental scores."""
+    if h.n == 0:
+        return TreeDecomposition(tree=((),), bags=(frozenset(),), root=0)
+    adj = [set(a) for a in h.adj]
+    alive = set(range(h.n))
+    pos, bags = {}, []
+    while alive:
+        v = min(alive, key=lambda u: (fill_score(adj, alive, u), u))
+        pos[v] = len(bags)
+        nbrs = adj[v] & alive
+        bags.append(frozenset(nbrs | {v}))
+        for a in nbrs:
+            adj[a] |= nbrs - {a}
+            adj[a].discard(v)
+        alive.discard(v)
+    edges = [[] for _ in range(h.n)]
+    for i in range(h.n - 1):
+        parent = min((pos[w] for w in bags[i] if pos[w] > i), default=i + 1)
+        edges[i].append(parent)
+        edges[parent].append(i)
+    return TreeDecomposition(
+        tree=tuple(tuple(sorted(e)) for e in edges), bags=tuple(bags), root=0
+    )
+
+
+def reference_project(td_b, bg):
+    """project as it was: each class tested against each bag."""
+    bags = tuple(
+        frozenset(c for c, clique in enumerate(bg.cliques) if all(b in bag for b in clique))
+        for bag in td_b.bags
+    )
+    return TreeDecomposition(tree=td_b.tree, bags=bags, root=td_b.root)
+
+
+def pool_blowups(seeds):
+    """(contraction, blowup) of each peeled component of pool-sized UDGs."""
+    for seed in seeds:
+        peeled = peel_degree_one(build_intersection_graph(random_udg(100, 1.0, seed))).reduced
+        for comp in connected_components(peeled):
+            g = induced_subgraph(peeled, comp)[0]
+            cg = contract(g, greedy_partition(g))
+            yield cg, blowup(cg)
 
 
 def relabel_by_greedy_order(g, labelling):
@@ -125,6 +173,18 @@ class TestDecompose:
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
         td = decompose_unweighted(g)
         assert validate_decomposition(td, g).ok
+
+    def test_same_as_full_rescan(self):
+        # the incremental scores give the same order, ties included, so the
+        # same decomposition, bag for bag
+        rng = random.Random(21)
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 45), rng.uniform(0.02, 0.6), rng)
+            assert decompose_unweighted(g) == reference_decompose(g)
+
+    def test_same_as_full_rescan_on_blown_components(self):
+        for _, bg in pool_blowups(range(5)):
+            assert decompose_unweighted(bg.graph) == reference_decompose(bg.graph)
 
 
 class TestValidator:
@@ -241,6 +301,16 @@ class TestProject:
         td = project(td_b, bg, cg)
         assert validate_decomposition(td, cg.base).ok
         assert weighted_width(td, cg) <= 6
+
+    def test_counting_matches_the_whole_clique_rule(self):
+        rng = random.Random(22)
+        for _ in range(100):
+            g = random_graph(rng.randint(1, 30), rng.uniform(0.05, 0.5), rng)
+            cg, bg, td_b = self._pipeline(g)
+            assert project(td_b, bg, cg) == reference_project(td_b, bg)
+        for cg, bg in pool_blowups(range(5)):
+            td_b = decompose_unweighted(bg.graph)
+            assert project(td_b, bg, cg) == reference_project(td_b, bg)
 
     def test_c6_paired_contraction_weight_two(self):
         # triangle of weight-2 classes: blowup is a 6-vertex graph whose

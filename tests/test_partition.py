@@ -216,7 +216,7 @@ class TestCoverCliqueRule:
 class TestPackingCompletion:
     """Keeping two vertices of each cover clique and then breaking the cycles
     left greedily gives a feedback vertex set; it is a minimum when it has
-    at most max(bound, 1) vertices."""
+    at most max(bound, 1) vertices, and inclusion-minimal otherwise."""
 
     def test_soundness_desk_scale(self):
         # the 40 desk-scale UDGs of test_solver.py::TestCliquePacking
@@ -232,6 +232,9 @@ class TestPackingCompletion:
                 assert is_forest(induced_subgraph(g, keep)[0]), seed
                 minimum = min_fvs_bruteforce(g)[0]
                 assert len(deleted) >= minimum, seed
+                # putting back any one deleted vertex closes a cycle
+                for v in deleted:
+                    assert not is_forest(g, deleted - {v}), (seed, v)
                 if len(deleted) <= max(packing_bound(p), 1):
                     proven += 1
                     assert len(deleted) == minimum, seed
@@ -254,6 +257,18 @@ class TestPackingCompletion:
         p = greedy_partition(g)
         assert packing_cliques(p) == [(0, 1, 2)]
         assert packing_completion(g, p) == {1}
+
+    def test_prism_puts_back_a_vertex(self):
+        # triangles 0, 1, 5 and 2, 3, 4 joined by 0-3, 1-2 and 4-5: the
+        # completion deletes 5 and 4, then 0 from the 4-cycle 0, 1, 2, 3;
+        # 5's one neighbour left is then 1, so 5 is put back, while 0 and 4
+        # each have two neighbours on the path 1, 2, 3
+        g = from_edge_list(6, [
+            (0, 1), (0, 3), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5),
+        ])
+        p = greedy_partition(g)
+        assert packing_cliques(p) == [(0, 1, 5), (2, 3, 4)]
+        assert packing_completion(g, p) == {0, 4}
 
 
 class TestValidatePartition:

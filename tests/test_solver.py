@@ -475,8 +475,10 @@ class TestGreedyUpperBound:
     def test_minimum_desk_scale(self):
         from diskfvs import connected_components
 
+        # the greedy set is inclusion-minimal, and the DP first beats it at
+        # seeds 53 and 55, so the range reaches past them
         smaller = proven = 0
-        for seed in range(40):
+        for seed in range(60):
             objs = random_udg(8 + seed % 11, (1.0, 2.0)[seed % 2], seed)
             g = build_intersection_graph(objs)
             size, _ = min_fvs_bruteforce(g)
