@@ -197,7 +197,7 @@ def blowup(cg: ContractedGraph) -> BlowupGraph:
     return BlowupGraph(graph=from_edge_list(total, edges), cliques=cliques)
 
 
-def project(td_b: TreeDecomposition, bg: BlowupGraph, cg: ContractedGraph) -> TreeDecomposition:
+def project(td_b: TreeDecomposition, bg: BlowupGraph) -> TreeDecomposition:
     """Projected decomposition: class in a bag iff its whole clique is.
 
     Each bag counts its blown vertices per class; a class joins when the

@@ -1,14 +1,17 @@
 """Representative reduction of forest-connectivity state tables.
 
-A DP row is (kept, partition, value): kept is the sorted tuple of vertices
-the partial forest keeps in the current bag, and the partition records
-which of them are already connected. Rows with the same kept tuple
-compete: row p can be dropped when, for every way q the future could
-connect the kept vertices, some retained row matches p's
-acyclic-compatibility with q at equal or better value.
+A DP row is (kept, partition, value): kept is the bitmask of the vertex
+ids the partial forest keeps in the current bag, and the partition, a
+sorted tuple of disjoint block masks covering kept, records which of them
+are already connected. Rows with the same kept mask compete: row p can be
+dropped when, for every way q the future could connect the kept vertices,
+some retained row matches p's acyclic-compatibility with q at equal or
+better value.
 
-The reduction works over GF(2). Each partition p maps to a bit vector
-indexed by subsets A of the kept positions:
+The reduction works over GF(2) on positional labels: position i is the
+i-th kept vertex by id, and block labels are numbered by first appearance
+(block_labels). Each labelled partition p maps to a bit vector indexed by
+subsets A of the kept positions:
 
     vec(p)[A] = 1  iff  A picks at most one element from every block of p.
 
@@ -17,7 +20,7 @@ Such an A-column equals the acyclic-compatibility column of the partition
 compatibility matrix's column space; their span covers it (the matrix has
 GF(2) rank exactly 2^(s-1)). Rows are scanned best-value first and kept
 exactly when their vector is linearly independent of the vectors kept so
-far, which bounds the surviving rows of each kept tuple by 2^(s-1).
+far, which bounds the surviving rows of each kept mask by 2^(s-1).
 """
 
 from __future__ import annotations
@@ -29,26 +32,35 @@ from typing import Any
 # tables are left unreduced (correct, merely unpruned)
 REDUCE_MAX_GROUND = 8
 
-Partition = tuple[int, ...]
-Kept = tuple[int, ...]
+Kept = int  # bitmask over the component's vertex ids
+Partition = tuple[int, ...]  # sorted disjoint block masks whose union is kept
+Labels = tuple[int, ...]  # block label per kept position, by first appearance
 
 
-def block_count(part: Partition) -> int:
-    return max(part) + 1 if part else 0
+def bits_of(mask: int):
+    """The ids of the bits set in mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def canonicalize(labels: list[int]) -> Partition:
-    """Renumber block labels by first appearance."""
-    remap: dict[int, int] = {}
+def block_labels(part: Partition, kept: Kept) -> Labels:
+    """part as positional labels: the block of each kept vertex in id
+    order, blocks numbered by first appearance."""
+    label: dict[int, int] = {}
     out = []
-    for x in labels:
-        if x not in remap:
-            remap[x] = len(remap)
-        out.append(remap[x])
+    while kept:
+        low = kept & -kept
+        kept ^= low
+        for block in part:
+            if block & low:
+                out.append(label.setdefault(block, len(label)))
+                break
     return tuple(out)
 
 
-def transversal_vector(part: Partition) -> int:
+def transversal_vector(part: Labels) -> int:
     """Bit A set iff A takes at most one position from every block."""
     blocks: dict[int, list[int]] = {}
     for pos, b in enumerate(part):
@@ -63,7 +75,7 @@ def transversal_vector(part: Partition) -> int:
 
 @dataclass
 class RepresentativeTable:
-    """Rows keyed by kept tuple: kept -> partition -> (value, payload)."""
+    """Rows keyed by kept mask: kept -> partition -> (value, payload)."""
 
     rows: dict[Kept, dict[Partition, tuple[int, Any]]]
 
@@ -72,14 +84,14 @@ class RepresentativeTable:
 
 
 def reduce_rows(
-    group: dict[Partition, tuple[int, Any]], ground_size: int
-) -> dict[Partition, tuple[int, Any]]:
-    """Keep a representative, value-optimal subset of one kept tuple's rows."""
+    group: dict[Labels, tuple[int, Any]], ground_size: int
+) -> dict[Labels, tuple[int, Any]]:
+    """Keep a representative, value-optimal subset of one kept set's rows."""
     if len(group) <= 1 or ground_size > REDUCE_MAX_GROUND:
         return group
     order = sorted(group.items(), key=lambda item: (-item[1][0], item[0]))
     basis: list[int] = []
-    kept: dict[Partition, tuple[int, Any]] = {}
+    kept: dict[Labels, tuple[int, Any]] = {}
     for part, payload in order:
         vec = transversal_vector(part)
         for b in basis:
@@ -92,8 +104,17 @@ def reduce_rows(
 
 
 def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
-    """Reduce the rows of every kept tuple, with the tuple as ground set."""
+    """Reduce the rows of every kept mask, with its vertices as ground set.
+
+    Only a group reduce_rows can shrink (more than one row, at most
+    REDUCE_MAX_GROUND kept vertices) is relabelled; it is scanned in
+    reduce_rows' order, best value first and ties by labels.
+    """
     out: dict[Kept, dict[Partition, tuple[int, Any]]] = {}
     for kept, group in table.rows.items():
-        out[kept] = reduce_rows(group, len(kept))
+        if len(group) > 1 and kept.bit_count() <= REDUCE_MAX_GROUND:
+            labelled = {block_labels(part, kept): (row[0], part) for part, row in group.items()}
+            reduced = reduce_rows(labelled, kept.bit_count())
+            group = {part: group[part] for _, part in reduced.values()}
+        out[kept] = group
     return RepresentativeTable(rows=out)

@@ -29,14 +29,16 @@ root proves C's minimum exceeds max_deletions: the greedy set is then a
 minimum when ub <= budget, and otherwise C's minimum exceeds its share of
 k.
 
-DP state at a nice-decomposition node: the sorted tuple of vertices kept
-in the bag's classes (at most two per cover clique: local_selections), the
-partition of those vertices into connected pieces of the partial forest,
-and the total number of vertices kept so far (maximized).
-Edges are committed when the later of their two classes is introduced; at
-join nodes both branches have committed the edges induced inside the kept
-tuple, so the union of the two partitions stays acyclic exactly when it
-merges |kept| - shared_edges pairs of blocks.
+DP state at a nice-decomposition node: the vertices kept in the bag's
+classes (at most two per cover clique: local_selections) as a bitmask over
+the component's vertex ids, the partition of those vertices into connected
+pieces of the partial forest as the sorted tuple of its block masks, and
+the total number of vertices kept so far (maximized). Edges are committed
+when the later of their two classes is introduced: each new vertex closes
+a cycle when two of its kept neighbours share a block, and otherwise
+merges the blocks it touches. At join nodes both branches have committed
+the edges induced inside the kept set, so the union of the two partitions
+stays acyclic exactly when it merges |kept| - shared_edges pairs of blocks.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .graph import (
     induced_subgraph,
     is_forest,
     peel_degree_one,
-    uf_find,
 )
 from .oracle import DEFAULT_BUDGET, min_fvs_bruteforce
 from .partition import (
@@ -79,14 +80,7 @@ from .partition import (
     packing_cliques,
     packing_completion,
 )
-from .reduction import (
-    Kept,
-    Partition,
-    RepresentativeTable,
-    block_count,
-    canonicalize,
-    rank_reduce,
-)
+from .reduction import Kept, Partition, RepresentativeTable, bits_of, rank_reduce
 
 MODES = ("auto", "dp-naive", "dp-rank")
 
@@ -166,6 +160,7 @@ class _EdgeAccounting:
 # (value, backref); the backref is the child row's (kept, partition) at
 # introduce and forget nodes, (left, right) partitions at joins, None at leaves
 _Row = tuple[int, Any]
+# kept mask -> partition (sorted block masks) -> row
 _Table = dict[Kept, dict[Partition, _Row]]
 
 
@@ -182,7 +177,8 @@ def dp_run(
     """Maximum induced forest size over the nice decomposition.
 
     Returns the optimum and the per-node tables (with backrefs) for
-    reconstruction. Tables are keyed by kept tuple, then by partition.
+    reconstruction. Tables are keyed by kept mask, the bits of the kept
+    vertices' ids, then by partition, the sorted tuple of its block masks.
     The state count is exponential in the weighted width; state_budget
     caps the number of candidate states examined and raises ResourceError
     beyond it rather than grinding on an infeasible instance.
@@ -192,7 +188,7 @@ def dp_run(
     k and one less than a known feedback vertex set. None keeps every row,
     which only direct callers use. With slack = max_deletions -
     packing_bound(p), a row at node t with value < cap(t) - slack is
-    dropped before its union-find work. cap(t) sums min(2, |q|) over the
+    dropped before its block work. cap(t) sums min(2, |q|) over the
     cover cliques q of the classes in t's subtree: the most a row at t can
     keep, and their size less their share of the bound. Such a row has
     deleted cap(t) - value vertices beyond that share, and every cover
@@ -228,84 +224,97 @@ def dp_run(
                 "the instance's weighted width makes the table infeasible"
             )
 
-    # neighbour sets found once, so introduce tests edges by set membership
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    # masks made once: each vertex's neighbours, each class's vertices and
+    # each local selection's (sums of distinct bits are their unions)
+    nbr_mask = [sum(1 << u for u in a) for a in g.adj]
+    class_mask = [sum(1 << v for v in cls) for cls in p.classes]
+    sel_masks = [[sum(1 << v for v in sel) for sel in sels] for sels in selections]
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
     cap = [0] * n_nodes
 
-    def put(table: _Table, kept: Kept, part: Partition, value: int, back) -> None:
-        group = table.setdefault(kept, {})
-        old = group.get(part)
-        if old is None or value > old[0]:
-            group[part] = (value, back)
-
+    # A candidate row replaces a stored one only with a larger value, so the
+    # first of equal rows stays. Each loop looks its output group up once
+    # and adds it to the table with its first row, keeping the table's
+    # groups in the order their first rows were found.
     for node in range(n_nodes - 1, -1, -1):
         kind = nd.kind[node]
         table: _Table = {}
         if kind == LEAF:
-            table[()] = {(): (0, None)}
+            table[0] = {(): (0, None)}
         elif kind == INTRODUCE:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
             cap[node] = cap[child] + keep_cap[v_cl]
             floor = cap[node] - slack
             for kept_c, group in tables[child].items():
-                s_c = len(kept_c)
                 # no row is dropped while floor <= 0, so skip the scan then
                 best_c = max(row[0] for row in group.values()) if floor > 0 else 0
-                for sel in selections[v_cl]:
+                for sel, sel_mask in zip(selections[v_cl], sel_masks[v_cl]):
                     charge(len(group))
-                    need = floor - len(sel)  # the least child value that survives
+                    gain = len(sel)
+                    need = floor - gain  # the least child value that survives
                     if best_c < need:
                         pruned += len(group)
                         continue
-                    # positions: the child's kept vertices, then sel's
-                    joined = kept_c + sel
-                    order = sorted(range(len(joined)), key=joined.__getitem__)
-                    kept_n = tuple(joined[i] for i in order)
-                    # edges the new class is responsible for
-                    new_edges = []
-                    for i, x in enumerate(sel):
-                        nbrs_x = nbrs[x]
-                        for j in range(i + 1, len(sel)):
-                            if sel[j] in nbrs_x:
-                                new_edges.append((s_c + i, s_c + j))
-                                if accounting:
-                                    accounting.record(node, x, sel[j])
-                        for j, y in enumerate(kept_c):
-                            if y in nbrs_x:
-                                new_edges.append((s_c + i, j))
-                                if accounting:
-                                    accounting.record(node, x, y)
+                    kept_n = kept_c | sel_mask
+                    out = table.get(kept_n)
+                    # each new vertex with its neighbours kept before it (the
+                    # edges the new class is responsible for) and their number
+                    steps = []
+                    seen = kept_c
+                    for x in sel:
+                        nbrs = nbr_mask[x] & seen
+                        steps.append((1 << x, nbrs, nbrs.bit_count()))
+                        seen |= 1 << x
+                        if accounting:
+                            for y in bits_of(nbrs):
+                                accounting.record(node, x, y)
                     for part_c, (value, _) in group.items():
                         if value < need:
                             pruned += 1
                             continue
-                        nc = block_count(part_c)
-                        labels = part_c + tuple(range(nc, nc + len(sel)))
-                        parent = list(range(nc + len(sel)))
-                        for a, b in new_edges:
-                            ra = uf_find(parent, labels[a])
-                            rb = uf_find(parent, labels[b])
-                            if ra == rb:
+                        blocks = list(part_c)
+                        for bit, nbrs, count in steps:
+                            if not count:
+                                blocks.append(bit)
+                                continue
+                            # the neighbours lie in distinct blocks, or the
+                            # vertex closes a cycle
+                            touched = [b for b in blocks if b & nbrs]
+                            if len(touched) != count:
                                 break
-                            parent[rb] = ra
+                            blocks = [b for b in blocks if not b & nbrs]
+                            blocks.append(bit + sum(touched))  # disjoint: sum is union
                         else:
-                            roots = [uf_find(parent, labels[i]) for i in order]
-                            put(table, kept_n, canonicalize(roots), value + len(sel),
-                                (kept_c, part_c))
+                            blocks.sort()
+                            part_n = tuple(blocks)
+                            if out is None:
+                                out = table[kept_n] = {}
+                            old = out.get(part_n)
+                            if old is None or value + gain > old[0]:
+                                out[part_n] = (value + gain, (kept_c, part_c))
         elif kind == FORGET:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
             cap[node] = cap[child]  # the row values do not change either
+            keep = ~class_mask[v_cl]
             for kept_c, group in tables[child].items():
-                keep_pos = [i for i, v in enumerate(kept_c) if p.class_of[v] != v_cl]
-                kept_n = tuple(kept_c[i] for i in keep_pos)
                 charge(len(group))
+                kept_n = kept_c & keep
+                out = table.get(kept_n)
+                if out is None:
+                    out = table[kept_n] = {}
                 for part_c, (value, _) in group.items():
-                    part_n = canonicalize([part_c[i] for i in keep_pos])
-                    put(table, kept_n, part_n, value, (kept_c, part_c))
+                    if kept_n == kept_c:  # the class kept nothing
+                        part_n = part_c
+                    else:
+                        masked = {b & keep for b in part_c}  # disjoint: only 0 repeats
+                        masked.discard(0)
+                        part_n = tuple(sorted(masked))
+                    old = out.get(part_n)
+                    if old is None or value > old[0]:
+                        out[part_n] = (value, (kept_c, part_c))
         elif kind == JOIN:
             left, right = nd.children[node]
             # the bag's classes are in both subtrees
@@ -316,36 +325,42 @@ def dp_run(
                 rgroup = rt.get(kept)
                 if rgroup is None:
                     continue
-                s = len(kept)
-                shared = sum(
-                    1 for i in range(s) for j in range(i + 1, s)
-                    if g.has_edge(kept[i], kept[j])
-                )
+                s = kept.bit_count()
+                # both branches committed the edges among the kept vertices,
+                # so an acyclic union merges s - shared pairs of blocks
+                merges = s - sum((nbr_mask[v] & kept).bit_count() for v in bits_of(kept)) // 2
                 charge(len(lgroup) * len(rgroup))
                 best_r = max(row[0] for row in rgroup.values()) if floor > 0 else 0
+                out = None
                 for part_l, (val_l, _) in lgroup.items():
                     # val_l >= s, so need <= 0 while floor <= 0
                     need = floor + s - val_l  # the least right value that survives
                     if best_r < need:
                         pruned += len(rgroup)
                         continue
-                    nl = block_count(part_l)
                     for part_r, (val_r, _) in rgroup.items():
                         if val_r < need:
                             pruned += 1
                             continue
-                        # left then right block labels, joined per position
-                        parent = list(range(nl + block_count(part_r)))
-                        merges = 0
-                        for a, b in zip(part_l, part_r):
-                            ra, rb = uf_find(parent, a), uf_find(parent, nl + b)
-                            if ra != rb:
-                                parent[rb] = ra
-                                merges += 1
-                        if merges != s - shared:
+                        # each right block merges the blocks it meets
+                        blocks = list(part_l)
+                        done = 0
+                        for rb in part_r:
+                            touched = [b for b in blocks if b & rb]
+                            done += len(touched)
+                            if len(touched) > 1:
+                                blocks = [b for b in blocks if not b & rb]
+                                blocks.append(sum(touched))
+                        if done != merges:
                             continue
-                        part_n = canonicalize([uf_find(parent, a) for a in part_l])
-                        put(table, kept, part_n, val_l + val_r - s, (part_l, part_r))
+                        blocks.sort()
+                        part_n = tuple(blocks)
+                        if out is None:
+                            out = table[kept] = {}
+                        old = out.get(part_n)
+                        value = val_l + val_r - s
+                        if old is None or value > old[0]:
+                            out[part_n] = (value, (part_l, part_r))
         else:
             raise InternalError(f"unknown nice node kind {kind!r}")
 
@@ -358,7 +373,7 @@ def dp_run(
 
     if stats is not None:
         stats["pruned_rows"] = stats.get("pruned_rows", 0) + pruned
-    root_group = tables[nd.root].get((), {})
+    root_group = tables[nd.root].get(0, {})
     if () not in root_group:
         if max_deletions is not None:
             return None, tables
@@ -373,15 +388,15 @@ def reconstruct(
     tables: list[_Table], nd: NiceDecomposition, g: Graph, p: KappaPartition
 ) -> frozenset[int]:
     """Trace backrefs from the root optimum to a verified deletion set."""
-    chosen: dict[int, tuple[int, ...]] = {}
-    stack: list[tuple[int, Kept, Partition]] = [(nd.root, (), ())]
+    chosen: dict[int, int] = {}  # class -> mask of its kept vertices
+    stack: list[tuple[int, Kept, Partition]] = [(nd.root, 0, ())]
     while stack:
         node, kept, part = stack.pop()
         back = tables[node][kept][part][1]
         kind = nd.kind[node]
         if kind == INTRODUCE:
             v_cl = nd.vtx[node]
-            sel = tuple(v for v in kept if p.class_of[v] == v_cl)
+            sel = kept & sum(1 << v for v in p.classes[v_cl])
             if chosen.setdefault(v_cl, sel) != sel:
                 raise InternalError(f"inconsistent selection for class {v_cl}")
             stack.append((nd.children[node][0], *back))
@@ -392,11 +407,11 @@ def reconstruct(
             left, right = nd.children[node]
             stack.append((left, kept, part_l))
             stack.append((right, kept, part_r))
-    survivors = {v for sel in chosen.values() for v in sel}
+    survivors = set(bits_of(sum(chosen.values())))  # the classes are disjoint
     deleted = frozenset(range(g.n)) - survivors
     if not is_forest(g, deleted):
         raise InternalError("reconstructed kept set does not induce a forest")
-    best_value = tables[nd.root][()][()][0]
+    best_value = tables[nd.root][0][()][0]
     if len(deleted) != g.n - best_value:
         raise InternalError(
             f"reconstructed deletion size {len(deleted)} != {g.n - best_value}"
@@ -428,7 +443,7 @@ def build_pipeline(gc: Graph, part: KappaPartition | None = None) -> Pipeline:
         part = greedy_partition(gc)
     cg = contract(gc, part)
     bg = blowup(cg)
-    td = project(decompose_unweighted(bg.graph), bg, cg)
+    td = project(decompose_unweighted(bg.graph), bg)
     w = weighted_width(td, cg)
     nd = make_nice(td)
     report = validate_decomposition(nd.to_tree_decomposition(), cg.base)

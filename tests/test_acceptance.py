@@ -183,7 +183,7 @@ def test_criterion_3_structural_validity():
             bg = blowup(cg)
             td_b = decompose_unweighted(bg.graph)
             assert validate_decomposition(td_b, bg.graph).ok
-            td = project(td_b, bg, cg)
+            td = project(td_b, bg)
             assert validate_decomposition(td, cg.base).ok
             nd = make_nice(td)
             assert validate_decomposition(nd.to_tree_decomposition(), cg.base).ok

@@ -273,14 +273,14 @@ class TestProject:
         g = cycle_graph(3)
         cg, bg, td_b = self._pipeline(g)
         if all(w == 1 for w in cg.weight):
-            td = project(td_b, bg, cg)
+            td = project(td_b, bg)
             # blown ids coincide with class ids here
             assert td.bags == td_b.bags
 
     def test_single_class_weight_collapses(self):
         g = complete_graph(4)  # one class, weight 3
         cg, bg, td_b = self._pipeline(g)
-        td = project(td_b, bg, cg)
+        td = project(td_b, bg)
         assert validate_decomposition(td, cg.base).ok
         assert weighted_width(td, cg) == cg.weight[0]
 
@@ -291,14 +291,14 @@ class TestProject:
             if g.n == 0:
                 continue
             cg, bg, td_b = self._pipeline(g)
-            td = project(td_b, bg, cg)
+            td = project(td_b, bg)
             assert validate_decomposition(td, cg.base).ok
             assert weighted_width(td, cg) <= td_b.width + 1
 
     def test_c6_pipeline_weighted_width(self):
         g = cycle_graph(6)
         cg, bg, td_b = self._pipeline(g)
-        td = project(td_b, bg, cg)
+        td = project(td_b, bg)
         assert validate_decomposition(td, cg.base).ok
         assert weighted_width(td, cg) <= 6
 
@@ -307,10 +307,10 @@ class TestProject:
         for _ in range(100):
             g = random_graph(rng.randint(1, 30), rng.uniform(0.05, 0.5), rng)
             cg, bg, td_b = self._pipeline(g)
-            assert project(td_b, bg, cg) == reference_project(td_b, bg)
+            assert project(td_b, bg) == reference_project(td_b, bg)
         for cg, bg in pool_blowups(range(5)):
             td_b = decompose_unweighted(bg.graph)
-            assert project(td_b, bg, cg) == reference_project(td_b, bg)
+            assert project(td_b, bg) == reference_project(td_b, bg)
 
     def test_c6_paired_contraction_weight_two(self):
         # triangle of weight-2 classes: blowup is a 6-vertex graph whose
@@ -327,7 +327,7 @@ class TestProject:
         cg = contract(g, p)
         assert cg.weight == (2, 2, 2)
         bg = blowup(cg)
-        td = project(decompose_unweighted(bg.graph), bg, cg)
+        td = project(decompose_unweighted(bg.graph), bg)
         assert validate_decomposition(td, cg.base).ok
         assert weighted_width(td, cg) <= 6
 
@@ -443,7 +443,7 @@ class TestPipelineOnGeometry:
             cg = contract(g, p)
             bg = blowup(cg)
             td_b = decompose_unweighted(bg.graph)
-            td = project(td_b, bg, cg)
+            td = project(td_b, bg)
             assert validate_decomposition(td, cg.base).ok
             nd = make_nice(td)
             assert validate_decomposition(nd.to_tree_decomposition(), cg.base).ok

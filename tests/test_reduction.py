@@ -1,7 +1,7 @@
 import random
 
 from diskfvs import RepresentativeTable, rank_reduce
-from diskfvs.reduction import reduce_rows, transversal_vector
+from diskfvs.reduction import bits_of, block_labels, reduce_rows, transversal_vector
 
 from conftest import all_partitions, blocks_of, merge_blocks_acyclic
 
@@ -76,24 +76,52 @@ class TestReduceRows:
                 )
 
 
+def block_masks(blocks) -> tuple[int, ...]:
+    """Blocks over positions -> sorted block masks, position i as bit i."""
+    return tuple(sorted(sum(1 << x for x in blk) for blk in blocks))
+
+
+def mask_blocks(part) -> tuple[tuple[int, ...], ...]:
+    """Block masks -> tuple of position blocks."""
+    return tuple(tuple(bits_of(b)) for b in part)
+
+
+class TestBlockLabels:
+    def test_labels_match_canonical_on_every_partition(self):
+        for s in range(1, 6):
+            for blocks in all_partitions(tuple(range(s))):
+                assert block_labels(block_masks(blocks), (1 << s) - 1) == canonical(blocks)
+
+    def test_positions_follow_kept_ids(self):
+        # kept {1, 4, 6}: blocks {4} and {1, 6} -> positions 0 and 2 share label 0
+        assert block_labels((0b0010000, 0b1000010), 0b1010010) == (0, 1, 0)
+
+
 class TestRankReduce:
     def test_table_groups_independent(self):
         table = RepresentativeTable(
             rows={
-                (0, 1): {(0, 0): (4, None), (0, 1): (6, None)},
-                (2,): {(0,): (1, None)},
+                0b011: {(0b011,): (4, None), (0b001, 0b010): (6, None)},
+                0b100: {(0b100,): (1, None)},
             }
         )
         out = rank_reduce(table)
         assert set(out.rows) == set(table.rows)
-        assert len(out.rows[(2,)]) == 1
+        assert len(out.rows[0b100]) == 1
 
     def test_row_bound(self):
         rng = random.Random(7)
         for s in range(1, 7):
             ground = tuple(range(s))
-            parts = [canonical(p) for p in all_partitions(ground)]
+            parts = [block_masks(p) for p in all_partitions(ground)]
             rows = {p: (rng.randint(0, 9), None) for p in parts}
-            kept = tuple(range(s))
+            kept = (1 << s) - 1
             out = rank_reduce(RepresentativeTable(rows={kept: rows}))
             assert len(out.rows[kept]) <= 1 << (s - 1)
+            for q in all_partitions(ground):
+                best = [
+                    max((v for p, (v, _) in group.items()
+                         if merge_blocks_acyclic(mask_blocks(p), q, ground)), default=None)
+                    for group in (rows, out.rows[kept])
+                ]
+                assert best[0] == best[1], (s, q)

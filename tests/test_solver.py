@@ -20,7 +20,7 @@ from diskfvs import (
     solve_min_fvs,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, graft_leaf_bags, path_graph
 
 
 def random_graph(n, p, rng):
@@ -93,7 +93,7 @@ class TestDpRun:
         p = greedy_partition(g)
         cg = contract(g, p)
         bg = blowup(cg)
-        td = project(decompose_unweighted(bg.graph), bg, cg)
+        td = project(decompose_unweighted(bg.graph), bg)
         nd = make_nice(td)
         for mode in ("dp-naive", "dp-rank"):
             best, _ = dp_run(nd, g, p, mode=mode)
@@ -103,6 +103,7 @@ class TestDpRun:
         from collections import Counter
 
         from diskfvs import build_pipeline, connected_components, dp_run, reconstruct
+        from diskfvs.reduction import bits_of
 
         for seed in range(3):
             peeled = peel_degree_one(build_intersection_graph(random_udg(60, 1.5, seed)))
@@ -114,11 +115,14 @@ class TestDpRun:
                     best, tables = dp_run(nd, g, p, mode=mode)
                     for node, table in enumerate(tables):
                         for kept, group in table.items():
-                            assert all(a < b for a, b in zip(kept, kept[1:]))
-                            per_class = Counter(p.class_of[v] for v in kept)
+                            per_class = Counter(p.class_of[v] for v in bits_of(kept))
                             assert set(per_class) <= nd.bags[node]
                             assert max(per_class.values(), default=0) <= 2
-                            assert all(len(part) == len(kept) for part in group)
+                            for part in group:
+                                # nonempty disjoint blocks, sorted, covering kept
+                                assert all(part) and list(part) == sorted(part)
+                                assert sum(part) == kept
+                                assert sum(b.bit_count() for b in part) == kept.bit_count()
                     assert len(reconstruct(tables, nd, g, p)) == g.n - best
 
 
@@ -201,7 +205,7 @@ class TestSolveAgainstOracle:
         from diskfvs import blowup, contract, decompose_unweighted, dp_run, \
             greedy_partition, make_nice, project, reconstruct, \
             validate_decomposition
-        from diskfvs.decomposition import JOIN, TreeDecomposition
+        from diskfvs.decomposition import JOIN
 
         rng = random.Random(123)
         joins_seen = 0
@@ -210,20 +214,7 @@ class TestSolveAgainstOracle:
             part = greedy_partition(g)
             cg = contract(g, part)
             bg = blowup(cg)
-            td = project(decompose_unweighted(bg.graph), bg, cg)
-            bags = list(td.bags)
-            tree = [list(a) for a in td.tree]
-            for i in range(len(td.bags)):
-                for _ in range(rng.randint(0, 2)):
-                    extra = frozenset(
-                        rng.sample(sorted(td.bags[i]), rng.randint(0, len(td.bags[i])))
-                    )
-                    bags.append(extra)
-                    tree.append([i])
-                    tree[i].append(len(bags) - 1)
-            td2 = TreeDecomposition(
-                tree=tuple(tuple(sorted(a)) for a in tree), bags=tuple(bags), root=0
-            )
+            td2 = graft_leaf_bags(project(decompose_unweighted(bg.graph), bg), rng)
             assert validate_decomposition(td2, cg.base).ok
             nd = make_nice(td2)
             joins_seen += sum(1 for k in nd.kind if k == JOIN)
