@@ -52,13 +52,14 @@ from .decomposition import (
     validate_decomposition,
     weighted_width,
 )
-from .oracle import OracleBudget, decide_fvs, exact_treewidth, min_fvs_bruteforce
+from .oracle import OracleBudget, exact_treewidth, min_fvs_bruteforce
 from .reduction import RepresentativeTable, rank_reduce
 from .solver import (
     Pipeline,
     Solution,
     SolveConfig,
     build_pipeline,
+    component_pipelines,
     dp_run,
     reconstruct,
     solve,
@@ -104,7 +105,6 @@ __all__ = [
     "validate_decomposition",
     "weighted_width",
     "OracleBudget",
-    "decide_fvs",
     "exact_treewidth",
     "min_fvs_bruteforce",
     "RepresentativeTable",
@@ -113,6 +113,7 @@ __all__ = [
     "Solution",
     "SolveConfig",
     "build_pipeline",
+    "component_pipelines",
     "dp_run",
     "reconstruct",
     "solve",

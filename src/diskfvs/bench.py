@@ -15,8 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .geometry import build_intersection_graph, classify_grid, planted_yes_instance
-from .graph import Graph, connected_components, induced_subgraph, peel_degree_one
-from .solver import SolveConfig, build_pipeline, solve
+from .solver import SolveConfig, component_pipelines, solve
 
 CSV_COLUMNS = [
     "k",
@@ -75,23 +74,6 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float | None:
     return sxy / sxx
 
 
-def max_weighted_width(g: Graph) -> int:
-    """Largest weighted width over g's peeled components, 0 when none is left.
-
-    Every component is decomposed, also those whose packing completion
-    lets solve skip the decomposition, so the sweep measures the width the
-    DP would face on the whole instance.
-    """
-    peeled = peel_degree_one(g).reduced
-    return max(
-        (
-            build_pipeline(induced_subgraph(peeled, comp)[0]).weighted_width
-            for comp in connected_components(peeled)
-        ),
-        default=0,
-    )
-
-
 def run_sweep(
     k_values: list[int],
     seeds: int,
@@ -113,7 +95,9 @@ def run_sweep(
                 row.n = g.n
                 row.m = g.m
                 row.k_planted = k_planted
-                row.weighted_width = max_weighted_width(g)
+                row.weighted_width = max(
+                    (pipe.weighted_width for _, pipe in component_pipelines(g)), default=0
+                )
                 row.high_degree_count = sol.stats.get("high_degree_count", 0)
                 row.heavy_cells = len(grid.heavy_cells)
                 row.class_count = sol.stats.get("class_count", 0)

@@ -17,10 +17,10 @@ from .fileio import (
     _data_lines, parse_graph, parse_objects, serialize_graph, serialize_objects,
 )
 from .geometry import build_intersection_graph, planted_yes_instance, random_udg
-from .graph import Graph, connected_components, induced_subgraph, peel_degree_one
+from .graph import Graph
 from .oracle import OracleBudget, min_fvs_bruteforce
 from .partition import validate_partition
-from .solver import MODES, SolveConfig, build_pipeline, solve
+from .solver import MODES, STATE_BUDGET, SolveConfig, component_pipelines, solve
 
 SCHEMA_VERSION = 1
 
@@ -69,10 +69,7 @@ def _solution_payload(sol, cfg) -> dict:
 
 def _cmd_solve(args) -> int:
     g = _load_instance(args.input)
-    kwargs = {}
-    if args.state_budget is not None:
-        kwargs["state_budget"] = args.state_budget
-    cfg = SolveConfig(k=args.k, mode=args.mode, **kwargs)
+    cfg = SolveConfig(k=args.k, mode=args.mode, state_budget=args.state_budget)
     sol = solve(g, cfg)
     if args.json:
         print(json.dumps(_solution_payload(sol, cfg), sort_keys=True))
@@ -106,15 +103,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = _load_instance(args.input)
-    peeled = peel_degree_one(g).reduced
     reports = []
     all_violations: list[str] = []
     kappa_obs = 0
     max_deg = 0
     class_count = 0
-    for comp in connected_components(peeled):
-        sub, _, _ = induced_subgraph(peeled, comp)
-        pipe = build_pipeline(sub)
+    for sub, pipe in component_pipelines(g):
         prep = validate_partition(sub, pipe.partition)
         kappa_obs = max(kappa_obs, prep.kappa_observed)
         max_deg = max(max_deg, prep.max_contraction_degree)
@@ -193,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="graph or points file")
     p_solve.add_argument("--k", type=int, required=True)
     p_solve.add_argument("--mode", choices=MODES, default="auto")
-    p_solve.add_argument("--state-budget", type=int, default=None,
-                         help="cap on DP states examined (default 50M)")
+    p_solve.add_argument("--state-budget", type=int, default=STATE_BUDGET,
+                         help=f"cap on DP states examined (default {STATE_BUDGET:,})")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -47,14 +47,13 @@ class Graph:
 class PeelResult:
     """Outcome of iterated removal of degree <= 1 vertices.
 
-    kept[i] is the original id of reduced vertex i; removed holds the
-    original ids deleted. Vertices of degree 0 are removed as well: they
-    lie on no cycle, so deletions preserve all feedback-vertex-set answers.
+    kept[i] is the original id of reduced vertex i. Vertices of degree 0
+    are removed as well: they lie on no cycle, so deletions preserve all
+    feedback-vertex-set answers.
     """
 
     reduced: Graph
     kept: tuple[int, ...]
-    removed: frozenset[int]
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -183,8 +182,4 @@ def peel_degree_one(g: Graph) -> PeelResult:
                     queue.append(w)
     survivors = [v for v in range(g.n) if not removed[v]]
     sub, old_of_new, _ = induced_subgraph(g, survivors)
-    return PeelResult(
-        reduced=sub,
-        kept=old_of_new,
-        removed=frozenset(v for v in range(g.n) if removed[v]),
-    )
+    return PeelResult(reduced=sub, kept=old_of_new)

@@ -69,12 +69,6 @@ def min_fvs_bruteforce(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple
     raise AssertionError("unreachable: deleting all vertices always leaves a forest")
 
 
-def decide_fvs(g: Graph, k: int, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
-    """True iff g has a feedback vertex set of size at most k."""
-    size, _ = min_fvs_bruteforce(g, budget)
-    return size <= k
-
-
 def exact_treewidth(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Exact treewidth via DP over elimination-order prefixes.
 

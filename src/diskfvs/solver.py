@@ -116,47 +116,6 @@ class Solution:
     stats: dict[str, Any] = field(default_factory=dict, compare=False)
 
 
-class _EdgeAccounting:
-    """Debug record: which introduce nodes are responsible for which edges."""
-
-    def __init__(self, nd: NiceDecomposition):
-        self.nodes_of_edge: dict[tuple[int, int], list[int]] = {}
-        parent = [-1] * nd.node_count()
-        for u, chs in enumerate(nd.children):
-            for c in chs:
-                parent[c] = u
-        self.parent = parent
-
-    def record(self, node: int, u: int, v: int) -> None:
-        key = (u, v) if u < v else (v, u)
-        nodes = self.nodes_of_edge.setdefault(key, [])
-        if node not in nodes:
-            nodes.append(node)
-
-    def verify(self, g: Graph, vertices) -> None:
-        vset = set(vertices)
-        expected = {(u, v) for (u, v) in g.edges() if u in vset and v in vset}
-        got = set(self.nodes_of_edge)
-        if expected - got:
-            raise InternalError(f"edges never accounted: {sorted(expected - got)[:5]}")
-        for edge, nodes in self.nodes_of_edge.items():
-            for a, b in itertools.combinations(nodes, 2):
-                x = b
-                while x != -1:
-                    if x == a:
-                        raise InternalError(
-                            f"edge {edge} accounted twice on one branch ({a}, {b})"
-                        )
-                    x = self.parent[x]
-                x = a
-                while x != -1:
-                    if x == b:
-                        raise InternalError(
-                            f"edge {edge} accounted twice on one branch ({a}, {b})"
-                        )
-                    x = self.parent[x]
-
-
 # (value, backref); the backref is the child row's (kept, partition) at
 # introduce and forget nodes, (left, right) partitions at joins, None at leaves
 _Row = tuple[int, Any]
@@ -169,7 +128,6 @@ def dp_run(
     g: Graph,
     p: KappaPartition,
     mode: str = "dp-rank",
-    debug_edge_accounting: bool = False,
     state_budget: int | None = None,
     max_deletions: int | None = None,
     stats: dict[str, Any] | None = None,
@@ -203,10 +161,7 @@ def dp_run(
     """
     if mode not in ("dp-naive", "dp-rank"):
         raise ValidationError(f"dp_run mode must be dp-naive or dp-rank, got {mode!r}")
-    if debug_edge_accounting and max_deletions is not None:
-        raise ValidationError("edge accounting needs every row; pass max_deletions=None")
     selections = [local_selections(cls, cov) for cls, cov in zip(p.classes, p.clique_cover)]
-    accounting = _EdgeAccounting(nd) if debug_edge_accounting else None
     keep_cap = [max(map(len, sels)) for sels in selections]  # the most a class keeps
     if max_deletions is None:
         slack = g.n  # cap(t) <= g.n, so no floor is above 0
@@ -267,9 +222,6 @@ def dp_run(
                         nbrs = nbr_mask[x] & seen
                         steps.append((1 << x, nbrs, nbrs.bit_count()))
                         seen |= 1 << x
-                        if accounting:
-                            for y in bits_of(nbrs):
-                                accounting.record(node, x, y)
                     for part_c, (value, _) in group.items():
                         if value < need:
                             pruned += 1
@@ -378,10 +330,7 @@ def dp_run(
         if max_deletions is not None:
             return None, tables
         raise InternalError("DP produced no state at the empty root bag")
-    best_value = root_group[()][0]
-    if accounting is not None:
-        accounting.verify(g, [v for cls in p.classes for v in cls])
-    return best_value, tables
+    return root_group[()][0], tables
 
 
 def reconstruct(
@@ -450,6 +399,19 @@ def build_pipeline(gc: Graph, part: KappaPartition | None = None) -> Pipeline:
     if not report.ok:
         raise InternalError(f"nice decomposition invalid: {report.violations}")
     return Pipeline(partition=part, nice=nd, weighted_width=w)
+
+
+def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
+    """Peel g and build the pipeline of each component left.
+
+    Returns (subgraph, pipeline) pairs in connected_components order. Every
+    component is decomposed, also those whose packing completion
+    lets solve skip the decomposition, so validate and bench see the
+    width the DP would face on the whole instance.
+    """
+    peeled = peel_degree_one(g).reduced
+    subs = (induced_subgraph(peeled, comp)[0] for comp in connected_components(peeled))
+    return [(sub, build_pipeline(sub)) for sub in subs]
 
 
 def _solve_component(

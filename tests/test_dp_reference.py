@@ -3,9 +3,9 @@
 The reference below is the DP as it was before rows became bitmasks: a kept
 set was the sorted tuple of its vertices, a partition a tuple of block
 labels by position, and introduce and join ran a list-based union-find.
-Edge accounting and the state budget are left out. Both versions must
-agree on the root value, the pruned rows, every table's rows (values,
-backrefs and order) and the reconstructed witness.
+The state budget is left out. Both versions must agree on the root value,
+the pruned rows, every table's rows (values, backrefs and order) and the
+reconstructed witness.
 """
 
 import random

@@ -69,17 +69,17 @@ class TestPeel:
     def test_path_vanishes(self):
         res = peel_degree_one(path_graph(3))
         assert res.reduced.n == 0
-        assert res.removed == frozenset({0, 1, 2})
+        assert res.kept == ()
 
     def test_cycle_untouched(self):
         res = peel_degree_one(cycle_graph(4))
         assert res.reduced.n == 4
-        assert res.removed == frozenset()
+        assert res.kept == (0, 1, 2, 3)
 
     def test_star_vanishes(self):
         res = peel_degree_one(star_graph(3))
         assert res.reduced.n == 0
-        assert res.removed == frozenset({0, 1, 2, 3})
+        assert res.kept == ()
 
     def test_min_degree_two_or_empty(self):
         rng = random.Random(7)
@@ -94,7 +94,7 @@ class TestPeel:
             g = random_graph(rng.randint(1, 14), 0.3, rng)
             once = peel_degree_one(g).reduced
             again = peel_degree_one(once)
-            assert again.removed == frozenset()
+            assert again.kept == tuple(range(once.n))
 
     def test_preserves_min_fvs(self):
         rng = random.Random(9)

@@ -5,7 +5,6 @@ import pytest
 from diskfvs import (
     OracleBudget,
     ResourceError,
-    decide_fvs,
     exact_treewidth,
     from_edge_list,
     induced_subgraph,
@@ -23,11 +22,17 @@ from conftest import (
 
 
 class TestMinFvs:
+    def test_path(self):
+        assert min_fvs_bruteforce(path_graph(6))[0] == 0
+
     def test_c5(self):
         assert min_fvs_bruteforce(cycle_graph(5))[0] == 1
 
     def test_k4(self):
         assert min_fvs_bruteforce(complete_graph(4))[0] == 2
+
+    def test_k5(self):
+        assert min_fvs_bruteforce(complete_graph(5))[0] == 3
 
     def test_k33(self):
         g = complete_bipartite(3, 3)
@@ -70,20 +75,6 @@ class TestMinFvs:
         g = from_edge_list(25, [(i, i + 1) for i in range(24)])
         with pytest.raises(ResourceError):
             min_fvs_bruteforce(g, OracleBudget(max_n_subsets=20))
-
-
-class TestDecide:
-    def test_forest_k0(self):
-        assert decide_fvs(path_graph(6), 0)
-
-    def test_triangle_k0(self):
-        assert not decide_fvs(cycle_graph(3), 0)
-
-    def test_threshold_behavior(self):
-        g = complete_graph(5)
-        size, _ = min_fvs_bruteforce(g)
-        for k in range(6):
-            assert decide_fvs(g, k) == (k >= size)
 
 
 class TestExactTreewidth:

@@ -18,6 +18,7 @@ from diskfvs import (
     random_udg,
     solve,
     solve_min_fvs,
+    validate_decomposition,
 )
 
 from conftest import complete_graph, cycle_graph, graft_leaf_bags, path_graph
@@ -187,16 +188,14 @@ class TestSolveAgainstOracle:
             assert solve_min_fvs(g, SolveConfig(k=0, mode="dp-naive"))[0] == size
             assert solve_min_fvs(g, SolveConfig(k=0, mode="dp-rank"))[0] == size
 
-    def test_debug_edge_accounting_sweep(self):
+    def test_dp_run_on_random_graphs(self):
         from diskfvs import build_pipeline, dp_run
 
         rng = random.Random(52)
         for _ in range(25):
             g = random_graph(rng.randint(2, 10), 0.35, rng)
             pipe = build_pipeline(g)
-            best, _ = dp_run(
-                pipe.nice, g, pipe.partition, mode="dp-naive", debug_edge_accounting=True
-            )
+            best, _ = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive")
             assert g.n - best == min_fvs_bruteforce(g)[0]
 
     def test_join_heavy_decompositions(self):
@@ -249,6 +248,21 @@ class TestPipeline:
         left_to_dp = components - sol.stats["bound_solved"]
         assert left_to_dp > 0
         assert len(calls) == left_to_dp
+
+    def test_class_introduced_twice_on_one_branch_is_invalid(self):
+        # dp_run commits the edge of classes 0 and 1 at nodes 4 and 2, both on
+        # one root-to-leaf path: class 0 is introduced, forgotten and
+        # introduced again. The subtree check build_pipeline runs refuses it.
+        from diskfvs.decomposition import FORGET, INTRODUCE, LEAF, NiceDecomposition
+
+        nd = NiceDecomposition(
+            kind=(FORGET, FORGET, INTRODUCE, FORGET, INTRODUCE, INTRODUCE, LEAF),
+            vtx=(0, 1, 0, 0, 1, 0, None),
+            bags=tuple(map(frozenset, ((), (0,), (0, 1), (1,), (0, 1), (0,), ()))),
+            children=((1,), (2,), (3,), (4,), (5,), (6,), ()),
+        )
+        report = validate_decomposition(nd.to_tree_decomposition(), path_graph(2))
+        assert any("subtree" in v for v in report.violations)
 
 
 class TestDenseUdg:
@@ -390,8 +404,6 @@ class TestPruning:
                     assert stats["pruned_rows"] > 0
                     refuted += 1
         assert refuted > 10
-        with pytest.raises(ValidationError):
-            dp_run(nd, g, p, debug_edge_accounting=True, max_deletions=0)
 
     def test_min_fvs_only_when_every_component_is_exact(self):
         # two 5-cycles: every class has at most two vertices, so the bound is 0
