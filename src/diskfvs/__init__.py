@@ -26,10 +26,8 @@ from .graph import (
 )
 from .geometry import (
     FatObject,
-    GridClassification,
     ObjectSet,
     build_intersection_graph,
-    classify_grid,
     planted_yes_instance,
     random_udg,
 )
@@ -52,7 +50,7 @@ from .decomposition import (
     validate_decomposition,
     weighted_width,
 )
-from .oracle import OracleBudget, exact_treewidth, min_fvs_bruteforce
+from .oracle import OracleBudget, min_fvs_bruteforce
 from .reduction import RepresentativeTable, rank_reduce
 from .solver import (
     Pipeline,
@@ -83,10 +81,8 @@ __all__ = [
     "is_forest",
     "peel_degree_one",
     "FatObject",
-    "GridClassification",
     "ObjectSet",
     "build_intersection_graph",
-    "classify_grid",
     "planted_yes_instance",
     "random_udg",
     "ContractedGraph",
@@ -105,7 +101,6 @@ __all__ = [
     "validate_decomposition",
     "weighted_width",
     "OracleBudget",
-    "exact_treewidth",
     "min_fvs_bruteforce",
     "RepresentativeTable",
     "rank_reduce",

@@ -134,20 +134,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    k_values = [int(x) for x in args.k_list.split(",") if x.strip()]
     report = bench_mod.run_sweep(
-        k_values=k_values,
+        n_values=[int(x) for x in args.n_list.split(",") if x.strip()],
+        densities=[float(x) for x in args.density_list.split(",") if x.strip()],
         seeds=args.seeds,
-        path_len_base=args.path_len,
-        mode=args.mode,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.with_suffix(".csv").write_text(bench_mod.report_to_csv(report))
     out.with_suffix(".json").write_text(bench_mod.report_to_json(report))
-    print(
-        f"rows={len(report.rows)} slope={report.slope} coeff_c={report.coeff_c}"
-    )
+    print(f"rows={len(report.rows)}")
     print(out.with_suffix(".csv"))
     print(out.with_suffix(".json"))
     return 0
@@ -203,11 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("input")
     p_val.set_defaults(func=_cmd_validate)
 
-    p_bench = sub.add_parser("bench", help="planted sweep with width/degree stats")
-    p_bench.add_argument("--k-list", default="4,9,16,25,36")
-    p_bench.add_argument("--seeds", type=int, default=20)
-    p_bench.add_argument("--path-len", type=int, default=40)
-    p_bench.add_argument("--mode", choices=("dp-naive", "dp-rank"), default="dp-rank")
+    p_bench = sub.add_parser("bench", help="random UDG sweep recording solve's stats")
+    p_bench.add_argument("--n-list", default="60,100")
+    p_bench.add_argument("--density-list", default="1.0,2.0")
+    p_bench.add_argument("--seeds", type=int, default=3)
     p_bench.add_argument("--out", default="bench", help="output path prefix")
     p_bench.set_defaults(func=_cmd_bench)
 

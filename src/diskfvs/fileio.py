@@ -1,4 +1,4 @@
-"""Canonical text formats for graphs, object sets, and decompositions.
+"""Canonical text formats for graphs and object sets.
 
 Serializers emit a canonical ordering with single spaces and LF endings,
 so parse -> serialize round-trips byte-identically on canonical files.
@@ -7,20 +7,16 @@ Graph:          p fvs <n> <m>          then m lines  e <u> <v>   (0-based)
 Objects:        p objects <n> <alpha> <gamma>
                 then n lines           o <shape> <x> <y> <inner_r> <outer_r>
                 (the set must pass geometry.validate_object_set)
-Decomposition:  s td <num_bags> <max_bag_size> <n>
-                then bag lines         b <bag_id> <v...>          (bags 1-based)
-                then tree edges        <i> <j>                    (1-based)
-Lines starting with "c " (or "c" alone) are comments everywhere.
+Lines starting with "c " (or "c" alone) are comments in both.
 """
 
 from __future__ import annotations
 
 import math
 
-from .decomposition import TreeDecomposition
 from .errors import InputError
 from .geometry import FatObject, ObjectSet, validate_object_set
-from .graph import Graph, connected_components, from_edge_list
+from .graph import Graph, from_edge_list
 
 
 def _data_lines(text: str):
@@ -128,88 +124,3 @@ def parse_objects(text: str) -> ObjectSet:
     objs = ObjectSet(objects=tuple(objects), alpha=alpha, gamma=gamma)
     validate_object_set(objs)
     return objs
-
-
-def serialize_decomposition(td: TreeDecomposition, n_vertices: int) -> str:
-    max_bag = max((len(b) for b in td.bags), default=0)
-    lines = [f"s td {len(td.bags)} {max_bag} {n_vertices}"]
-    for i, bag in enumerate(td.bags):
-        lines.append(" ".join(["b", str(i + 1), *[str(v) for v in sorted(bag)]]))
-    for i, nbrs in enumerate(td.tree):
-        for j in nbrs:
-            if i < j:
-                lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def _ints(lineno: int, fields: list[str], what: str) -> list[int]:
-    try:
-        return [int(x) for x in fields]
-    except ValueError as exc:
-        raise InputError(f"line {lineno}: bad {what}") from exc
-
-
-def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
-    header = None
-    bags: dict[int, frozenset[int]] = {}
-    tree_edges: dict[tuple[int, int], int] = {}  # (smaller, larger) -> line
-    for lineno, line in _data_lines(text):
-        parts = line.split()
-        if parts[0] == "s":
-            if header is not None:
-                raise InputError(f"line {lineno}: duplicate header")
-            if len(parts) != 5 or parts[1] != "td":
-                raise InputError(f"line {lineno}: expected 's td <bags> <max_bag> <n>'")
-            header = tuple(_ints(lineno, parts[2:], "header counts"))
-        elif parts[0] == "b":
-            if header is None:
-                raise InputError(f"line {lineno}: bag before header")
-            if len(parts) < 2:
-                raise InputError(f"line {lineno}: expected 'b <bag_id> <v...>'")
-            bag_id, *bag = _ints(lineno, parts[1:], "bag")
-            if bag_id in bags:
-                raise InputError(f"line {lineno}: duplicate bag {bag_id}")
-            outside = [v for v in bag if not 0 <= v < header[2]]
-            if outside:
-                raise InputError(
-                    f"line {lineno}: bag vertex {outside[0]} outside 0..{header[2] - 1}"
-                )
-            bags[bag_id] = frozenset(bag)
-        else:
-            if header is None:
-                raise InputError(f"line {lineno}: edge before header")
-            if len(parts) != 2:
-                raise InputError(f"line {lineno}: expected '<i> <j>' tree edge")
-            i, j = _ints(lineno, parts, "tree edge")
-            if i == j:
-                raise InputError(f"line {lineno}: self-loop tree edge {i} {j}")
-            key = (i, j) if i < j else (j, i)
-            if key in tree_edges:
-                raise InputError(f"line {lineno}: duplicate tree edge {i} {j}")
-            tree_edges[key] = lineno
-    if header is None:
-        raise InputError("missing header 's td <bags> <max_bag> <n>'")
-    num_bags, max_bag, n_vertices = header
-    if sorted(bags) != list(range(1, num_bags + 1)):
-        raise InputError("bag ids must be 1..num_bags")
-    edges = []
-    for (i, j), lineno in tree_edges.items():
-        if not (1 <= i <= num_bags and 1 <= j <= num_bags):
-            raise InputError(f"line {lineno}: tree edge ({i}, {j}) out of range")
-        edges.append((i - 1, j - 1))
-    if len(edges) != max(num_bags - 1, 0):
-        raise InputError(
-            f"a tree on {num_bags} bags has {max(num_bags - 1, 0)} edges, found {len(edges)}"
-        )
-    tree = from_edge_list(num_bags, edges)
-    if len(connected_components(tree)) > 1:
-        raise InputError("tree edges do not connect every bag")
-    td = TreeDecomposition(
-        tree=tree.adj,
-        bags=tuple(bags[i + 1] for i in range(num_bags)),
-        root=0,
-    )
-    declared = max((len(b) for b in td.bags), default=0)
-    if declared != max_bag:
-        raise InputError(f"header max bag size {max_bag} != actual {declared}")
-    return td, n_vertices

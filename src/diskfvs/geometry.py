@@ -18,10 +18,6 @@ from .graph import Graph, from_edge_list
 DISK = "disk"
 SQUARE = "square"
 
-# grid of axis-parallel square cells with side 1/2 (diameter 1/sqrt(2)),
-# anchored at the origin
-CELL_SIDE = 0.5
-
 
 @dataclass(frozen=True)
 class FatObject:
@@ -150,31 +146,6 @@ def build_intersection_graph(objs: ObjectSet) -> Graph:
                     if j > i and objects_intersect(o, objs.objects[j]):
                         edges.append((i, j))
     return from_edge_list(n, edges)
-
-
-@dataclass(frozen=True)
-class GridClassification:
-    """Assignment of object centers to grid cells of diameter 1/sqrt(2).
-
-    A cell is heavy when it holds at least three centers; the vertices
-    inside one cell always form a clique in the intersection graph.
-    """
-
-    cell_of: tuple[tuple[int, int], ...]
-    heavy_cells: frozenset[tuple[int, int]]
-    light_cells: frozenset[tuple[int, int]]
-
-
-def classify_grid(objs: ObjectSet) -> GridClassification:
-    cell_of = tuple(
-        (math.floor(o.x / CELL_SIDE), math.floor(o.y / CELL_SIDE)) for o in objs.objects
-    )
-    counts: dict[tuple[int, int], int] = {}
-    for c in cell_of:
-        counts[c] = counts.get(c, 0) + 1
-    heavy = frozenset(c for c, k in counts.items() if k >= 3)
-    light = frozenset(c for c, k in counts.items() if k < 3)
-    return GridClassification(cell_of=cell_of, heavy_cells=heavy, light_cells=light)
 
 
 def _unit_disk(x: float, y: float) -> FatObject:

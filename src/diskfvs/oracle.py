@@ -1,9 +1,10 @@
-"""Exhaustive ground-truth solvers for desk-scale graphs.
+"""Exhaustive ground-truth feedback vertex set solver for desk-scale graphs.
 
-These are deliberately naive: subset enumeration with union-find forest
-checks, and a Held-Karp style subset DP for treewidth. Every acceptance
-test in the repository cross-validates against this module, so clarity
-wins over speed here.
+It is deliberately naive: subset enumeration with union-find forest
+checks. The acceptance tests, `diskfvs oracle` and `diskfvs compare`
+cross-validate the DP against it, and solve falls back on it when the DP
+exceeds its state budget on a component of at most max_n_subsets
+vertices. Clarity wins over speed here.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Hard caps keeping the exhaustive solvers at desk scale."""
+    """Hard cap keeping the exhaustive solver at desk scale."""
 
     max_n_subsets: int = 20
-    max_n_treewidth: int = 12
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -67,52 +67,3 @@ def min_fvs_bruteforce(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple
             if _forest_after_deletion(edge_list, mask, parent):
                 return size, frozenset(comb)
     raise AssertionError("unreachable: deleting all vertices always leaves a forest")
-
-
-def exact_treewidth(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """Exact treewidth via DP over elimination-order prefixes.
-
-    State: the set S of already eliminated vertices. Eliminating v next
-    costs |Q(S, v)|, the number of vertices outside S u {v} reachable from
-    v through S. The treewidth is the min over orders of the max cost.
-    """
-    if g.n > budget.max_n_treewidth:
-        raise ResourceError(f"n={g.n} exceeds oracle treewidth budget {budget.max_n_treewidth}")
-    n = g.n
-    if n == 0:
-        return 0
-    adj_mask = [0] * n
-    for v in range(n):
-        for w in g.adj[v]:
-            adj_mask[v] |= 1 << w
-
-    def q_size(s_mask: int, v: int) -> int:
-        # vertices outside s u {v} reachable from v via internal vertices in s
-        reach = adj_mask[v]
-        frontier = reach & s_mask
-        seen = frontier
-        while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = adj_mask[u] & ~seen & ~(1 << v)
-            reach |= new
-            frontier |= new & s_mask
-            seen |= new
-        return bin(reach & ~s_mask & ~(1 << v)).count("1")
-
-    size = 1 << n
-    dp = [n] * size
-    dp[0] = -1
-    for s_mask in range(size):
-        cur = dp[s_mask]
-        if cur >= n:
-            continue
-        rest = ~s_mask & (size - 1)
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cost = max(cur, q_size(s_mask, v))
-            t = s_mask | (1 << v)
-            if cost < dp[t]:
-                dp[t] = cost
-    return dp[size - 1]

@@ -2,7 +2,8 @@
 
 A kappa-partition (de Berg, Bodlaender, Kisfaludi-Bak, Marx and van der
 Zanden, SICOMP 2020) puts each vertex in exactly one connected class and
-covers each class with at most kappa cliques; contract() enforces this. A
+covers each class with at most kappa cliques. contract() enforces all of
+this but the count, which validate_partition reports as kappa_observed. A
 forest keeps at most two vertices of a clique (local_selections), so every
 feedback vertex set deletes at least sum(max(0, |q| - 2)) over the cover
 cliques q (packing_bound), certified by those of more than two vertices.
@@ -17,9 +18,9 @@ greedy_partition processes vertices in non-increasing degree order (ties by
 smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
 are then scanned in the same order, and each joins if it is adjacent to
 every member already in the class. Every class is therefore a clique around
-its seed and its own cover (kappa = 1). The greedy rule does not bound the
-contraction degree by construction; validate_partition audits it against
-DEFAULT_DELTA.
+its seed and its own cover (kappa = 1), and kappa needs no audit. The
+greedy rule does not bound the contraction degree by construction;
+validate_partition audits it against DEFAULT_DELTA.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .graph import Graph, connected_components, from_edge_list, induced_subgraph, uf_find
 
-DEFAULT_KAPPA = 6
 DEFAULT_DELTA = 40
 # a forest keeps at most two vertices of any clique
 KEEP_PER_CLIQUE = 2
@@ -264,11 +264,8 @@ class PartitionReport:
 
 
 def validate_partition(g: Graph, p: KappaPartition) -> PartitionReport:
-    """Every contract violation, then the kappa and contraction-degree audits."""
+    """Every contract violation, then the contraction-degree audit."""
     violations = list(_violations(g, p))
-    kappa_obs = p.kappa_observed
-    if kappa_obs > DEFAULT_KAPPA:
-        violations.append(f"kappa_observed {kappa_obs} exceeds bound {DEFAULT_KAPPA}")
     max_deg = 0
     if not violations:  # a contraction exists only for a valid partition
         max_deg = max((len(a) for a in contract(g, p).base.adj), default=0)
@@ -276,7 +273,7 @@ def validate_partition(g: Graph, p: KappaPartition) -> PartitionReport:
             violations.append(f"contraction degree {max_deg} exceeds bound {DEFAULT_DELTA}")
     return PartitionReport(
         violations=tuple(violations),
-        kappa_observed=kappa_obs,
+        kappa_observed=p.kappa_observed,
         max_contraction_degree=max_deg,
         class_count=len(p.classes),
     )

@@ -404,10 +404,10 @@ def build_pipeline(gc: Graph, part: KappaPartition | None = None) -> Pipeline:
 def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     """Peel g and build the pipeline of each component left.
 
-    Returns (subgraph, pipeline) pairs in connected_components order. Every
-    component is decomposed, also those whose packing completion
-    lets solve skip the decomposition, so validate and bench see the
-    width the DP would face on the whole instance.
+    Returns (subgraph, pipeline) pairs in connected_components order, for
+    validate. Every component is decomposed, also those whose packing
+    completion lets solve skip the decomposition, so validate audits
+    every decomposition the DP could face on the instance.
     """
     peeled = peel_degree_one(g).reduced
     subs = (induced_subgraph(peeled, comp)[0] for comp in connected_components(peeled))
@@ -572,7 +572,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
 
 def solve_min_fvs(g: Graph, cfg: SolveConfig | None = None) -> tuple[int, tuple[int, ...]]:
     """Minimum feedback vertex set size and witness via the DP pipeline."""
-    base = cfg or SolveConfig(k=0, mode="dp-rank")
+    base = cfg or SolveConfig(k=0)
     sol = solve(g, replace(base, k=g.n))
     assert sol.fvs is not None
     return len(sol.fvs), sol.fvs

@@ -13,6 +13,12 @@ import math
 import pytest
 
 from diskfvs import Graph, from_edge_list
+from diskfvs.errors import ResourceError
+
+# grid of axis-parallel square cells of side 1/2 (diameter 1/sqrt(2) < 1),
+# anchored at the origin: the unit-diameter disks centered in one cell
+# pairwise intersect
+CELL_SIDE = 0.5
 
 
 def path_graph(n: int) -> Graph:
@@ -70,6 +76,72 @@ def naive_min_fvs(g: Graph) -> int:
             if not naive_has_cycle(sub):
                 return size
     raise AssertionError("unreachable")
+
+
+def exact_treewidth(g: Graph) -> int:
+    """Reference treewidth via DP over elimination-order prefixes (n <= 12).
+
+    State: the set S of already eliminated vertices. Eliminating v next
+    costs |Q(S, v)|, the number of vertices outside S u {v} reachable from
+    v through S. The treewidth is the min over orders of the max cost.
+    """
+    if g.n > 12:
+        raise ResourceError(f"n={g.n} exceeds the exact treewidth budget 12")
+    n = g.n
+    if n == 0:
+        return 0
+    adj_mask = [0] * n
+    for v in range(n):
+        for w in g.adj[v]:
+            adj_mask[v] |= 1 << w
+
+    def q_size(s_mask: int, v: int) -> int:
+        # vertices outside s u {v} reachable from v via internal vertices in s
+        reach = adj_mask[v]
+        frontier = reach & s_mask
+        seen = frontier
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = adj_mask[u] & ~seen & ~(1 << v)
+            reach |= new
+            frontier |= new & s_mask
+            seen |= new
+        return bin(reach & ~s_mask & ~(1 << v)).count("1")
+
+    size = 1 << n
+    dp = [n] * size
+    dp[0] = -1
+    for s_mask in range(size):
+        cur = dp[s_mask]
+        if cur >= n:
+            continue
+        rest = ~s_mask & (size - 1)
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cost = max(cur, q_size(s_mask, v))
+            t = s_mask | (1 << v)
+            if cost < dp[t]:
+                dp[t] = cost
+    return dp[size - 1]
+
+
+def cell_of(objs) -> tuple[tuple[int, int], ...]:
+    """The CELL_SIDE grid cell of each object's center."""
+    return tuple(
+        (math.floor(o.x / CELL_SIDE), math.floor(o.y / CELL_SIDE)) for o in objs.objects
+    )
+
+
+def heavy_cells(objs) -> frozenset[tuple[int, int]]:
+    """Cells holding at least three centers. Each holds a triangle of unit
+    disks, and the cells are disjoint, so every feedback vertex set of the
+    intersection graph deletes at least one disk per heavy cell."""
+    counts: dict[tuple[int, int], int] = {}
+    for c in cell_of(objs):
+        counts[c] = counts.get(c, 0) + 1
+    return frozenset(c for c, k in counts.items() if k >= 3)
 
 
 def all_partitions(items: tuple[int, ...]):

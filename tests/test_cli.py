@@ -4,13 +4,17 @@ from pathlib import Path
 import pytest
 
 from diskfvs import (
+    SolveConfig,
     build_intersection_graph,
     connected_components,
     greedy_partition,
     induced_subgraph,
     peel_degree_one,
+    random_udg,
     solve,
+    solve_min_fvs,
 )
+from diskfvs import bench
 from diskfvs.cli import main
 from diskfvs.fileio import parse_objects, serialize_graph
 from diskfvs.partition import packing_bound, packing_completion
@@ -205,21 +209,41 @@ class TestBenchCommand:
     def test_deterministic_csv(self, tmp_path):
         out1 = tmp_path / "b1"
         out2 = tmp_path / "b2"
-        args = ["bench", "--k-list", "1,4", "--seeds", "2", "--path-len", "16"]
+        args = ["bench", "--n-list", "20,30", "--density-list", "1.0", "--seeds", "2"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
         header = out1.with_suffix(".csv").read_text().splitlines()[0]
-        assert header.startswith("k,seed,n,m,k_planted,weighted_width")
+        assert header.startswith("n,density,seed,m,class_count,lower_bound,min_fvs")
         payload = json.loads(out1.with_suffix(".json").read_text())
-        assert payload["schema"] == 1
-        assert all(r["verdict"] == "yes" for r in payload["rows"])
+        assert payload["schema"] == 2
+        assert len(payload["rows"]) == 4
+        for row in payload["rows"]:
+            assert (row["status"], row["verdict"]) == ("ok", "yes")
+            assert row["timings"]["total"] <= row["wall_time"]
 
     def test_forest_sweep(self, tmp_path):
         out = tmp_path / "f"
-        assert main(["bench", "--k-list", "0", "--seeds", "3",
-                     "--path-len", "14", "--out", str(out)]) == 0
+        assert main(["bench", "--n-list", "20,30", "--density-list", "0.1", "--seeds", "3",
+                     "--out", str(out)]) == 0
         payload = json.loads(out.with_suffix(".json").read_text())
         for row in payload["rows"]:
             assert row["verdict"] == "yes"
-            assert row["weighted_width"] <= 4
+            assert row["min_fvs"] == 0
+            # a forest peels to nothing, so no pipeline is built
+            assert row["weighted_width"] == 0
+
+    def test_columns_cover_solve_stats(self):
+        g = build_intersection_graph(random_udg(40, 1.5, 2))
+        stats = solve(g, SolveConfig(k=g.n)).stats
+        int_keys = {key for key, value in stats.items() if isinstance(value, int)}
+        assert "min_fvs" in int_keys
+        assert int_keys <= set(bench.CSV_COLUMNS)
+
+    def test_min_fvs_matches_solve_min_fvs(self):
+        report = bench.run_sweep(n_values=[20, 40], densities=[1.0, 2.0], seeds=2)
+        assert len(report.rows) == 8
+        for row in report.rows:
+            g = build_intersection_graph(random_udg(row["n"], row["density"], row["seed"]))
+            assert row["m"] == g.m
+            assert row["min_fvs"] == solve_min_fvs(g)[0]

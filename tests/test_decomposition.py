@@ -9,7 +9,6 @@ from diskfvs import (
     connected_components,
     contract,
     decompose_unweighted,
-    exact_treewidth,
     from_edge_list,
     greedy_partition,
     induced_subgraph,
@@ -22,7 +21,7 @@ from diskfvs import (
 )
 from diskfvs.decomposition import FORGET, INTRODUCE, JOIN, LEAF
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, exact_treewidth, path_graph
 
 
 def random_graph(n, p, rng):

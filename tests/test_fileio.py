@@ -1,14 +1,7 @@
 import pytest
 
-from diskfvs import InputError, decompose_unweighted, random_udg
-from diskfvs.fileio import (
-    parse_decomposition,
-    parse_graph,
-    parse_objects,
-    serialize_decomposition,
-    serialize_graph,
-    serialize_objects,
-)
+from diskfvs import InputError, random_udg
+from diskfvs.fileio import parse_graph, parse_objects, serialize_graph, serialize_objects
 from diskfvs.geometry import build_intersection_graph
 
 from conftest import cycle_graph
@@ -100,57 +93,3 @@ class TestObjectsFormat:
     def test_objects_contradicting_header(self, text, match):
         with pytest.raises(InputError, match=match):
             parse_objects(text)
-
-
-class TestDecompositionFormat:
-    def test_round_trip_byte_identical(self):
-        g = cycle_graph(7)
-        td = decompose_unweighted(g)
-        text = serialize_decomposition(td, g.n)
-        td2, n2 = parse_decomposition(text)
-        assert n2 == g.n
-        assert text == serialize_decomposition(td2, n2)
-        assert td2.bags == td.bags
-
-    def test_header_shape(self):
-        g = cycle_graph(4)
-        td = decompose_unweighted(g)
-        first = serialize_decomposition(td, g.n).splitlines()[0]
-        parts = first.split()
-        assert parts[:2] == ["s", "td"]
-        assert int(parts[2]) == td.node_count()
-        assert int(parts[4]) == g.n
-
-    @pytest.mark.parametrize(
-        "text, lineno",
-        [
-            ("s td x 1 1\n", 1),
-            ("s td 1 1 1\nb\n", 2),
-            ("s td 1 1 1\nb 1 z\n", 2),
-            ("s td 2 1 2\nb 1 0\nb 2 1\n1 q\n", 4),
-            ("s td 2 1 2\nb 1 0\nb 2 1\n1 1\n", 4),  # self-loop tree edge
-            ("s td 2 1 2\nb 1 0\nb 2 1\n1 2\n2 1\n", 5),  # duplicate tree edge
-            ("s td 1 1 1\nb 1 1\n", 2),  # bag vertex outside 0..n-1
-            ("s td 1 1 1\nb 1 -1\n", 2),
-        ],
-    )
-    def test_malformed_line_is_input_error(self, text, lineno):
-        with pytest.raises(InputError, match=f"^line {lineno}: "):
-            parse_decomposition(text)
-
-    @pytest.mark.parametrize(
-        "text, match",
-        [
-            ("s td 2 1 2\nb 1 0\nb 2 1\n", "has 1 edges, found 0"),
-            ("s td 3 1 3\nb 1 0\nb 2 1\nb 3 2\n1 2\n2 3\n1 3\n", "has 2 edges, found 3"),
-            # three edges on four bags, but a triangle and an isolated bag
-            ("s td 4 1 4\nb 1 0\nb 2 1\nb 3 2\nb 4 3\n1 2\n2 3\n1 3\n", "do not connect"),
-        ],
-    )
-    def test_tree_edges_not_a_tree(self, text, match):
-        with pytest.raises(InputError, match=match):
-            parse_decomposition(text)
-
-    def test_bad_bag_ids(self):
-        with pytest.raises(InputError):
-            parse_decomposition("s td 2 1 2\nb 1 0\nb 3 1\n1 2\n")

