@@ -37,7 +37,6 @@ from .partition import (
     contract,
     greedy_partition,
     local_selections,
-    validate_partition,
 )
 from .decomposition import (
     BlowupGraph,
@@ -50,7 +49,7 @@ from .decomposition import (
     validate_decomposition,
     weighted_width,
 )
-from .oracle import OracleBudget, min_fvs_bruteforce
+from .oracle import min_fvs_bruteforce
 from .reduction import RepresentativeTable, rank_reduce
 from .solver import (
     Pipeline,
@@ -90,7 +89,6 @@ __all__ = [
     "contract",
     "greedy_partition",
     "local_selections",
-    "validate_partition",
     "BlowupGraph",
     "NiceDecomposition",
     "TreeDecomposition",
@@ -100,7 +98,6 @@ __all__ = [
     "project",
     "validate_decomposition",
     "weighted_width",
-    "OracleBudget",
     "min_fvs_bruteforce",
     "RepresentativeTable",
     "rank_reduce",

@@ -3,27 +3,19 @@
 It is deliberately naive: subset enumeration with union-find forest
 checks. The acceptance tests, `diskfvs oracle` and `diskfvs compare`
 cross-validate the DP against it, and solve falls back on it when the DP
-exceeds its state budget on a component of at most max_n_subsets
-vertices. Clarity wins over speed here.
+exceeds its state budget on a component of at most MAX_N vertices.
+min_fvs_bruteforce refuses a graph of more than max_n vertices (default
+MAX_N). Clarity wins over speed here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import ResourceError
 from .graph import Graph
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard cap keeping the exhaustive solver at desk scale."""
-
-    max_n_subsets: int = 20
-
-
-DEFAULT_BUDGET = OracleBudget()
+MAX_N = 20
 
 
 def _forest_after_deletion(edge_list, kept_mask: int, parent: list[int]) -> bool:
@@ -46,14 +38,14 @@ def _forest_after_deletion(edge_list, kept_mask: int, parent: list[int]) -> bool
     return True
 
 
-def min_fvs_bruteforce(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, frozenset[int]]:
+def min_fvs_bruteforce(g: Graph, max_n: int = MAX_N) -> tuple[int, frozenset[int]]:
     """Exact minimum feedback vertex set by increasing-size enumeration.
 
     Deletion sets of each size are tried in lexicographic order, so the
     returned witness is the lexicographically first optimal set.
     """
-    if g.n > budget.max_n_subsets:
-        raise ResourceError(f"n={g.n} exceeds oracle subset budget {budget.max_n_subsets}")
+    if g.n > max_n:
+        raise ResourceError(f"n={g.n} exceeds oracle subset budget {max_n}")
     edge_list = list(g.edges())
     full = (1 << g.n) - 1
     parent = list(range(g.n))

@@ -2,9 +2,10 @@
 
 A kappa-partition (de Berg, Bodlaender, Kisfaludi-Bak, Marx and van der
 Zanden, SICOMP 2020) puts each vertex in exactly one connected class and
-covers each class with at most kappa cliques. contract() enforces all of
-this but the count, which validate_partition reports as kappa_observed. A
-forest keeps at most two vertices of a clique (local_selections), so every
+covers each class with at most kappa cliques. contract() is the one checker
+of this contract: it raises ValidationError on the first breach of all of
+it but the count, which KappaPartition reports as kappa_observed. A forest
+keeps at most two vertices of a clique (local_selections), so every
 feedback vertex set deletes at least sum(max(0, |q| - 2)) over the cover
 cliques q (packing_bound), certified by those of more than two vertices.
 packing_completion deletes the rest of each such clique and then greedily
@@ -19,8 +20,8 @@ smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
 are then scanned in the same order, and each joins if it is adjacent to
 every member already in the class. Every class is therefore a clique around
 its seed and its own cover (kappa = 1), and kappa needs no audit. The
-greedy rule does not bound the contraction degree by construction;
-validate_partition audits it against DEFAULT_DELTA.
+greedy rule does not bound the contraction degree: the friendship graph of
+t triangles on one shared vertex contracts to a star of degree t - 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .graph import Graph, connected_components, from_edge_list, induced_subgraph, uf_find
 
-DEFAULT_DELTA = 40
 # a forest keeps at most two vertices of any clique
 KEEP_PER_CLIQUE = 2
 
@@ -191,13 +191,17 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
     return frozenset(v for v in deleted if out[v])
 
 
-def _violations(g: Graph, p: KappaPartition):
-    """Yield each way p breaks the contract, in one scan."""
+def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
+    """Contract every class to one vertex, dropping loops and parallels.
+
+    Checks the contract first, in one scan, and raises ValidationError on
+    the first breach.
+    """
     owner = [-1] * g.n
     outside, doubled = [], []
     for i, cls in enumerate(p.classes):
         if not cls:
-            yield f"class {i} is empty"
+            raise ValidationError(f"class {i} is empty")
         for v in cls:
             if not 0 <= v < g.n:
                 outside.append(v)
@@ -206,40 +210,30 @@ def _violations(g: Graph, p: KappaPartition):
             else:
                 owner[v] = i
     if outside:
-        yield f"vertices outside graph: {outside[:5]}"
-        return  # the checks below index g by vertex id
+        raise ValidationError(f"vertices outside graph: {outside[:5]}")
     missing = [v for v in range(g.n) if owner[v] == -1]
     if missing:
-        yield f"uncovered vertices: {missing[:5]}"
+        raise ValidationError(f"uncovered vertices: {missing[:5]}")
     if doubled:
-        yield f"overlapping vertices: {doubled[:5]}"
-    if not (missing or doubled) and list(p.class_of) != owner:
-        yield "class_of does not match the classes"
+        raise ValidationError(f"overlapping vertices: {doubled[:5]}")
+    if list(p.class_of) != owner:
+        raise ValidationError("class_of does not match the classes")
     if len(p.clique_cover) != len(p.classes):
-        yield f"{len(p.clique_cover)} clique covers for {len(p.classes)} classes"
+        raise ValidationError(
+            f"{len(p.clique_cover)} clique covers for {len(p.classes)} classes"
+        )
     for i, (cls, cover) in enumerate(zip(p.classes, p.clique_cover)):
         if sorted(v for q in cover for v in q) != sorted(cls):
-            yield f"clique cover of class {i} does not partition it"
-            continue  # the cover's ids need not lie in g
-        non_adjacent = [
-            (a, b) for q in cover for a, b in itertools.combinations(q, 2)
-            if not g.has_edge(a, b)
-        ]
-        for a, b in non_adjacent:
-            yield f"non-adjacent pair {a},{b} in a cover clique of class {i}"
+            raise ValidationError(f"clique cover of class {i} does not partition it")
+        for q in cover:
+            for a, b in itertools.combinations(q, 2):
+                if not g.has_edge(a, b):
+                    raise ValidationError(
+                        f"non-adjacent pair {a},{b} in a cover clique of class {i}"
+                    )
         # one clique is connected, so only other classes need the search
-        if len(cover) > 1 or non_adjacent:
-            if len(connected_components(induced_subgraph(g, cls)[0])) > 1:
-                yield f"class {i} disconnected"
-
-
-def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
-    """Contract every class to one vertex, dropping loops and parallels.
-
-    Raises ValidationError on the first breach of the contract.
-    """
-    for violation in _violations(g, p):
-        raise ValidationError(violation)
+        if len(cover) > 1 and len(connected_components(induced_subgraph(g, cls)[0])) > 1:
+            raise ValidationError(f"class {i} disconnected")
     class_edges = {
         (p.class_of[u], p.class_of[v])
         for (u, v) in g.edges()
@@ -248,32 +242,4 @@ def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
     return ContractedGraph(
         base=from_edge_list(len(p.classes), class_edges),
         weight=tuple(class_weight(len(c)) for c in p.classes),
-    )
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    violations: tuple[str, ...]
-    kappa_observed: int
-    max_contraction_degree: int
-    class_count: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_partition(g: Graph, p: KappaPartition) -> PartitionReport:
-    """Every contract violation, then the contraction-degree audit."""
-    violations = list(_violations(g, p))
-    max_deg = 0
-    if not violations:  # a contraction exists only for a valid partition
-        max_deg = max((len(a) for a in contract(g, p).base.adj), default=0)
-        if max_deg > DEFAULT_DELTA:
-            violations.append(f"contraction degree {max_deg} exceeds bound {DEFAULT_DELTA}")
-    return PartitionReport(
-        violations=tuple(violations),
-        kappa_observed=p.kappa_observed,
-        max_contraction_degree=max_deg,
-        class_count=len(p.classes),
     )

@@ -70,8 +70,9 @@ from .graph import (
     is_forest,
     peel_degree_one,
 )
-from .oracle import DEFAULT_BUDGET, min_fvs_bruteforce
+from .oracle import MAX_N, min_fvs_bruteforce
 from .partition import (
+    ContractedGraph,
     KappaPartition,
     contract,
     greedy_partition,
@@ -370,9 +371,11 @@ def reconstruct(
 
 @dataclass(frozen=True)
 class Pipeline:
-    """One component's stage artifacts, ready for the DP."""
+    """One component's stage artifacts, ready for the DP: the checked
+    partition, its contraction and the contraction's nice decomposition."""
 
     partition: KappaPartition
+    contracted: ContractedGraph
     nice: NiceDecomposition
     weighted_width: int
 
@@ -381,9 +384,10 @@ def build_pipeline(gc: Graph, part: KappaPartition | None = None) -> Pipeline:
     """Partition, contract and decompose one component for the DP.
 
     part is the component's greedy clique partition when the caller has
-    already made it. The weighted decomposition of the contraction comes
-    from blowing each class up into a clique, decomposing the blown graph
-    and projecting the bags back. Only the nice form, which the DP
+    already made it; contract() raises ValidationError on a breach of the
+    kappa-partition contract. The weighted decomposition of the contraction
+    comes from blowing each class up into a clique, decomposing the blown
+    graph and projecting the bags back. Only the nice form, which the DP
     consumes, is validated: its bags are the projected bags and subsets of
     them, so it is valid exactly when the projection is. A violation is a
     bug and raises InternalError.
@@ -398,16 +402,18 @@ def build_pipeline(gc: Graph, part: KappaPartition | None = None) -> Pipeline:
     report = validate_decomposition(nd.to_tree_decomposition(), cg.base)
     if not report.ok:
         raise InternalError(f"nice decomposition invalid: {report.violations}")
-    return Pipeline(partition=part, nice=nd, weighted_width=w)
+    return Pipeline(partition=part, contracted=cg, nice=nd, weighted_width=w)
 
 
 def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     """Peel g and build the pipeline of each component left.
 
     Returns (subgraph, pipeline) pairs in connected_components order, for
-    validate. Every component is decomposed, also those whose packing
-    completion lets solve skip the decomposition, so validate audits
-    every decomposition the DP could face on the instance.
+    validate, which reports from them and checks nothing again: building a
+    pipeline checked its partition and its decomposition. Every component
+    is decomposed, also those whose packing completion lets solve skip the
+    decomposition, so validate covers every decomposition the DP could
+    face on the instance.
     """
     peeled = peel_degree_one(g).reduced
     subs = (induced_subgraph(peeled, comp)[0] for comp in connected_components(peeled))
@@ -443,7 +449,7 @@ def _solve_component(
             max_deletions=max_deletions, stats=stats,
         )
     except ResourceError:
-        if gc.n > DEFAULT_BUDGET.max_n_subsets:
+        if gc.n > MAX_N:
             raise
         _, witness = min_fvs_bruteforce(gc)
         return witness, True

@@ -7,6 +7,7 @@ from diskfvs import (
     SolveConfig,
     build_intersection_graph,
     connected_components,
+    from_edge_list,
     greedy_partition,
     induced_subgraph,
     peel_degree_one,
@@ -163,10 +164,23 @@ class TestValidateCommand:
         code = main(["validate", str(out.with_suffix(".points"))])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["violations"] == []
+        assert "violations" not in payload
         assert "kappa_observed" in payload
         assert "max_contraction_degree" in payload
         assert "class_count" in payload
+
+    def test_friendship_graph_contraction_degree(self, tmp_path, capsys):
+        # 42 triangles on vertex 0: the contraction is a star of degree 41,
+        # which no bound on the greedy partition forbids
+        edges = [e for i in range(1, 85, 2) for e in ((0, i), (0, i + 1), (i, i + 1))]
+        path = write_graph(tmp_path, from_edge_list(85, edges))
+        assert main(["validate", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_contraction_degree"] == 41
+        assert "violations" not in payload
+        assert main(["solve", path, "--k", "1", "--json"]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert (solved["verdict"], solved["fvs"]) == ("yes", [0])
 
     def test_width_matches_solve(self, tmp_path, capsys):
         out = tmp_path / "w"

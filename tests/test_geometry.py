@@ -15,7 +15,6 @@ from diskfvs import (
     solve_min_fvs,
 )
 from diskfvs.geometry import objects_intersect, validate_object_set
-from diskfvs.oracle import OracleBudget
 
 from conftest import cell_of, euclid, heavy_cells
 
@@ -217,11 +216,11 @@ class TestPlanted:
     def test_oracle_confirms_k1(self):
         objs, _ = planted_yes_instance(1, 10, 2)
         g = build_intersection_graph(objs)
-        size, _ = min_fvs_bruteforce(g, OracleBudget(max_n_subsets=30))
+        size, _ = min_fvs_bruteforce(g, max_n=30)
         assert size == 1
 
     def test_oracle_confirms_k2_disjoint_hubs(self):
         objs, _ = planted_yes_instance(2, 10, 4)
         g = build_intersection_graph(objs)
-        size, _ = min_fvs_bruteforce(g, OracleBudget(max_n_subsets=30))
+        size, _ = min_fvs_bruteforce(g, max_n=30)
         assert size == 2

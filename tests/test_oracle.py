@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from diskfvs import (
-    OracleBudget,
     ResourceError,
     from_edge_list,
     induced_subgraph,
@@ -74,7 +73,7 @@ class TestMinFvs:
     def test_budget_enforced(self):
         g = from_edge_list(25, [(i, i + 1) for i in range(24)])
         with pytest.raises(ResourceError):
-            min_fvs_bruteforce(g, OracleBudget(max_n_subsets=20))
+            min_fvs_bruteforce(g, max_n=20)
 
 
 class TestExactTreewidth:

@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 
@@ -17,7 +16,6 @@ from diskfvs import (
     min_fvs_bruteforce,
     peel_degree_one,
     random_udg,
-    validate_partition,
 )
 from diskfvs.partition import (
     class_weight,
@@ -153,7 +151,6 @@ class TestContract:
         # the path 0-1-2 is connected, but (0, 1, 2) is not a clique of it
         g = path_graph(3)
         p = KappaPartition(classes=((0, 1, 2),), class_of=(0, 0, 0), clique_cover=(((0, 1, 2),),))
-        assert not validate_partition(g, p).ok
         with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
             contract(g, p)
         with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
@@ -176,7 +173,6 @@ class TestContract:
         p = KappaPartition(classes=classes, class_of=class_of, clique_cover=cover)
         with pytest.raises(ValidationError, match=match):
             contract(g, p)
-        assert any(re.search(match, v) for v in validate_partition(g, p).violations)
 
     def test_single_clique_classes_skip_the_connectivity_search(self, monkeypatch):
         import diskfvs.partition as partition
@@ -272,14 +268,15 @@ class TestPackingCompletion:
 
 
 class TestValidatePartition:
+    """contract() is the one check of the kappa-partition contract."""
+
     def test_greedy_output_clean_on_random_udgs(self):
         for seed in range(60):
             objs = random_udg(8 + seed % 12, [0.05, 0.2, 0.5][seed % 3], seed)
             g = build_intersection_graph(objs)
             if g.n == 0:
                 continue
-            report = validate_partition(g, greedy_partition(g))
-            assert report.ok, report.violations
+            contract(g, greedy_partition(g))
 
     def test_disconnected_class_reported(self):
         g = cycle_graph(4)
@@ -288,8 +285,8 @@ class TestValidatePartition:
             class_of=(0, 1, 0, 1),
             clique_cover=(((0,), (2,)), ((1,), (3,))),
         )
-        report = validate_partition(g, p)
-        assert any("disconnected" in v for v in report.violations)
+        with pytest.raises(ValidationError, match="disconnected"):
+            contract(g, p)
 
     def test_singleton_partition_always_valid(self):
         g = cycle_graph(5)
@@ -298,9 +295,8 @@ class TestValidatePartition:
             class_of=tuple(range(5)),
             clique_cover=tuple(((v,),) for v in range(5)),
         )
-        report = validate_partition(g, p)
-        assert report.ok
-        assert report.kappa_observed == 1
+        contract(g, p)
+        assert p.kappa_observed == 1
 
     def test_bad_cover_reported(self):
         g = from_edge_list(3, [(0, 1)])
@@ -309,5 +305,5 @@ class TestValidatePartition:
             class_of=(0, 0, 0),
             clique_cover=(((0, 1, 2),),),  # 0-2 and 1-2 are not edges
         )
-        report = validate_partition(g, p)
-        assert any("non-adjacent" in v for v in report.violations)
+        with pytest.raises(ValidationError, match="non-adjacent"):
+            contract(g, p)

@@ -532,8 +532,8 @@ class TestCoverCliques:
     clique, and only cliques of more than two vertices add to the bound."""
 
     def test_merged_classes_every_k(self):
-        from diskfvs import build_pipeline, connected_components, dp_run, \
-            reconstruct, validate_partition
+        from diskfvs import build_pipeline, connected_components, contract, dp_run, \
+            reconstruct
 
         merged = 0
         for seed in range(40):
@@ -544,7 +544,7 @@ class TestCoverCliques:
             for comp in connected_components(peeled):
                 sub, _, _ = induced_subgraph(peeled, comp)
                 p = merged_partition(sub)
-                assert validate_partition(sub, p).ok
+                contract(sub, p)
                 merged += sum(len(cover) > 1 for cover in p.clique_cover)
                 minimum, _ = min_fvs_bruteforce(sub)
                 nd = build_pipeline(sub, p).nice
