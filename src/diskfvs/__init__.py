@@ -2,9 +2,9 @@
 
 The solver decides whether a graph has a feedback vertex set of size at
 most k via a contraction-based weighted tree decomposition and a
-clique-constrained connectivity DP with rank-based state reduction. Unit
-disk graphs are the flagship instance family; the DP itself is exact on
-any graph.
+clique-constrained connectivity DP with rank-based state reduction;
+solve(g, SolveConfig(k=g.n)) returns a minimum one. Unit disk graphs are
+the flagship instance family; the DP itself is exact on any graph.
 """
 
 from .errors import (
@@ -60,7 +60,6 @@ from .solver import (
     dp_run,
     reconstruct,
     solve,
-    solve_min_fvs,
 )
 
 __version__ = "0.1.0"
@@ -109,5 +108,4 @@ __all__ = [
     "dp_run",
     "reconstruct",
     "solve",
-    "solve_min_fvs",
 ]

@@ -15,9 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .errors import DiskFvsError, InputError
-from .fileio import (
-    _data_lines, parse_graph, parse_objects, serialize_graph, serialize_objects,
-)
+from .fileio import parse_instance, serialize_graph, serialize_objects
 from .geometry import build_intersection_graph, planted_yes_instance, random_udg
 from .graph import Graph
 from .oracle import MAX_N, min_fvs_bruteforce
@@ -28,13 +26,19 @@ SCHEMA_VERSION = 1
 
 def _load_instance(path: str) -> Graph:
     """Read a graph file, or a points file as its intersection graph."""
-    text = Path(path).read_text()
-    _, header = next(_data_lines(text), (0, ""))
-    if header.startswith("p fvs"):
-        return parse_graph(text)
-    if header.startswith("p objects"):
-        return build_intersection_graph(parse_objects(text))
-    raise InputError(f"{path}: unrecognized file header")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_instance(text)
+
+
+def _list_arg(text: str, kind) -> list:
+    """A comma-separated list of kind (int or float) values."""
+    try:
+        return [kind(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise InputError(f"bad list {text!r}: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -127,8 +131,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_bench(args) -> int:
     report = bench_mod.run_sweep(
-        n_values=[int(x) for x in args.n_list.split(",") if x.strip()],
-        densities=[float(x) for x in args.density_list.split(",") if x.strip()],
+        n_values=_list_arg(args.n_list, int),
+        densities=_list_arg(args.density_list, float),
         seeds=args.seeds,
     )
     out = Path(args.out)
@@ -145,7 +149,7 @@ def _cmd_compare(args) -> int:
     g = _load_instance(args.input)
     size, _ = min_fvs_bruteforce(g)  # first: it refuses graphs of over 20 vertices
     results = {mode: solve(g, SolveConfig(k=args.k, mode=mode)).verdict
-               for mode in ("dp-naive", "dp-rank")}
+               for mode in MODES}
     results["oracle"] = "yes" if size <= args.k else "no"
     agree = len(set(results.values())) == 1
     payload = {"schema": SCHEMA_VERSION, "k": args.k, "verdicts": results, "agree": agree}
@@ -174,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide FVS <= k via the DP pipeline")
     p_solve.add_argument("input", help="graph or points file")
     p_solve.add_argument("--k", type=int, required=True)
-    p_solve.add_argument("--mode", choices=MODES, default="auto")
+    p_solve.add_argument("--mode", choices=MODES, default=SolveConfig.mode)
     p_solve.add_argument("--state-budget", type=int, default=STATE_BUDGET,
                          help=f"cap on DP states examined (default {STATE_BUDGET:,})")
     p_solve.add_argument("--json", action="store_true")
@@ -211,10 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DiskFvsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DiskFvsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

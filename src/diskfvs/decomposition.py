@@ -13,6 +13,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .graph import Graph, from_edge_list
 from .partition import ContractedGraph
 
@@ -33,68 +34,48 @@ class TreeDecomposition:
         return len(self.bags)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    violations: tuple[str, ...]
+def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
+    """Check vertex coverage, edge coverage, and the subtree property.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_decomposition(td: TreeDecomposition, g: Graph) -> DecompositionReport:
-    """Check vertex coverage, edge coverage, and the subtree property."""
-    violations: list[str] = []
+    Raises ValidationError at the first breach.
+    """
     nodes = len(td.bags)
     if nodes == 0:
-        violations.append("decomposition has no nodes")
-        return DecompositionReport(tuple(violations))
+        raise ValidationError("decomposition has no nodes")
     if len(td.tree) != nodes:
-        violations.append("tree/bag size mismatch")
-        return DecompositionReport(tuple(violations))
+        raise ValidationError("tree/bag size mismatch")
     # the tree must actually be a tree
     deg_sum = sum(len(a) for a in td.tree)
-    seen = {td.root}
-    queue = deque([td.root])
-    while queue:
-        u = queue.popleft()
-        for w in td.tree[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != nodes or deg_sum != 2 * (nodes - 1):
-        violations.append("decomposition tree is not a tree")
-        return DecompositionReport(tuple(violations))
+    if len(_reach(td.tree, td.root, range(nodes))) != nodes or deg_sum != 2 * (nodes - 1):
+        raise ValidationError("decomposition tree is not a tree")
 
     holder: list[list[int]] = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
-            if 0 <= v < g.n:
-                holder[v].append(i)
-            else:
-                violations.append(f"bag {i} holds unknown vertex {v}")
+            if not 0 <= v < g.n:
+                raise ValidationError(f"bag {i} holds unknown vertex {v}")
+            holder[v].append(i)
     for v in range(g.n):
         if not holder[v]:
-            violations.append(f"vertex {v} in no bag")
+            raise ValidationError(f"vertex {v} in no bag")
     for (u, v) in g.edges():
         if not any(v in td.bags[i] for i in holder[u]):
-            violations.append(f"edge ({u}, {v}) covered by no bag")
+            raise ValidationError(f"edge ({u}, {v}) covered by no bag")
     for v in range(g.n):
-        if len(holder[v]) <= 1:
-            continue
-        allowed = set(holder[v])
-        start = holder[v][0]
-        reach = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in td.tree[x]:
-                if w in allowed and w not in reach:
-                    reach.add(w)
-                    queue.append(w)
-        if reach != allowed:
-            violations.append(f"bags of vertex {v} do not form a subtree")
-    return DecompositionReport(tuple(violations))
+        if len(_reach(td.tree, holder[v][0], set(holder[v]))) != len(holder[v]):
+            raise ValidationError(f"bags of vertex {v} do not form a subtree")
+
+
+def _reach(tree, start: int, allowed) -> set[int]:
+    """The tree nodes reachable from start through nodes in allowed."""
+    reach = {start}
+    queue = deque([start])
+    while queue:
+        for w in tree[queue.popleft()]:
+            if w in allowed and w not in reach:
+                reach.add(w)
+                queue.append(w)
+    return reach
 
 
 def _fill(adj: list[set[int]], u: int) -> int:
@@ -204,8 +185,8 @@ def project(td_b: TreeDecomposition, bg: BlowupGraph) -> TreeDecomposition:
     count reaches its clique size. Validity follows because every blown
     clique (and every union of two adjacent blown cliques) sits inside some
     bag of a valid decomposition, and intersections of subtrees are
-    subtrees. The result is not validated here; the solver's pipeline
-    validates its nice form once.
+    subtrees. The result is not checked here: the solver's pipeline runs
+    validate_decomposition once, on its nice form.
     """
     class_of = [0] * bg.graph.n
     for c, clique in enumerate(bg.cliques):

@@ -8,6 +8,7 @@ Objects:        p objects <n> <alpha> <gamma>
                 then n lines           o <shape> <x> <y> <inner_r> <outer_r>
                 (the set must pass geometry.validate_object_set)
 Lines starting with "c " (or "c" alone) are comments in both.
+parse_instance tells the two apart by the problem line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import InputError
-from .geometry import FatObject, ObjectSet, validate_object_set
+from .geometry import FatObject, ObjectSet, build_intersection_graph, validate_object_set
 from .graph import Graph, from_edge_list
 
 
@@ -69,6 +70,16 @@ def parse_graph(text: str) -> Graph:
     if m != len(edges):
         raise InputError(f"problem line declares {m} edges, found {len(edges)}")
     return from_edge_list(n, edges)
+
+
+def parse_instance(text: str) -> Graph:
+    """A graph file's graph, or a points file's intersection graph."""
+    _, header = next(_data_lines(text), (0, ""))
+    if header.startswith("p fvs"):
+        return parse_graph(text)
+    if header.startswith("p objects"):
+        return build_intersection_graph(parse_objects(text))
+    raise InputError("unrecognized file header: expected 'p fvs' or 'p objects'")
 
 
 def _fmt(x: float) -> str:

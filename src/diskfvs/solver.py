@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from .decomposition import (
@@ -83,7 +83,7 @@ from .partition import (
 )
 from .reduction import Kept, Partition, RepresentativeTable, bits_of, rank_reduce
 
-MODES = ("auto", "dp-naive", "dp-rank")
+MODES = ("dp-naive", "dp-rank")
 
 WIDTH_SAFETY_CAP = 64
 STATE_BUDGET = 50_000_000
@@ -97,7 +97,7 @@ class SolveConfig:
     """
 
     k: int
-    mode: str = "auto"
+    mode: str = "dp-rank"
     state_budget: int = STATE_BUDGET
 
     def __post_init__(self):
@@ -128,9 +128,9 @@ def dp_run(
     nd: NiceDecomposition,
     g: Graph,
     p: KappaPartition,
-    mode: str = "dp-rank",
-    state_budget: int | None = None,
-    max_deletions: int | None = None,
+    mode: str,
+    max_deletions: int,
+    state_budget: int = STATE_BUDGET,
     stats: dict[str, Any] | None = None,
 ) -> tuple[int | None, list[_Table]]:
     """Maximum induced forest size over the nice decomposition.
@@ -144,37 +144,34 @@ def dp_run(
 
     max_deletions is the most vertices the caller can still accept deleting
     in this component: solve passes the smaller of the component's share of
-    k and one less than a known feedback vertex set. None keeps every row,
-    which only direct callers use. With slack = max_deletions -
-    packing_bound(p), a row at node t with value < cap(t) - slack is
-    dropped before its block work. cap(t) sums min(2, |q|) over the
-    cover cliques q of the classes in t's subtree: the most a row at t can
-    keep, and their size less their share of the bound. Such a row has
-    deleted cap(t) - value vertices beyond that share, and every cover
+    k and one less than a known feedback vertex set. With slack =
+    max_deletions - packing_bound(p), a row at node t with value < cap(t) -
+    slack is dropped before its block work. cap(t) sums min(2, |q|) over
+    the cover cliques q of the classes in t's subtree: the most a row at t
+    can keep, and their size less their share of the bound. Such a row
+    has deleted cap(t) - value vertices beyond that share, and every cover
     clique still to come needs its own max(0, |q| - 2), so it cannot end
     within max_deletions. The rows of an optimal set never break the
     floor, and a stored row is never worse than the one it stands for
     (rank reduction included), so the root value is exact whenever the
     minimum is at most max_deletions; otherwise the root table is empty
-    and the optimum is returned as None.
+    and the optimum is returned as None. cap(t) <= g.n - packing_bound(p),
+    so max_deletions = g.n drops no row.
     If stats is given, stats["pruned_rows"] grows by the candidate rows
     the floor dropped.
     """
-    if mode not in ("dp-naive", "dp-rank"):
+    if mode not in MODES:
         raise ValidationError(f"dp_run mode must be dp-naive or dp-rank, got {mode!r}")
     selections = [local_selections(cls, cov) for cls, cov in zip(p.classes, p.clique_cover)]
     keep_cap = [max(map(len, sels)) for sels in selections]  # the most a class keeps
-    if max_deletions is None:
-        slack = g.n  # cap(t) <= g.n, so no floor is above 0
-    else:
-        slack = max_deletions - packing_bound(p)
+    slack = max_deletions - packing_bound(p)
     pruned = 0
     work = 0
 
     def charge(units: int) -> None:
         nonlocal work
         work += units
-        if state_budget is not None and work > state_budget:
+        if work > state_budget:
             raise ResourceError(
                 f"DP state budget exceeded ({work} > {state_budget}); "
                 "the instance's weighted width makes the table infeasible"
@@ -326,12 +323,8 @@ def dp_run(
 
     if stats is not None:
         stats["pruned_rows"] = stats.get("pruned_rows", 0) + pruned
-    root_group = tables[nd.root].get(0, {})
-    if () not in root_group:
-        if max_deletions is not None:
-            return None, tables
-        raise InternalError("DP produced no state at the empty root bag")
-    return root_group[()][0], tables
+    root = tables[nd.root].get(0, {}).get(())
+    return (None if root is None else root[0]), tables
 
 
 def reconstruct(
@@ -380,28 +373,23 @@ class Pipeline:
     weighted_width: int
 
 
-def build_pipeline(gc: Graph, part: KappaPartition | None = None) -> Pipeline:
-    """Partition, contract and decompose one component for the DP.
+def build_pipeline(gc: Graph, part: KappaPartition) -> Pipeline:
+    """Contract and decompose one component, partitioned by part, for the DP.
 
-    part is the component's greedy clique partition when the caller has
-    already made it; contract() raises ValidationError on a breach of the
-    kappa-partition contract. The weighted decomposition of the contraction
-    comes from blowing each class up into a clique, decomposing the blown
-    graph and projecting the bags back. Only the nice form, which the DP
-    consumes, is validated: its bags are the projected bags and subsets of
-    them, so it is valid exactly when the projection is. A violation is a
-    bug and raises InternalError.
+    contract() raises ValidationError on a breach of the kappa-partition
+    contract. The weighted decomposition of the contraction comes from
+    blowing each class up into a clique, decomposing the blown graph and
+    projecting the bags back. Only the nice form, which the DP consumes, is
+    validated: its bags are the projected bags and subsets of them, so it
+    is valid exactly when the projection is. A violation is a bug;
+    validate_decomposition raises ValidationError on it.
     """
-    if part is None:
-        part = greedy_partition(gc)
     cg = contract(gc, part)
     bg = blowup(cg)
     td = project(decompose_unweighted(bg.graph), bg)
     w = weighted_width(td, cg)
     nd = make_nice(td)
-    report = validate_decomposition(nd.to_tree_decomposition(), cg.base)
-    if not report.ok:
-        raise InternalError(f"nice decomposition invalid: {report.violations}")
+    validate_decomposition(nd.to_tree_decomposition(), cg.base)
     return Pipeline(partition=part, contracted=cg, nice=nd, weighted_width=w)
 
 
@@ -417,13 +405,13 @@ def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     """
     peeled = peel_degree_one(g).reduced
     subs = (induced_subgraph(peeled, comp)[0] for comp in connected_components(peeled))
-    return [(sub, build_pipeline(sub)) for sub in subs]
+    return [(sub, build_pipeline(sub, greedy_partition(sub))) for sub in subs]
 
 
 def _solve_component(
     gc: Graph,
     pipe: Pipeline,
-    dp_mode: str,
+    mode: str,
     state_budget: int,
     max_deletions: int,
     stats: dict[str, Any],
@@ -445,8 +433,7 @@ def _solve_component(
         )
     try:
         best, tables = dp_run(
-            pipe.nice, gc, pipe.partition, mode=dp_mode, state_budget=state_budget,
-            max_deletions=max_deletions, stats=stats,
+            pipe.nice, gc, pipe.partition, mode, max_deletions, state_budget, stats
         )
     except ResourceError:
         if gc.n > MAX_N:
@@ -521,7 +508,6 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
                 raise InternalError(f"clique-packing certificate: {c} is not a clique")
         stats["cliques"] = cliques
 
-    dp_mode = "dp-rank" if cfg.mode in ("auto", "dp-rank") else "dp-naive"
     # popped from the end, smallest first: their exact minima tighten the
     # budget of the larger, costlier DPs that follow
     components.sort(key=lambda c: c[0].n, reverse=True)
@@ -543,7 +529,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             # the loop condition gives budget >= bound, and ub - 1 >= bound here
             # unless bound = budget = 0, so max_deletions >= 0
             deleted, oracle = _solve_component(
-                sub, pipe, dp_mode, cfg.state_budget, min(budget, ub - 1), stats,
+                sub, pipe, cfg.mode, cfg.state_budget, min(budget, ub - 1), stats,
             )
             used_oracle = used_oracle or oracle
             if deleted is None:
@@ -575,10 +561,3 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
         verdict="no" if fvs is None else "yes", fvs=fvs, certificate=certificate, stats=stats
     )
 
-
-def solve_min_fvs(g: Graph, cfg: SolveConfig | None = None) -> tuple[int, tuple[int, ...]]:
-    """Minimum feedback vertex set size and witness via the DP pipeline."""
-    base = cfg or SolveConfig(k=0)
-    sol = solve(g, replace(base, k=g.n))
-    assert sol.fvs is not None
-    return len(sol.fvs), sol.fvs

@@ -13,7 +13,6 @@ from diskfvs import (
     peel_degree_one,
     random_udg,
     solve,
-    solve_min_fvs,
 )
 from diskfvs import bench
 from diskfvs.cli import main
@@ -143,6 +142,20 @@ class TestSolveCommand:
         assert exc.value.code == 2
 
 
+class TestInputFile:
+    # every command that reads an instance shares one loader
+    @pytest.mark.parametrize("command", [
+        ["solve", "--k", "0"], ["oracle", "--k", "0"], ["validate"], ["compare", "--k", "0"],
+    ])
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(b"\xff\xfep fvs 1 0\n")
+        assert main([command[0], str(bad), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestOracleCommand:
     def test_matches_solver(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(5))
@@ -236,6 +249,15 @@ class TestBenchCommand:
             assert (row["status"], row["verdict"]) == ("ok", "yes")
             assert row["timings"]["total"] <= row["wall_time"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-list", "6x"), ("--n-list", "20,,3.5"), ("--density-list", "1.0,dense"),
+    ])
+    def test_malformed_list_exit_two(self, tmp_path, capsys, flag, value):
+        assert main(["bench", flag, value, "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad list") and len(err.splitlines()) == 1
+        assert not (tmp_path / "b.csv").exists()
+
     def test_forest_sweep(self, tmp_path):
         out = tmp_path / "f"
         assert main(["bench", "--n-list", "20,30", "--density-list", "0.1", "--seeds", "3",
@@ -260,4 +282,4 @@ class TestBenchCommand:
         for row in report.rows:
             g = build_intersection_graph(random_udg(row["n"], row["density"], row["seed"]))
             assert row["m"] == g.m
-            assert row["min_fvs"] == solve_min_fvs(g)[0]
+            assert row["min_fvs"] == len(solve(g, SolveConfig(k=g.n)).fvs)

@@ -4,6 +4,7 @@ import pytest
 
 from diskfvs import (
     TreeDecomposition,
+    ValidationError,
     blowup,
     build_intersection_graph,
     connected_components,
@@ -117,7 +118,7 @@ def relabel_by_greedy_order(g, labelling):
 class TestDecompose:
     def test_tree_width_one(self):
         td = decompose_unweighted(path_graph(7))
-        assert validate_decomposition(td, path_graph(7)).ok
+        validate_decomposition(td, path_graph(7))
         assert td.width == 1
 
     def test_clique_width(self):
@@ -126,14 +127,14 @@ class TestDecompose:
 
     def test_cycle_width_two(self):
         td = decompose_unweighted(cycle_graph(6))
-        assert validate_decomposition(td, cycle_graph(6)).ok
+        validate_decomposition(td, cycle_graph(6))
         assert td.width == 2
 
     def test_empty_graph(self):
         g = from_edge_list(0, [])
         td = decompose_unweighted(g)
         assert td.bags == (frozenset(),)
-        assert validate_decomposition(td, g).ok
+        validate_decomposition(td, g)
 
     # decompose_unweighted breaks ties toward the smaller id, so the vertex
     # labelling decides which decomposition it builds. Each case renumbers
@@ -146,7 +147,7 @@ class TestDecompose:
             g = random_graph(rng.randint(1, 14), rng.choice([0.15, 0.3, 0.5]), rng)
             g = relabel_by_greedy_order(g, labelling)
             td = decompose_unweighted(g)
-            assert validate_decomposition(td, g).ok
+            validate_decomposition(td, g)
 
     def test_heuristic_at_least_exact(self):
         rng = random.Random(18)
@@ -171,7 +172,7 @@ class TestDecompose:
     def test_disconnected_graph(self):
         g = from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
         td = decompose_unweighted(g)
-        assert validate_decomposition(td, g).ok
+        validate_decomposition(td, g)
 
     def test_same_as_full_rescan(self):
         # the incremental scores give the same order, ties included, so the
@@ -190,16 +191,16 @@ class TestValidator:
     def test_single_full_bag_valid(self):
         g = cycle_graph(4)
         td = TreeDecomposition(tree=((),), bags=(frozenset({0, 1, 2, 3}),))
-        assert validate_decomposition(td, g).ok
+        validate_decomposition(td, g)
 
     def test_edge_coverage_violation(self):
         g = cycle_graph(4)
         td = TreeDecomposition(
             tree=((1,), (0,)), bags=(frozenset({0, 1}), frozenset({2, 3}))
         )
-        report = validate_decomposition(td, g)
-        assert any("edge (1, 2)" in v for v in report.violations)
-        assert any("edge (0, 3)" in v for v in report.violations)
+        # the first uncovered edge in g.edges() order: (0, 1), (0, 3), ...
+        with pytest.raises(ValidationError, match=r"^edge \(0, 3\) covered by no bag$"):
+            validate_decomposition(td, g)
 
     def test_subtree_violation(self):
         g = path_graph(3)
@@ -207,14 +208,14 @@ class TestValidator:
             tree=((1,), (0, 2), (1,)),
             bags=(frozenset({0, 1}), frozenset({1, 2}), frozenset({0})),
         )
-        report = validate_decomposition(td, g)
-        assert any("subtree" in v for v in report.violations)
+        with pytest.raises(ValidationError, match="^bags of vertex 0 do not form a subtree$"):
+            validate_decomposition(td, g)
 
     def test_uncovered_vertex(self):
         g = from_edge_list(3, [(0, 1)])
         td = TreeDecomposition(tree=((),), bags=(frozenset({0, 1}),))
-        report = validate_decomposition(td, g)
-        assert any("vertex 2" in v for v in report.violations)
+        with pytest.raises(ValidationError, match="^vertex 2 in no bag$"):
+            validate_decomposition(td, g)
 
 
 class TestBlowup:
@@ -280,7 +281,7 @@ class TestProject:
         g = complete_graph(4)  # one class, weight 3
         cg, bg, td_b = self._pipeline(g)
         td = project(td_b, bg)
-        assert validate_decomposition(td, cg.base).ok
+        validate_decomposition(td, cg.base)
         assert weighted_width(td, cg) == cg.weight[0]
 
     def test_projected_width_bound(self):
@@ -291,14 +292,14 @@ class TestProject:
                 continue
             cg, bg, td_b = self._pipeline(g)
             td = project(td_b, bg)
-            assert validate_decomposition(td, cg.base).ok
+            validate_decomposition(td, cg.base)
             assert weighted_width(td, cg) <= td_b.width + 1
 
     def test_c6_pipeline_weighted_width(self):
         g = cycle_graph(6)
         cg, bg, td_b = self._pipeline(g)
         td = project(td_b, bg)
-        assert validate_decomposition(td, cg.base).ok
+        validate_decomposition(td, cg.base)
         assert weighted_width(td, cg) <= 6
 
     def test_counting_matches_the_whole_clique_rule(self):
@@ -327,7 +328,7 @@ class TestProject:
         assert cg.weight == (2, 2, 2)
         bg = blowup(cg)
         td = project(decompose_unweighted(bg.graph), bg)
-        assert validate_decomposition(td, cg.base).ok
+        validate_decomposition(td, cg.base)
         assert weighted_width(td, cg) <= 6
 
 
@@ -391,7 +392,7 @@ class TestMakeNice:
             g = random_graph(rng.randint(1, 12), rng.choice([0.2, 0.4]), rng)
             td = decompose_unweighted(g)
             nd = make_nice(td)
-            assert validate_decomposition(nd.to_tree_decomposition(), g).ok
+            validate_decomposition(nd.to_tree_decomposition(), g)
             for i in range(nd.node_count()):
                 kind = nd.kind[i]
                 if kind == LEAF:
@@ -428,7 +429,7 @@ class TestMakeNice:
     def test_path_decomposition_of_p4(self):
         g = path_graph(4)
         nd = make_nice(decompose_unweighted(g))
-        assert validate_decomposition(nd.to_tree_decomposition(), g).ok
+        validate_decomposition(nd.to_tree_decomposition(), g)
 
 
 class TestPipelineOnGeometry:
@@ -443,6 +444,6 @@ class TestPipelineOnGeometry:
             bg = blowup(cg)
             td_b = decompose_unweighted(bg.graph)
             td = project(td_b, bg)
-            assert validate_decomposition(td, cg.base).ok
+            validate_decomposition(td, cg.base)
             nd = make_nice(td)
-            assert validate_decomposition(nd.to_tree_decomposition(), cg.base).ok
+            validate_decomposition(nd.to_tree_decomposition(), cg.base)

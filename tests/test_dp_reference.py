@@ -213,7 +213,8 @@ def as_masks(table, kind):
 def assert_same_dp(nd, g, p):
     """Both DPs in both modes, with no floor and with the floor set at the
     minimum and one below it. The tables must match row for row, in the
-    same order and with the same backrefs."""
+    same order and with the same backrefs. The reference spells "no floor"
+    as max_deletions None, dp_run as g.n."""
     minimum = g.n - reference_dp_run(nd, g, p, "dp-naive")[0]
     for mode in ("dp-naive", "dp-rank"):
         for max_deletions in (None, minimum, minimum - 1):
@@ -221,7 +222,8 @@ def assert_same_dp(nd, g, p):
                 continue
             want, ref_tables, ref_pruned = reference_dp_run(nd, g, p, mode, max_deletions)
             stats = {}
-            got, tables = dp_run(nd, g, p, mode=mode, max_deletions=max_deletions, stats=stats)
+            bound = g.n if max_deletions is None else max_deletions
+            got, tables = dp_run(nd, g, p, mode=mode, max_deletions=bound, stats=stats)
             assert got == want
             assert stats.get("pruned_rows", 0) == ref_pruned
             assert len(tables) == len(ref_tables)
@@ -239,7 +241,7 @@ def test_udg_components(density):
         peeled = peel_degree_one(build_intersection_graph(random_udg(40, density, seed)))
         for comp in connected_components(peeled.reduced):
             g = induced_subgraph(peeled.reduced, comp)[0]
-            pipe = build_pipeline(g)
+            pipe = build_pipeline(g, greedy_partition(g))
             assert_same_dp(pipe.nice, g, pipe.partition)
 
 
@@ -255,4 +257,5 @@ def test_join_heavy_decompositions():
         bg = blowup(contract(g, part))
         nd = make_nice(graft_leaf_bags(project(decompose_unweighted(bg.graph), bg), rng))
         assert_same_dp(nd, g, part)
-        assert g.n - dp_run(nd, g, part, mode="dp-naive")[0] == min_fvs_bruteforce(g)[0]
+        best = dp_run(nd, g, part, mode="dp-naive", max_deletions=g.n)[0]
+        assert g.n - best == min_fvs_bruteforce(g)[0]

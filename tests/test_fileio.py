@@ -1,7 +1,9 @@
 import pytest
 
 from diskfvs import InputError, random_udg
-from diskfvs.fileio import parse_graph, parse_objects, serialize_graph, serialize_objects
+from diskfvs.fileio import (
+    parse_graph, parse_instance, parse_objects, serialize_graph, serialize_objects,
+)
 from diskfvs.geometry import build_intersection_graph
 
 from conftest import cycle_graph
@@ -93,3 +95,16 @@ class TestObjectsFormat:
     def test_objects_contradicting_header(self, text, match):
         with pytest.raises(InputError, match=match):
             parse_objects(text)
+
+
+class TestParseInstance:
+    def test_graph_and_points_files(self):
+        g = cycle_graph(5)
+        assert parse_instance("c a comment\n" + serialize_graph(g)) == g
+        objs = random_udg(12, 1.0, 3)
+        assert parse_instance(serialize_objects(objs)) == build_intersection_graph(objs)
+
+    @pytest.mark.parametrize("text", ["", "c only a comment\n", "e 0 1\n", "p graph 2 1\n"])
+    def test_unrecognized_header(self, text):
+        with pytest.raises(InputError, match="unrecognized file header"):
+            parse_instance(text)

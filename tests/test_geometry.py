@@ -6,13 +6,14 @@ from diskfvs import (
     FatObject,
     InputError,
     ObjectSet,
+    SolveConfig,
     build_intersection_graph,
     induced_subgraph,
     is_forest,
     min_fvs_bruteforce,
     planted_yes_instance,
     random_udg,
-    solve_min_fvs,
+    solve,
 )
 from diskfvs.geometry import objects_intersect, validate_object_set
 
@@ -177,7 +178,7 @@ class TestGenerators:
         size, witness = min_fvs_bruteforce(g)
         assert size == 1
         assert sorted(witness) == [0]
-        assert solve_min_fvs(g)[0] == 1
+        assert len(solve(g, SolveConfig(k=g.n)).fvs) == 1
 
     def test_bad_parameters(self):
         with pytest.raises(InputError):

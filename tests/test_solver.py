@@ -17,7 +17,6 @@ from diskfvs import (
     peel_degree_one,
     random_udg,
     solve,
-    solve_min_fvs,
     validate_decomposition,
 )
 
@@ -82,7 +81,7 @@ class TestDpRun:
         p = greedy_partition(g)  # one class covering the whole clique
         assert p.classes == ((0, 1, 2),)
         nd = make_nice(TreeDecomposition(tree=((),), bags=(frozenset({0}),)))
-        best, _ = dp_run(nd, g, p, mode="dp-naive")
+        best, _ = dp_run(nd, g, p, mode="dp-naive", max_deletions=g.n)
         assert best == 2  # max induced forest, so min deletion is 1
 
     def test_forest_keeps_everything(self):
@@ -97,23 +96,25 @@ class TestDpRun:
         td = project(decompose_unweighted(bg.graph), bg)
         nd = make_nice(td)
         for mode in ("dp-naive", "dp-rank"):
-            best, _ = dp_run(nd, g, p, mode=mode)
+            best, _ = dp_run(nd, g, p, mode=mode, max_deletions=g.n)
             assert best == 5
 
     def test_tables_keyed_by_kept_vertices(self):
         from collections import Counter
 
-        from diskfvs import build_pipeline, connected_components, dp_run, reconstruct
+        from diskfvs import (
+            build_pipeline, connected_components, dp_run, greedy_partition, reconstruct,
+        )
         from diskfvs.reduction import bits_of
 
         for seed in range(3):
             peeled = peel_degree_one(build_intersection_graph(random_udg(60, 1.5, seed)))
             for comp in connected_components(peeled.reduced):
                 g, _, _ = induced_subgraph(peeled.reduced, comp)
-                pipe = build_pipeline(g)
+                pipe = build_pipeline(g, greedy_partition(g))
                 nd, p = pipe.nice, pipe.partition
                 for mode in ("dp-naive", "dp-rank"):
-                    best, tables = dp_run(nd, g, p, mode=mode)
+                    best, tables = dp_run(nd, g, p, mode=mode, max_deletions=g.n)
                     for node, table in enumerate(tables):
                         for kept, group in table.items():
                             per_class = Counter(p.class_of[v] for v in bits_of(kept))
@@ -164,6 +165,8 @@ class TestSolveBasics:
             SolveConfig(k=0, mode="nonsense")
         with pytest.raises(ValidationError):
             SolveConfig(k=0, state_budget=0)
+        with pytest.raises(ValidationError):
+            SolveConfig(k=0, mode="auto")
 
 
 class TestSolveAgainstOracle:
@@ -172,9 +175,9 @@ class TestSolveAgainstOracle:
         for _ in range(120):
             g = random_graph(rng.randint(1, 12), rng.choice([0.15, 0.3, 0.5]), rng)
             size, _ = min_fvs_bruteforce(g)
-            s_naive, w_naive = solve_min_fvs(g, SolveConfig(k=0, mode="dp-naive"))
-            s_rank, w_rank = solve_min_fvs(g, SolveConfig(k=0, mode="dp-rank"))
-            assert size == s_naive == s_rank
+            w_naive = solve(g, SolveConfig(k=g.n, mode="dp-naive")).fvs
+            w_rank = solve(g, SolveConfig(k=g.n, mode="dp-rank")).fvs
+            assert size == len(w_naive) == len(w_rank)
             for witness in (w_naive, w_rank):
                 keep = [v for v in range(g.n) if v not in set(witness)]
                 sub, _, _ = induced_subgraph(g, keep)
@@ -185,17 +188,17 @@ class TestSolveAgainstOracle:
             objs = random_udg(6 + seed % 12, [0.05, 0.2, 0.5][seed % 3], seed)
             g = build_intersection_graph(objs)
             size, _ = min_fvs_bruteforce(g)
-            assert solve_min_fvs(g, SolveConfig(k=0, mode="dp-naive"))[0] == size
-            assert solve_min_fvs(g, SolveConfig(k=0, mode="dp-rank"))[0] == size
+            assert len(solve(g, SolveConfig(k=g.n, mode="dp-naive")).fvs) == size
+            assert len(solve(g, SolveConfig(k=g.n, mode="dp-rank")).fvs) == size
 
     def test_dp_run_on_random_graphs(self):
-        from diskfvs import build_pipeline, dp_run
+        from diskfvs import build_pipeline, dp_run, greedy_partition
 
         rng = random.Random(52)
         for _ in range(25):
             g = random_graph(rng.randint(2, 10), 0.35, rng)
-            pipe = build_pipeline(g)
-            best, _ = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive")
+            pipe = build_pipeline(g, greedy_partition(g))
+            best, _ = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive", max_deletions=g.n)
             assert g.n - best == min_fvs_bruteforce(g)[0]
 
     def test_join_heavy_decompositions(self):
@@ -214,12 +217,12 @@ class TestSolveAgainstOracle:
             cg = contract(g, part)
             bg = blowup(cg)
             td2 = graft_leaf_bags(project(decompose_unweighted(bg.graph), bg), rng)
-            assert validate_decomposition(td2, cg.base).ok
+            validate_decomposition(td2, cg.base)
             nd = make_nice(td2)
             joins_seen += sum(1 for k in nd.kind if k == JOIN)
             oracle_min, _ = min_fvs_bruteforce(g)
             for mode in ("dp-naive", "dp-rank"):
-                best, tables = dp_run(nd, g, part, mode=mode)
+                best, tables = dp_run(nd, g, part, mode=mode, max_deletions=g.n)
                 assert g.n - best == oracle_min
                 assert len(reconstruct(tables, nd, g, part)) == oracle_min
         assert joins_seen > 100
@@ -261,8 +264,8 @@ class TestPipeline:
             bags=tuple(map(frozenset, ((), (0,), (0, 1), (1,), (0, 1), (0,), ()))),
             children=((1,), (2,), (3,), (4,), (5,), (6,), ()),
         )
-        report = validate_decomposition(nd.to_tree_decomposition(), path_graph(2))
-        assert any("subtree" in v for v in report.violations)
+        with pytest.raises(ValidationError, match="subtree"):
+            validate_decomposition(nd.to_tree_decomposition(), path_graph(2))
 
 
 class TestDenseUdg:
@@ -379,16 +382,18 @@ class TestPruning:
         assert pruned > 0
 
     def test_dp_run_floor(self):
-        from diskfvs import build_pipeline, connected_components, dp_run, reconstruct
+        from diskfvs import (
+            build_pipeline, connected_components, dp_run, greedy_partition, reconstruct,
+        )
 
         refuted = 0
         for seed in range(4):
             peeled = peel_degree_one(build_intersection_graph(random_udg(60, 1.0, seed)))
             for comp in connected_components(peeled.reduced):
                 g, _, _ = induced_subgraph(peeled.reduced, comp)
-                pipe = build_pipeline(g)
+                pipe = build_pipeline(g, greedy_partition(g))
                 nd, p = pipe.nice, pipe.partition
-                best, _ = dp_run(nd, g, p, mode="dp-naive")
+                best, _ = dp_run(nd, g, p, mode="dp-naive", max_deletions=g.n)
                 minimum = g.n - best
                 for mode in ("dp-naive", "dp-rank"):
                     got, tables = dp_run(nd, g, p, mode=mode, max_deletions=minimum)
@@ -571,7 +576,7 @@ class TestCoverCliques:
         assert min_fvs_bruteforce(g)[0] == 1
         nd = build_pipeline(g, p).nice
         for mode in ("dp-naive", "dp-rank"):
-            for k in (None, 1, 2):
+            for k in (g.n, 1, 2):
                 best, tables = dp_run(nd, g, p, mode=mode, max_deletions=k)
                 assert best == 6, (mode, k)
                 assert len(reconstruct(tables, nd, g, p)) == 1
