@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass
 
+from .errors import InputError
 from .geometry import build_intersection_graph, random_udg
 from .solver import SolveConfig, solve
 
@@ -41,7 +42,15 @@ class BenchReport:
 
 
 def run_sweep(n_values: list[int], densities: list[float], seeds: int) -> BenchReport:
-    """Generate and solve one UDG per (n, density, seed)."""
+    """Generate and solve one UDG per (n, density, seed).
+
+    A bad seed count, n or density raises InputError before the first solve.
+    """
+    if seeds < 1:
+        raise InputError(f"need seeds >= 1, got {seeds}")
+    for n in n_values:
+        for density in densities:
+            random_udg(n, density, 0)  # random_udg alone says which values are valid
     rows: list[dict] = []
     for n in sorted(n_values):
         for density in sorted(densities):

@@ -36,9 +36,12 @@ def _load_instance(path: str) -> Graph:
 def _list_arg(text: str, kind) -> list:
     """A comma-separated list of kind (int or float) values."""
     try:
-        return [kind(x) for x in text.split(",") if x.strip()]
+        values = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise InputError(f"bad list {text!r}: {exc}") from exc
+    if not values:
+        raise InputError(f"bad list {text!r}: no values")
+    return values
 
 
 def _cmd_gen(args) -> int:

@@ -156,8 +156,8 @@ def random_udg(n: int, density: float, seed: int) -> ObjectSet:
     """n unit-diameter disks uniform in a square of side sqrt(n/density)."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    if density <= 0:
-        raise InputError(f"need density > 0, got {density}")
+    if not 0 < density < math.inf:  # nan fails both comparisons
+        raise InputError(f"need finite density > 0, got {density}")
     rng = random.Random(seed)
     side = math.sqrt(n / density)
     disks = tuple(_unit_disk(rng.random() * side, rng.random() * side) for _ in range(n))

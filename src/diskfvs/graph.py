@@ -1,9 +1,10 @@
 """Immutable undirected simple graphs and cycle-free preprocessing.
 
 Vertex ids are dense 0-based integers. Adjacency lists are sorted tuples,
-kept symmetric, with no loops or parallel edges. induced_subgraph relies on
-these invariants: it renumbers g's lists in place of rebuilding them from
-an edge list, so its result is sorted, symmetric and simple because g is.
+kept symmetric, with no loops or parallel edges. has_edge bisects them, and
+induced_subgraph relies on these invariants: it renumbers g's lists in place
+of rebuilding them from an edge list, so its result is sorted, symmetric and
+simple because g is.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError
 
@@ -24,16 +24,13 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
     m: int
 
-    @cached_property
-    def _nbr(self) -> tuple[frozenset[int], ...]:
-        """Neighbour sets, built on the first has_edge or neighbors call."""
-        return tuple(frozenset(a) for a in self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr[u]
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._nbr[v]
+        return frozenset(self.adj[v])
 
     def edges(self):
         """Yield each edge once as (u, v) with u < v, sorted."""

@@ -2,10 +2,9 @@
 
 It is deliberately naive: subset enumeration with union-find forest
 checks. The acceptance tests, `diskfvs oracle` and `diskfvs compare`
-cross-validate the DP against it, and solve falls back on it when the DP
-exceeds its state budget on a component of at most MAX_N vertices.
-min_fvs_bruteforce refuses a graph of more than max_n vertices (default
-MAX_N). Clarity wins over speed here.
+cross-validate the DP against it; solve never calls it. min_fvs_bruteforce
+refuses a graph of more than max_n vertices (default MAX_N). Clarity wins
+over speed here.
 """
 
 from __future__ import annotations

@@ -70,7 +70,8 @@ from .graph import (
     is_forest,
     peel_degree_one,
 )
-from .oracle import MAX_N, min_fvs_bruteforce
+# perfbench/tracer.py wraps solver.min_fvs_bruteforce, so the name stays
+from .oracle import min_fvs_bruteforce  # noqa: F401
 from .partition import (
     ContractedGraph,
     KappaPartition,
@@ -85,6 +86,9 @@ from .reduction import Kept, Partition, RepresentativeTable, bits_of, rank_reduc
 
 MODES = ("dp-naive", "dp-rank")
 
+# solve raises ResourceError before the DP on a component whose weighted
+# width exceeds the cap: the state count grows exponentially in the width,
+# so such a DP would only spend its state budget before raising anyway
 WIDTH_SAFETY_CAP = 64
 STATE_BUDGET = 50_000_000
 
@@ -408,56 +412,19 @@ def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     return [(sub, build_pipeline(sub, greedy_partition(sub))) for sub in subs]
 
 
-def _solve_component(
-    gc: Graph,
-    pipe: Pipeline,
-    mode: str,
-    state_budget: int,
-    max_deletions: int,
-    stats: dict[str, Any],
-) -> tuple[frozenset[int] | None, bool]:
-    """Minimum deletion set for one peeled component.
-
-    The set is None when the DP proved the minimum exceeds max_deletions.
-    The flag is True when the oracle found the set, which it does only
-    after the DP exceeded the state budget on a component small enough for
-    it. A weighted width above WIDTH_SAFETY_CAP raises ResourceError before
-    the DP starts: the width is at most the vertex count, so such a
-    component has more vertices than the oracle takes.
-    """
-    w = pipe.weighted_width
-    if w > WIDTH_SAFETY_CAP:
-        raise ResourceError(
-            f"weighted width {w} exceeds safety cap {WIDTH_SAFETY_CAP} "
-            f"on a component of {gc.n} vertices"
-        )
-    try:
-        best, tables = dp_run(
-            pipe.nice, gc, pipe.partition, mode, max_deletions, state_budget, stats
-        )
-    except ResourceError:
-        if gc.n > MAX_N:
-            raise
-        _, witness = min_fvs_bruteforce(gc)
-        return witness, True
-    if best is None:
-        return None, False
-    return reconstruct(tables, pipe.nice, gc, pipe.partition), False
-
-
 def solve(g: Graph, cfg: SolveConfig) -> Solution:
     """Decide whether g has a feedback vertex set of size <= cfg.k.
 
     Exact for every input graph. Every mode runs the same pipeline and
-    fills the same stats keys. A "no" comes from the DP, the oracle, or
-    the clique-packing bound, whose cliques (original vertex ids) are
-    checked against g and returned in stats["cliques"] (empty otherwise).
-    The oracle solves a component only when the DP exceeded the state
-    budget on it (see _solve_component). A returned "yes"
-    always carries a witness re-verified against the original graph by one
-    is_forest pass, timed as stats["timings"]["verify"]. Its
-    certificate is "oracle" when the oracle solved some component and "dp"
-    otherwise, also when packing_completion solved every component.
+    fills the same stats keys. A "no" comes from the DP or the
+    clique-packing bound, whose cliques (original vertex ids) are checked
+    against g and returned in stats["cliques"] (empty otherwise). A
+    returned "yes" always carries a witness re-verified against the
+    original graph by one is_forest pass, timed as
+    stats["timings"]["verify"]. Its certificate is "dp", also when
+    packing_completion solved every component. A component whose weighted
+    width exceeds WIDTH_SAFETY_CAP, or whose DP exceeds cfg.state_budget,
+    raises ResourceError, whatever its size.
 
     Components are solved smallest first, each with a budget: the
     deletions left once the solved components' minima and the other
@@ -512,7 +479,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     # budget of the larger, costlier DPs that follow
     components.sort(key=lambda c: c[0].n, reverse=True)
     deleted_reduced: set[int] = set()
-    used_oracle = refuted = False
+    refuted = False
     # stop once the minima so far plus the bounds still to come exceed k
     while components and len(deleted_reduced) + rest <= cfg.k:
         sub, old_of_new, part, bound = components.pop()
@@ -526,16 +493,22 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
         else:
             pipe = build_pipeline(sub, part)
             stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
+            if pipe.weighted_width > WIDTH_SAFETY_CAP:
+                raise ResourceError(
+                    f"weighted width {pipe.weighted_width} exceeds safety cap "
+                    f"{WIDTH_SAFETY_CAP} on a component of {sub.n} vertices"
+                )
             # the loop condition gives budget >= bound, and ub - 1 >= bound here
             # unless bound = budget = 0, so max_deletions >= 0
-            deleted, oracle = _solve_component(
-                sub, pipe, cfg.mode, cfg.state_budget, min(budget, ub - 1), stats,
+            best, tables = dp_run(
+                pipe.nice, sub, part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
             )
-            used_oracle = used_oracle or oracle
-            if deleted is None:
-                if ub > budget:
-                    refuted = True
-                    break
+            if best is not None:
+                deleted = reconstruct(tables, pipe.nice, sub, part)
+            elif ub > budget:
+                refuted = True
+                break
+            else:
                 deleted = greedy  # the DP proved no smaller set exists
                 stats["greedy_optimal"] += 1
         deleted_reduced.update(old_of_new[v] for v in deleted)
@@ -553,10 +526,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             timings["verify"] = time.perf_counter() - t2
     timings["total"] = time.perf_counter() - t0
     stats["timings"] = timings
-    if stats["cliques"]:
-        certificate = "clique-packing"
-    else:
-        certificate = "oracle" if used_oracle else "dp"
+    certificate = "clique-packing" if stats["cliques"] else "dp"
     return Solution(
         verdict="no" if fvs is None else "yes", fvs=fvs, certificate=certificate, stats=stats
     )

@@ -249,13 +249,24 @@ class TestBenchCommand:
             assert (row["status"], row["verdict"]) == ("ok", "yes")
             assert row["timings"]["total"] <= row["wall_time"]
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--n-list", "6x"), ("--n-list", "20,,3.5"), ("--density-list", "1.0,dense"),
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param(flag, value, message, id=f"{flag}-{value}") for flag, value, message in [
+            ("--n-list", "6x", "bad list"),
+            ("--n-list", "20,,3.5", "bad list"),
+            ("--density-list", "1.0,dense", "bad list"),
+            ("--n-list", ",", "bad list"),
+            ("--seeds", "-1", "need seeds >= 1"),
+            ("--seeds", "0", "need seeds >= 1"),
+            ("--n-list", "0,-3", "need n >= 1"),
+            ("--density-list", "inf", "need finite density"),
+            ("--density-list", "nan,-1", "need finite density"),
+        ]
     ])
-    def test_malformed_list_exit_two(self, tmp_path, capsys, flag, value):
+    def test_malformed_list_exit_two(self, tmp_path, capsys, flag, value, message):
+        # checked before the first solve: no error rows and no file
         assert main(["bench", flag, value, "--out", str(tmp_path / "b")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad list") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
         assert not (tmp_path / "b.csv").exists()
 
     def test_forest_sweep(self, tmp_path):

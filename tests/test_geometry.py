@@ -185,6 +185,10 @@ class TestGenerators:
             random_udg(0, 0.3, 0)
         with pytest.raises(InputError):
             random_udg(5, 0.0, 0)
+        # an infinite density would put every disk at one point
+        for density in (math.inf, math.nan):
+            with pytest.raises(InputError, match="finite density"):
+                random_udg(20, density, 0)
         with pytest.raises(InputError):
             planted_yes_instance(-1, 10, 0)
         with pytest.raises(InputError):

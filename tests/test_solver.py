@@ -595,37 +595,23 @@ class TestThresholds:
         assert sol.stats["bound_solved"] == 0
         assert sol.certificate == "dp"
 
-    def test_width_safety_cap_skips_the_oracle(self, monkeypatch):
-        # one 16-vertex component that the packing completion leaves to the
-        # DP, small enough for the oracle: the cap still raises, as it does
-        # on every component whose width can exceed the real cap
-        g = build_intersection_graph(random_udg(16, 1.0, 0))
-        size, _ = min_fvs_bruteforce(g)
-
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("oracle called")
-
-        monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
-        monkeypatch.setattr("diskfvs.solver.min_fvs_bruteforce", no_oracle)
-        with pytest.raises(ResourceError, match="safety cap"):
-            solve(g, SolveConfig(k=size, mode="dp-rank"))
-
     def test_width_safety_cap_resource_error(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
-        rng = random.Random(60)
-        g = random_graph(24, 0.5, rng)
-        with pytest.raises(ResourceError):
-            solve(g, SolveConfig(k=g.n, mode="dp-rank"))
+        # the first has one 16-vertex component that the packing completion
+        # leaves to the DP: the cap raises however small the component
+        for g in (build_intersection_graph(random_udg(16, 1.0, 0)),
+                  random_graph(24, 0.5, random.Random(60))):
+            with pytest.raises(ResourceError, match="safety cap"):
+                solve(g, SolveConfig(k=g.n, mode="dp-rank"))
 
-    def test_state_budget_oracle_fallback(self):
+    def test_state_budget_raises_on_a_small_component(self):
         # one 10-vertex component whose DP, pruned against the greedy set,
-        # still examines more than 10 states
+        # still examines more than 10 states: the trip raises, however
+        # small the component
         g = build_intersection_graph(random_udg(16, 1.0, 10))
         size, _ = min_fvs_bruteforce(g)
-        sol = solve(g, SolveConfig(k=size, mode="dp-rank", state_budget=10))
-        assert sol.stats["bound_solved"] == 0
-        assert sol.certificate == "oracle"
-        assert sol.verdict == "yes" and len(sol.fvs) <= size
+        with pytest.raises(ResourceError, match="state budget"):
+            solve(g, SolveConfig(k=size, mode="dp-rank", state_budget=10))
 
     def test_state_budget_resource_error(self):
         rng = random.Random(61)
