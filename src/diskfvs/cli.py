@@ -18,7 +18,7 @@ from .errors import DiskFvsError, InputError
 from .fileio import parse_instance, serialize_graph, serialize_objects
 from .geometry import build_intersection_graph, planted_yes_instance, random_udg
 from .graph import Graph
-from .oracle import MAX_N, min_fvs_bruteforce
+from .oracle import min_fvs_bruteforce
 from .solver import MODES, STATE_BUDGET, SolveConfig, component_pipelines, solve
 
 SCHEMA_VERSION = 1
@@ -91,7 +91,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_instance(args.input)
-    size, witness = min_fvs_bruteforce(g, args.max_n)
+    SolveConfig(k=args.k)  # refuses a negative k as solve does
+    size, witness = min_fvs_bruteforce(g)
     verdict = "yes" if size <= args.k else "no"
     if args.json:
         payload = {
@@ -190,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exhaustive reference solver")
     p_oracle.add_argument("input")
     p_oracle.add_argument("--k", type=int, required=True)
-    p_oracle.add_argument("--max-n", type=int, default=MAX_N, help="size budget")
     p_oracle.add_argument("--json", action="store_true")
     p_oracle.set_defaults(func=_cmd_oracle)
 

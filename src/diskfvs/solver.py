@@ -31,9 +31,11 @@ k.
 
 DP state at a nice-decomposition node: the vertices kept in the bag's
 classes (at most two per cover clique: local_selections) as a bitmask over
-the component's vertex ids, the partition of those vertices into connected
-pieces of the partial forest as the sorted tuple of its block masks, and
-the total number of vertices kept so far (maximized). Edges are committed
+the component's vertex ids, and the partition of those vertices into
+connected pieces of the partial forest as the sorted tuple of its block
+masks. Each state's row is (value, forest): forest is the bitmask of every
+vertex the partial forest keeps in the node's subtree, and value, its size,
+is maximized. The root row's forest is the witness. Edges are committed
 when the later of their two classes is introduced: each new vertex closes
 a cycle when two of its kept neighbours share a block, and otherwise
 merges the blocks it touches. At join nodes both branches have committed
@@ -121,9 +123,9 @@ class Solution:
     stats: dict[str, Any] = field(default_factory=dict, compare=False)
 
 
-# (value, backref); the backref is the child row's (kept, partition) at
-# introduce and forget nodes, (left, right) partitions at joins, None at leaves
-_Row = tuple[int, Any]
+# (value, forest): the mask of the vertices kept in the node's subtree, and
+# value == forest.bit_count()
+_Row = tuple[int, int]
 # kept mask -> partition (sorted block masks) -> row
 _Table = dict[Kept, dict[Partition, _Row]]
 
@@ -139,9 +141,14 @@ def dp_run(
 ) -> tuple[int | None, list[_Table]]:
     """Maximum induced forest size over the nice decomposition.
 
-    Returns the optimum and the per-node tables (with backrefs) for
-    reconstruction. Tables are keyed by kept mask, the bits of the kept
-    vertices' ids, then by partition, the sorted tuple of its block masks.
+    Returns the optimum and the per-node tables. Tables are keyed by kept
+    mask, the bits of the kept vertices' ids, then by partition, the sorted
+    tuple of its block masks. A row is (value, forest): forest is the mask
+    of the vertices kept in the node's subtree and value its size. A join's
+    branches share only the bag's kept vertices (the subtree property
+    keeps every other class on one side), which its value counts once, so
+    value == forest.bit_count() in every row, and the root row's forest is
+    a maximum induced forest.
     The state count is exponential in the weighted width; state_budget
     caps the number of candidate states examined and raises ResourceError
     beyond it rather than grinding on an infeasible instance.
@@ -198,7 +205,7 @@ def dp_run(
         kind = nd.kind[node]
         table: _Table = {}
         if kind == LEAF:
-            table[0] = {(): (0, None)}
+            table[0] = {(): (0, 0)}
         elif kind == INTRODUCE:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
@@ -224,7 +231,7 @@ def dp_run(
                         nbrs = nbr_mask[x] & seen
                         steps.append((1 << x, nbrs, nbrs.bit_count()))
                         seen |= 1 << x
-                    for part_c, (value, _) in group.items():
+                    for part_c, (value, forest) in group.items():
                         if value < need:
                             pruned += 1
                             continue
@@ -247,11 +254,11 @@ def dp_run(
                                 out = table[kept_n] = {}
                             old = out.get(part_n)
                             if old is None or value + gain > old[0]:
-                                out[part_n] = (value + gain, (kept_c, part_c))
+                                out[part_n] = (value + gain, forest | sel_mask)
         elif kind == FORGET:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
-            cap[node] = cap[child]  # the row values do not change either
+            cap[node] = cap[child]  # rows pass up unchanged
             keep = ~class_mask[v_cl]
             for kept_c, group in tables[child].items():
                 charge(len(group))
@@ -259,7 +266,7 @@ def dp_run(
                 out = table.get(kept_n)
                 if out is None:
                     out = table[kept_n] = {}
-                for part_c, (value, _) in group.items():
+                for part_c, row in group.items():
                     if kept_n == kept_c:  # the class kept nothing
                         part_n = part_c
                     else:
@@ -267,8 +274,8 @@ def dp_run(
                         masked.discard(0)
                         part_n = tuple(sorted(masked))
                     old = out.get(part_n)
-                    if old is None or value > old[0]:
-                        out[part_n] = (value, (kept_c, part_c))
+                    if old is None or row[0] > old[0]:
+                        out[part_n] = row
         elif kind == JOIN:
             left, right = nd.children[node]
             # the bag's classes are in both subtrees
@@ -286,13 +293,13 @@ def dp_run(
                 charge(len(lgroup) * len(rgroup))
                 best_r = max(row[0] for row in rgroup.values()) if floor > 0 else 0
                 out = None
-                for part_l, (val_l, _) in lgroup.items():
+                for part_l, (val_l, forest_l) in lgroup.items():
                     # val_l >= s, so need <= 0 while floor <= 0
                     need = floor + s - val_l  # the least right value that survives
                     if best_r < need:
                         pruned += len(rgroup)
                         continue
-                    for part_r, (val_r, _) in rgroup.items():
+                    for part_r, (val_r, forest_r) in rgroup.items():
                         if val_r < need:
                             pruned += 1
                             continue
@@ -314,7 +321,7 @@ def dp_run(
                         old = out.get(part_n)
                         value = val_l + val_r - s
                         if old is None or value > old[0]:
-                            out[part_n] = (value, (part_l, part_r))
+                            out[part_n] = (value, forest_l | forest_r)
         else:
             raise InternalError(f"unknown nice node kind {kind!r}")
 
@@ -331,34 +338,16 @@ def dp_run(
     return (None if root is None else root[0]), tables
 
 
-def reconstruct(
-    tables: list[_Table], nd: NiceDecomposition, g: Graph, p: KappaPartition
-) -> frozenset[int]:
-    """Trace backrefs from the root optimum to a verified deletion set."""
-    chosen: dict[int, int] = {}  # class -> mask of its kept vertices
-    stack: list[tuple[int, Kept, Partition]] = [(nd.root, 0, ())]
-    while stack:
-        node, kept, part = stack.pop()
-        back = tables[node][kept][part][1]
-        kind = nd.kind[node]
-        if kind == INTRODUCE:
-            v_cl = nd.vtx[node]
-            sel = kept & sum(1 << v for v in p.classes[v_cl])
-            if chosen.setdefault(v_cl, sel) != sel:
-                raise InternalError(f"inconsistent selection for class {v_cl}")
-            stack.append((nd.children[node][0], *back))
-        elif kind == FORGET:
-            stack.append((nd.children[node][0], *back))
-        elif kind == JOIN:
-            part_l, part_r = back
-            left, right = nd.children[node]
-            stack.append((left, kept, part_l))
-            stack.append((right, kept, part_r))
-    survivors = set(bits_of(sum(chosen.values())))  # the classes are disjoint
-    deleted = frozenset(range(g.n)) - survivors
+def reconstruct(tables: list[_Table], nd: NiceDecomposition, g: Graph) -> frozenset[int]:
+    """The vertices outside the root row's forest, a minimum deletion set.
+
+    Only the root row is read. The set is checked to leave a forest in g
+    and to have g.n - value vertices, the row's own invariant.
+    """
+    best_value, forest = tables[nd.root][0][()]
+    deleted = frozenset(range(g.n)).difference(bits_of(forest))
     if not is_forest(g, deleted):
         raise InternalError("reconstructed kept set does not induce a forest")
-    best_value = tables[nd.root][0][()][0]
     if len(deleted) != g.n - best_value:
         raise InternalError(
             f"reconstructed deletion size {len(deleted)} != {g.n - best_value}"
@@ -504,7 +493,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
                 pipe.nice, sub, part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
             )
             if best is not None:
-                deleted = reconstruct(tables, pipe.nice, sub, part)
+                deleted = reconstruct(tables, pipe.nice, sub)
             elif ub > budget:
                 refuted = True
                 break

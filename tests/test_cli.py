@@ -165,7 +165,12 @@ class TestOracleCommand:
 
     def test_budget_refusal_exit_two(self, tmp_path):
         path = write_graph(tmp_path, path_graph(24))
-        assert main(["oracle", path, "--k", "1", "--max-n", "20"]) == 2
+        assert main(["oracle", path, "--k", "1"]) == 2
+
+    def test_negative_k_exit_two(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle_graph(5))
+        assert main(["oracle", path, "--k", "-1"]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 0, got -1\n"
 
 
 class TestValidateCommand:

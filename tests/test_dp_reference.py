@@ -4,8 +4,9 @@ The reference below is the DP as it was before rows became bitmasks: a kept
 set was the sorted tuple of its vertices, a partition a tuple of block
 labels by position, and introduce and join ran a list-based union-find.
 The state budget is left out. Both versions must agree on the root value,
-the pruned rows, every table's rows (values, backrefs and order) and the
-reconstructed witness.
+the pruned rows, every table's rows (values, forests and order) and the
+reconstructed witness. A reference row's forest is read off its backrefs,
+bottom-up (reference_forests).
 """
 
 import random
@@ -194,26 +195,48 @@ def blocks_mask(kept, part):
     return tuple(sorted(blocks.values()))
 
 
-def as_masks(table, kind):
-    """A reference table in mask coding, backrefs and order included, as
-    (kept, [(partition, row)]) pairs."""
-    out = []
-    for kept, group in table.items():
-        rows = []
-        for part, (value, back) in group.items():
-            if kind == JOIN:
-                back = (blocks_mask(kept, back[0]), blocks_mask(kept, back[1]))
-            elif back is not None:
-                back = (sum(1 << v for v in back[0]), blocks_mask(*back))
-            rows.append((blocks_mask(kept, part), (value, back)))
-        out.append((sum(1 << v for v in kept), rows))
-    return out
+def reference_forests(tables, nd):
+    """Per node, each reference row's forest mask, (kept, part) -> mask,
+    built bottom-up from its backrefs: a leaf keeps nothing, introduce adds
+    the kept vertices to its child row's forest, forget passes it up and a
+    join unites its two rows' forests."""
+    forests = [{} for _ in tables]
+    for node in range(len(tables) - 1, -1, -1):
+        kind = nd.kind[node]
+        for kept, group in tables[node].items():
+            for part, (_, back) in group.items():
+                if kind == LEAF:
+                    forest = 0
+                elif kind == JOIN:
+                    left, right = nd.children[node]
+                    forest = forests[left][kept, back[0]] | forests[right][kept, back[1]]
+                else:
+                    forest = forests[nd.children[node][0]][back]
+                    if kind == INTRODUCE:
+                        forest |= sum(1 << v for v in kept)
+                forests[node][kept, part] = forest
+    return forests
+
+
+def as_masks(table, forests):
+    """A reference table in mask coding, its rows (value, forest) and its
+    order included, as (kept, [(partition, row)]) pairs."""
+    return [
+        (
+            sum(1 << v for v in kept),
+            [
+                (blocks_mask(kept, part), (value, forests[kept, part]))
+                for part, (value, _) in group.items()
+            ],
+        )
+        for kept, group in table.items()
+    ]
 
 
 def assert_same_dp(nd, g, p):
     """Both DPs in both modes, with no floor and with the floor set at the
     minimum and one below it. The tables must match row for row, in the
-    same order and with the same backrefs. The reference spells "no floor"
+    same order and with the same forests. The reference spells "no floor"
     as max_deletions None, dp_run as g.n."""
     minimum = g.n - reference_dp_run(nd, g, p, "dp-naive")[0]
     for mode in ("dp-naive", "dp-rank"):
@@ -227,12 +250,13 @@ def assert_same_dp(nd, g, p):
             assert got == want
             assert stats.get("pruned_rows", 0) == ref_pruned
             assert len(tables) == len(ref_tables)
+            ref_forests = reference_forests(ref_tables, nd)
             for node, (table, ref) in enumerate(zip(tables, ref_tables)):
                 assert sum(map(len, table.values())) == sum(map(len, ref.values())), node
                 got_rows = [(kept, list(group.items())) for kept, group in table.items()]
-                assert got_rows == as_masks(ref, nd.kind[node]), node
+                assert got_rows == as_masks(ref, ref_forests[node]), node
             if got is not None:
-                assert reconstruct(tables, nd, g, p) == reference_reconstruct(ref_tables, nd, g, p)
+                assert reconstruct(tables, nd, g) == reference_reconstruct(ref_tables, nd, g, p)
 
 
 @pytest.mark.parametrize("density", [1.0, 1.5, 2.0])

@@ -120,12 +120,37 @@ class TestDpRun:
                             per_class = Counter(p.class_of[v] for v in bits_of(kept))
                             assert set(per_class) <= nd.bags[node]
                             assert max(per_class.values(), default=0) <= 2
-                            for part in group:
+                            for part, (value, forest) in group.items():
                                 # nonempty disjoint blocks, sorted, covering kept
                                 assert all(part) and list(part) == sorted(part)
                                 assert sum(part) == kept
                                 assert sum(b.bit_count() for b in part) == kept.bit_count()
-                    assert len(reconstruct(tables, nd, g, p)) == g.n - best
+                                # the row's forest holds the kept vertices
+                                assert forest & kept == kept
+                                assert value == forest.bit_count()
+                    assert len(reconstruct(tables, nd, g)) == g.n - best
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # keep the whole triangle 0, 1, 2, with the value to match
+            (lambda value, forest: (value + 1, forest | 0b111), "does not induce a forest"),
+            (lambda value, forest: (value - 1, forest), "deletion size"),
+        ],
+    )
+    def test_reconstruct_checks_the_root_row(self, tamper, message):
+        from diskfvs import build_pipeline, dp_run, greedy_partition, reconstruct
+
+        # two triangles sharing vertex 2
+        g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        pipe = build_pipeline(g, greedy_partition(g))
+        best, tables = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive", max_deletions=g.n)
+        root = tables[pipe.nice.root][0]
+        assert best == 4 and root[()][1] == 0b11011  # all but vertex 2
+        assert reconstruct(tables, pipe.nice, g) == {2}
+        root[()] = tamper(*root[()])
+        with pytest.raises(InternalError, match=message):
+            reconstruct(tables, pipe.nice, g)
 
 
 class TestSolveBasics:
@@ -224,7 +249,7 @@ class TestSolveAgainstOracle:
             for mode in ("dp-naive", "dp-rank"):
                 best, tables = dp_run(nd, g, part, mode=mode, max_deletions=g.n)
                 assert g.n - best == oracle_min
-                assert len(reconstruct(tables, nd, g, part)) == oracle_min
+                assert len(reconstruct(tables, nd, g)) == oracle_min
         assert joins_seen > 100
 
 
@@ -398,7 +423,7 @@ class TestPruning:
                 for mode in ("dp-naive", "dp-rank"):
                     got, tables = dp_run(nd, g, p, mode=mode, max_deletions=minimum)
                     assert got == best
-                    assert len(reconstruct(tables, nd, g, p)) == minimum
+                    assert len(reconstruct(tables, nd, g)) == minimum
                     if minimum == 0:
                         continue
                     stats = {}
@@ -560,7 +585,7 @@ class TestCoverCliques:
                             assert best is None, (seed, mode, k)
                             continue
                         assert best == sub.n - minimum, (seed, mode, k)
-                        assert len(reconstruct(tables, nd, sub, p)) == minimum
+                        assert len(reconstruct(tables, nd, sub)) == minimum
         assert merged >= 40
 
     def test_path_of_two_cliques_beside_a_triangle(self):
@@ -579,7 +604,7 @@ class TestCoverCliques:
             for k in (g.n, 1, 2):
                 best, tables = dp_run(nd, g, p, mode=mode, max_deletions=k)
                 assert best == 6, (mode, k)
-                assert len(reconstruct(tables, nd, g, p)) == 1
+                assert len(reconstruct(tables, nd, g)) == 1
             assert dp_run(nd, g, p, mode=mode, max_deletions=0)[0] is None
 
 
