@@ -22,10 +22,14 @@ every member already in the class. Every class is therefore a clique around
 its seed and its own cover (kappa = 1), and kappa needs no audit. The
 greedy rule does not bound the contraction degree: the friendship graph of
 t triangles on one shared vertex contracts to a star of degree t - 1.
+A clique lies inside one component, so one greedy_partition of a graph
+serves all its components: restrict_partition renumbers the classes inside
+a component into its induced subgraph's ids.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -73,28 +77,57 @@ def greedy_partition(g: Graph) -> KappaPartition:
     """Greedy clique partition seeded in non-increasing degree order."""
     if g.n == 0:
         raise ValidationError("cannot partition the empty graph")
-    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    # a stable sort keeps equal degrees in id order, reverse=True included
+    order = sorted(range(g.n), key=[len(a) for a in g.adj].__getitem__, reverse=True)
     position = [0] * g.n
     for pos, v in enumerate(order):
         position[v] = pos
     class_of = [-1] * g.n
     classes: list[tuple[int, ...]] = []
+    has_edge = g.has_edge
     for v in order:
         if class_of[v] != -1:
             continue
         idx = len(classes)
-        members = [v]
         class_of[v] = idx
         candidates = [w for w in g.adj[v] if class_of[w] == -1]
-        for w in sorted(candidates, key=position.__getitem__):
-            if all(g.has_edge(w, u) for u in members):
-                members.append(w)
+        if len(candidates) > 1:
+            candidates.sort(key=position.__getitem__)
+        # every candidate is the seed's neighbour: test only the others
+        joined: list[int] = []
+        for w in candidates:
+            if all(has_edge(w, u) for u in joined):
+                joined.append(w)
                 class_of[w] = idx
-        classes.append(tuple(sorted(members)))
+        joined.append(v)
+        classes.append(tuple(sorted(joined)))
     return KappaPartition(
         classes=tuple(classes),
         class_of=tuple(class_of),
         clique_cover=tuple((cls,) for cls in classes),
+    )
+
+
+def restrict_partition(p: KappaPartition, class_ids, new_of_old) -> KappaPartition:
+    """The classes class_ids of p, renumbered through new_of_old.
+
+    With class_ids the classes inside one component of p's graph, in p's
+    order, and new_of_old the component's induced_subgraph renumbering,
+    this is the component's partition. Renumbering keeps id order, so a
+    greedy_partition of the whole graph restricts to the greedy_partition
+    of each component.
+    """
+    classes = []
+    covers = []
+    class_of = [0] * len(new_of_old)
+    for j, i in enumerate(class_ids):
+        cls = tuple([new_of_old[v] for v in p.classes[i]])
+        for v in cls:
+            class_of[v] = j
+        classes.append(cls)
+        covers.append(tuple(tuple([new_of_old[v] for v in q]) for q in p.clique_cover[i]))
+    return KappaPartition(
+        classes=tuple(classes), class_of=tuple(class_of), clique_cover=tuple(covers)
     )
 
 
@@ -141,37 +174,56 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
     trees of the forest they leave, one union-find over that forest's
     edges. A vertex left deleted closes a cycle, and later put-backs only
     join trees, so no single vertex of the result can be put back.
+
+    Each step acts inside one component of g, and the put-back pass leaves
+    a minimum unchanged, so on a disjoint union the set restricted to each
+    component is the one a call on that component alone returns (with its
+    partition's classes inside it, renumbered in id order).
     """
+    adj = g.adj
     kept = [True] * g.n
-    degree = [len(nbrs) for nbrs in g.adj]  # counts kept neighbors only
+    degree = [len(nbrs) for nbrs in adj]  # counts kept neighbors only
     leaves = [v for v in range(g.n) if degree[v] <= 1]
 
     def drop(v: int) -> None:
         kept[v] = False
-        for w in g.adj[v]:
+        for w in adj[v]:
             if kept[w]:
                 degree[w] -= 1
                 if degree[w] == 1:
                     leaves.append(w)
 
-    deleted: list[int] = []
-    for q in packing_cliques(p):
-        for v in sorted(q, key=lambda v: (len(g.adj[v]), v))[KEEP_PER_CLIQUE:]:
-            deleted.append(v)
-            drop(v)
-    left = range(g.n)
-    while True:
+    def peel() -> None:
         while leaves:
             v = leaves.pop()
             if kept[v]:
                 drop(v)
-        left = [v for v in left if kept[v]]
-        if not left:
-            break
-        # every kept vertex now has degree >= 2, so they hold a cycle
-        v = max(left, key=lambda v: (degree[v], -v))
+
+    def by_degree(v: int) -> tuple[int, int]:
+        return len(adj[v]), v
+
+    deleted: list[int] = []
+    for q in packing_cliques(p):
+        for v in sorted(q, key=by_degree)[KEEP_PER_CLIQUE:]:
+            deleted.append(v)
+            drop(v)
+    peel()
+    # a lazy max-heap on (degree, -id) over the kept vertices: degrees only
+    # fall, so an entry's degree is at least its vertex's, and a stale entry
+    # popped is pushed back corrected
+    heap = [(-degree[v], v) for v in range(g.n) if kept[v]]
+    heapq.heapify(heap)
+    while heap:
+        neg, v = heapq.heappop(heap)
+        if not kept[v]:
+            continue
+        if -neg != degree[v]:
+            heapq.heappush(heap, (-degree[v], v))
+            continue
+        # every kept vertex has degree >= 2, so they hold a cycle
         deleted.append(v)
         drop(v)
+        peel()
     if len(deleted) <= max(packing_bound(p), 1):
         return frozenset(deleted)  # a minimum: nothing can be put back
     out = [False] * g.n
@@ -181,8 +233,8 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
     for u, v in g.edges():
         if not (out[u] or out[v]):
             parent[uf_find(parent, u)] = uf_find(parent, v)
-    for v in sorted(deleted, key=lambda v: (len(g.adj[v]), v)):
-        nbrs = [w for w in g.adj[v] if not out[w]]
+    for v in sorted(deleted, key=by_degree):
+        nbrs = [w for w in adj[v] if not out[w]]
         roots = {uf_find(parent, w) for w in nbrs}
         if len(roots) == len(nbrs):
             out[v] = False

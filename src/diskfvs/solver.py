@@ -1,19 +1,23 @@
 """End-to-end feedback vertex set decision and search.
 
-Pipeline: peel degree <= 1 vertices, split into components, partition each
-component into cliques, contract to the weighted class graph, decompose via
-blowup and projection, then run the clique-constrained connectivity DP over
-the nice decomposition. Right after partitioning, the disjoint cover
-cliques q of the classes give a proven lower bound, sum(max(0, |q| - 2))
-(partition.packing_bound). When that exceeds k the answer is "no" with the
-cliques as a certificate anyone can check. partition.packing_completion
-gives every component a feedback vertex set from above: it deletes all but
-the two lowest-degree vertices of each clique of more than two vertices,
-then breaks the cycles left greedily, then puts back every deleted vertex
-that closes no cycle, so no vertex of the set is redundant. When that set
+Pipeline: peel degree <= 1 vertices, split into components, partition the
+peeled graph into cliques, contract each component to its weighted class
+graph, decompose via blowup and projection, then run the clique-constrained
+connectivity DP over the nice decomposition. The front end runs once on the
+whole peeled graph, not per component: a class is a clique, so it lies in
+one component, and the whole-graph partition restricted to a component is
+that component's own. Right after partitioning, the disjoint cover cliques
+q of the classes give a proven lower bound, sum(max(0, |q| - 2))
+(partition.packing_bound), split by component. When that exceeds k the
+answer is "no" with the cliques as a certificate anyone can check.
+partition.packing_completion, also run once, gives every component a
+feedback vertex set from above: it deletes all but the two lowest-degree
+vertices of each clique of more than two vertices, then breaks the cycles
+left greedily, then puts back every deleted vertex that closes no cycle,
+so no vertex of the set is redundant. When a component's share of that set
 has ub <= max(LB, 1) vertices, LB the component's bound, it is a minimum
 (a peeled component holds a cycle), and when it also fits the component's
-share of k the component needs no decomposition and no DP.
+share of k the component needs no subgraph, no decomposition and no DP.
 
 The two bounds prune every DP. A component C has budget = k - done - rest,
 where done sums the exact minima of the components already solved and rest
@@ -75,6 +79,7 @@ from .graph import (
 # perfbench/tracer.py wraps solver.min_fvs_bruteforce, so the name stays
 from .oracle import min_fvs_bruteforce  # noqa: F401
 from .partition import (
+    KEEP_PER_CLIQUE,
     ContractedGraph,
     KappaPartition,
     contract,
@@ -83,6 +88,7 @@ from .partition import (
     packing_bound,
     packing_cliques,
     packing_completion,
+    restrict_partition,
 )
 from .reduction import Kept, Partition, RepresentativeTable, bits_of, rank_reduce
 
@@ -386,19 +392,48 @@ def build_pipeline(gc: Graph, part: KappaPartition) -> Pipeline:
     return Pipeline(partition=part, contracted=cg, nice=nd, weighted_width=w)
 
 
+def _partition_components(gp: Graph):
+    """Split the peeled graph gp into its components, partitioned once.
+
+    Returns (comps, comp_of, part, class_ids): the connected_components of
+    gp, each vertex's component index, the greedy_partition of all of gp
+    (None when gp is empty) and the ids of the classes inside each
+    component, in part's order. Classes are cliques, so none spans two
+    components, and restrict_partition(part, class_ids[i], new_of_old)
+    equals greedy_partition of component i's induced_subgraph.
+    """
+    comps = connected_components(gp)
+    comp_of = [0] * gp.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    class_ids: list[list[int]] = [[] for _ in comps]
+    part = None
+    if comps:
+        part = greedy_partition(gp)
+        for i, cls in enumerate(part.classes):
+            class_ids[comp_of[cls[0]]].append(i)
+    return comps, comp_of, part, class_ids
+
+
 def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     """Peel g and build the pipeline of each component left.
 
     Returns (subgraph, pipeline) pairs in connected_components order, for
     validate, which reports from them and checks nothing again: building a
-    pipeline checked its partition and its decomposition. Every component
-    is decomposed, also those whose packing completion lets solve skip the
-    decomposition, so validate covers every decomposition the DP could
-    face on the instance.
+    pipeline checked its partition and its decomposition. The front end is
+    solve's: one greedy_partition of the peeled graph, restricted to each
+    component. Every component is decomposed, also those whose packing
+    completion lets solve skip the decomposition, so validate covers every
+    decomposition the DP could face on the instance.
     """
     peeled = peel_degree_one(g).reduced
-    subs = (induced_subgraph(peeled, comp)[0] for comp in connected_components(peeled))
-    return [(sub, build_pipeline(sub, greedy_partition(sub))) for sub in subs]
+    comps, _, part, class_ids = _partition_components(peeled)
+    pipes = []
+    for comp, ids in zip(comps, class_ids):
+        sub, _, new_of_old = induced_subgraph(peeled, comp)
+        pipes.append((sub, build_pipeline(sub, restrict_partition(part, ids, new_of_old))))
+    return pipes
 
 
 def solve(g: Graph, cfg: SolveConfig) -> Solution:
@@ -415,17 +450,24 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     width exceeds WIDTH_SAFETY_CAP, or whose DP exceeds cfg.state_budget,
     raises ResourceError, whatever its size.
 
+    The front end runs once on the whole peeled graph: one
+    greedy_partition, whose cover cliques give each component its bound,
+    and, unless the bounds already exceed k, one packing_completion, whose
+    set is split by component (on each it is the set a call on that
+    component alone gives). Only a component left to the DP gets its
+    induced_subgraph and its classes renumbered into it.
+
     Components are solved smallest first, each with a budget: the
     deletions left once the solved components' minima and the other
-    components' bounds are taken from k. packing_completion's greedy set
-    of ub vertices is taken without a decomposition or a DP when ub <=
-    max(bound, 1) and ub <= budget (stats["bound_solved"] counts these
-    components). Otherwise the DP runs with max_deletions = min(budget,
-    ub - 1) and drops the rows that cannot stay within it (see dp_run).
-    When its root comes back empty, the greedy set is a minimum if ub <=
-    budget (stats["greedy_optimal"] counts these components), and the
-    component is refuted otherwise. The solve stops with "no" as soon as
-    the solved minima plus the bounds still to come exceed k, so
+    components' bounds are taken from k. The component's share of the
+    greedy set, ub vertices, is taken without a decomposition or a DP when
+    ub <= max(bound, 1) and ub <= budget (stats["bound_solved"] counts
+    these components). Otherwise the DP runs with max_deletions =
+    min(budget, ub - 1) and drops the rows that cannot stay within it (see
+    dp_run). When its root comes back empty, the greedy set is a minimum
+    if ub <= budget (stats["greedy_optimal"] counts these components), and
+    the component is refuted otherwise. The solve stops with "no" as soon
+    as the solved minima plus the bounds still to come exceed k, so
     stats["min_fvs"] is set only when every component's minimum was
     computed, and stats["weighted_width"] covers only the components
     whose pipeline was built (0 when none was). stats["pruned_rows"]
@@ -441,70 +483,74 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     timings["peel"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    components = []
-    for comp in connected_components(gp):
-        sub, old_of_new, _ = induced_subgraph(gp, comp)
-        part = greedy_partition(sub)
-        components.append((sub, old_of_new, part, packing_bound(part)))
-    stats["class_count"] = sum(len(c[2].classes) for c in components)
+    comps, comp_of, part, class_ids = _partition_components(gp)
+    cliques = packing_cliques(part) if part is not None else []
+    bounds = [0] * len(comps)
+    for q in cliques:
+        bounds[comp_of[q[0]]] += len(q) - KEEP_PER_CLIQUE
+    stats["class_count"] = sum(map(len, class_ids))
     stats["weighted_width"] = 0
     stats["pruned_rows"] = 0
     stats["bound_solved"] = 0
     stats["greedy_optimal"] = 0
 
-    rest = stats["lower_bound"] = sum(c[3] for c in components)
+    rest = stats["lower_bound"] = sum(bounds)
+    greedy_of: list[list[int]] = [[] for _ in comps]
     if rest > cfg.k:  # the loop below then never runs
-        cliques = [
-            tuple(peel.kept[old_of_new[v]] for v in q)
-            for _, old_of_new, part, _ in components
-            for q in packing_cliques(part)
-        ]
+        # in component order, each component's in class order
+        cliques.sort(key=lambda q: comp_of[q[0]])
+        cliques = [tuple(peel.kept[v] for v in q) for q in cliques]
         for c in cliques:
             if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
                 raise InternalError(f"clique-packing certificate: {c} is not a clique")
         stats["cliques"] = cliques
+    elif comps:
+        for v in packing_completion(gp, part):
+            greedy_of[comp_of[v]].append(v)
 
     # popped from the end, smallest first: their exact minima tighten the
     # budget of the larger, costlier DPs that follow
-    components.sort(key=lambda c: c[0].n, reverse=True)
+    order = sorted(range(len(comps)), key=lambda i: len(comps[i]), reverse=True)
     deleted_reduced: set[int] = set()
     refuted = False
     # stop once the minima so far plus the bounds still to come exceed k
-    while components and len(deleted_reduced) + rest <= cfg.k:
-        sub, old_of_new, part, bound = components.pop()
+    while order and len(deleted_reduced) + rest <= cfg.k:
+        i = order.pop()
+        bound = bounds[i]
         rest -= bound
         budget = cfg.k - len(deleted_reduced) - rest
-        greedy = packing_completion(sub, part)
+        greedy = greedy_of[i]
         ub = len(greedy)
         if ub <= budget and ub <= max(bound, 1):  # a peeled component holds a cycle
-            deleted = greedy
+            deleted_reduced.update(greedy)
             stats["bound_solved"] += 1
-        else:
-            pipe = build_pipeline(sub, part)
-            stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
-            if pipe.weighted_width > WIDTH_SAFETY_CAP:
-                raise ResourceError(
-                    f"weighted width {pipe.weighted_width} exceeds safety cap "
-                    f"{WIDTH_SAFETY_CAP} on a component of {sub.n} vertices"
-                )
-            # the loop condition gives budget >= bound, and ub - 1 >= bound here
-            # unless bound = budget = 0, so max_deletions >= 0
-            best, tables = dp_run(
-                pipe.nice, sub, part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
+            continue
+        sub, old_of_new, new_of_old = induced_subgraph(gp, comps[i])
+        sub_part = restrict_partition(part, class_ids[i], new_of_old)
+        pipe = build_pipeline(sub, sub_part)
+        stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
+        if pipe.weighted_width > WIDTH_SAFETY_CAP:
+            raise ResourceError(
+                f"weighted width {pipe.weighted_width} exceeds safety cap "
+                f"{WIDTH_SAFETY_CAP} on a component of {sub.n} vertices"
             )
-            if best is not None:
-                deleted = reconstruct(tables, pipe.nice, sub)
-            elif ub > budget:
-                refuted = True
-                break
-            else:
-                deleted = greedy  # the DP proved no smaller set exists
-                stats["greedy_optimal"] += 1
-        deleted_reduced.update(old_of_new[v] for v in deleted)
+        # the loop condition gives budget >= bound, and ub - 1 >= bound here
+        # unless bound = budget = 0, so max_deletions >= 0
+        best, tables = dp_run(
+            pipe.nice, sub, sub_part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
+        )
+        if best is not None:
+            deleted_reduced.update(old_of_new[v] for v in reconstruct(tables, pipe.nice, sub))
+        elif ub > budget:
+            refuted = True
+            break
+        else:
+            deleted_reduced.update(greedy)  # the DP proved no smaller set exists
+            stats["greedy_optimal"] += 1
     timings["pipeline"] = time.perf_counter() - t1
 
     fvs = None
-    if not (refuted or components):
+    if not (refuted or order):
         deleted_original = sorted(peel.kept[v] for v in deleted_reduced)
         stats["min_fvs"] = len(deleted_original)
         if len(deleted_original) <= cfg.k:

@@ -23,6 +23,7 @@ from diskfvs.partition import (
     packing_bound,
     packing_cliques,
     packing_completion,
+    restrict_partition,
 )
 
 from conftest import complete_graph, cycle_graph, path_graph
@@ -265,6 +266,115 @@ class TestPackingCompletion:
         p = greedy_partition(g)
         assert packing_cliques(p) == [(0, 1, 5), (2, 3, 4)]
         assert packing_completion(g, p) == {0, 4}
+
+
+def shuffled_union(graphs, rng):
+    """The disjoint union of graphs, its vertex ids shuffled so that the
+    components interleave."""
+    n = sum(g.n for g in graphs)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(label[u + offset], label[v + offset]) for u, v in g.edges()]
+        offset += g.n
+    return from_edge_list(n, edges)
+
+
+def per_component(g, p):
+    """Yield (component, old_of_new, new_of_old, class ids inside it) for each
+    component of g, the class ids in p's order."""
+    for comp in connected_components(g):
+        sub, old_of_new, new_of_old = induced_subgraph(g, comp)
+        inside = set(comp)
+        ids = [i for i, cls in enumerate(p.classes) if cls[0] in inside]
+        yield sub, old_of_new, new_of_old, ids
+
+
+# the prism of test_prism_puts_back_a_vertex: its completion needs a put-back
+PRISM_EDGES = [(0, 1), (0, 3), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)]
+
+
+class TestWholeGraphFrontEnd:
+    """One greedy_partition and one packing_completion of a disjoint union,
+    restricted to each component, are the calls on each component alone:
+    solve and validate run them once on the whole peeled graph."""
+
+    def unions(self):
+        rng = random.Random(21)
+        for _ in range(30):
+            pieces = [random_graph(rng.randint(1, 10), 0.4, rng) for _ in range(rng.randint(2, 5))]
+            yield shuffled_union(pieces, rng)
+        for seed in range(6):
+            pieces = [
+                peel_degree_one(build_intersection_graph(random_udg(30, d, seed + i))).reduced
+                for i, d in enumerate((1.0, 1.5, 0.5))
+            ]
+            yield shuffled_union([g for g in pieces if g.n], rng)
+        yield shuffled_union(
+            [from_edge_list(6, PRISM_EDGES), complete_graph(4), cycle_graph(5)], rng
+        )
+
+    def test_partition_restricts_to_each_component(self):
+        for g in self.unions():
+            p = greedy_partition(g)
+            seen = 0
+            for sub, old_of_new, new_of_old, ids in per_component(g, p):
+                own = greedy_partition(sub)
+                assert restrict_partition(p, ids, new_of_old) == own
+                assert [p.classes[i] for i in ids] == [
+                    tuple(old_of_new[v] for v in cls) for cls in own.classes
+                ]
+                seen += len(ids)
+            assert seen == len(p.classes)  # no class spans two components
+
+    def test_completion_restricts_to_each_component(self):
+        put_back = 0
+        for g in self.unions():
+            p = greedy_partition(g)
+            whole = packing_completion(g, p)
+            for sub, old_of_new, _, _ in per_component(g, p):
+                own_p = greedy_partition(sub)
+                own = packing_completion(sub, own_p)
+                assert whole & set(old_of_new) == {old_of_new[v] for v in own}
+            put_back += len(whole) > max(packing_bound(p), 1)
+        assert put_back > 0
+
+    def test_minimum_beside_a_put_back(self):
+        # the prism needs its put-back ({5, 4, 0} becomes {0, 4}); K4's
+        # set of two meets its bound, so the pass must leave it alone
+        g = shuffled_union(
+            [from_edge_list(6, PRISM_EDGES), complete_graph(4)], random.Random(5)
+        )
+        p = greedy_partition(g)
+        assert packing_bound(p) == 4
+        whole = packing_completion(g, p)
+        sizes = {}
+        for sub, old_of_new, _, _ in per_component(g, p):
+            own_p = greedy_partition(sub)
+            own = packing_completion(sub, own_p)
+            assert whole & set(old_of_new) == {old_of_new[v] for v in own}
+            sizes[sub.n] = (len(own), packing_bound(own_p))
+        assert sizes == {6: (2, 2), 4: (2, 2)}
+        assert len(whole) == 4
+
+    def test_restrict_keeps_multi_clique_covers(self):
+        # two copies of the path 0-1-2-3 covered by (0, 1) and (2, 3) in one
+        # class, beside a triangle, ids interleaved
+        g = from_edge_list(7, [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (1, 5)])
+        p = KappaPartition(
+            classes=((0, 2, 4, 6), (1, 3, 5)),
+            class_of=(0, 1, 0, 1, 0, 1, 0),
+            clique_cover=(((0, 2), (4, 6)), ((1, 3, 5),)),
+        )
+        comps = list(per_component(g, p))
+        assert [ids for *_, ids in comps] == [[0], [1]]
+        sub, _, new_of_old, ids = comps[0]
+        q = restrict_partition(p, ids, new_of_old)
+        assert q == KappaPartition(
+            classes=((0, 1, 2, 3),), class_of=(0, 0, 0, 0), clique_cover=(((0, 1), (2, 3)),)
+        )
+        contract(sub, q)
 
 
 class TestValidatePartition:

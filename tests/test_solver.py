@@ -643,3 +643,64 @@ class TestThresholds:
         g = random_graph(30, 0.4, rng)
         with pytest.raises(ResourceError):
             solve(g, SolveConfig(k=g.n, mode="dp-rank", state_budget=50))
+
+
+class TestSparseSolvePinned:
+    """solve's full answer on three 2000-disk sparse UDGs of a hundred or so
+    components: at k = n, at one below the minimum and at one below the
+    clique-packing bound. The figures were read off the per-component front
+    end (one partition and one packing completion per component); the
+    whole-graph pass must repeat them. A list too long to spell out is
+    pinned by its length and a sha256 prefix of its repr."""
+
+    # seed -> (fvs at k = n, stats at k = n less timings, the stats that
+    # differ at k = min - 1, cliques at k = lower_bound - 1)
+    PINNED = {
+        1: ((172, "d97aa97cd2086511"),
+            {"cliques": [], "high_degree_count": 214, "class_count": 208,
+             "weighted_width": 6, "pruned_rows": 221, "bound_solved": 110,
+             "greedy_optimal": 12, "lower_bound": 156, "min_fvs": 172},
+            {"greedy_optimal": 11},
+            (126, "b611823585aaa9c0")),
+        2: ((145, "3081ffa185ed8369"),
+            {"cliques": [], "high_degree_count": 139, "class_count": 175,
+             "weighted_width": 5, "pruned_rows": 105, "bound_solved": 116,
+             "greedy_optimal": 6, "lower_bound": 137, "min_fvs": 145},
+            {"greedy_optimal": 5},
+            (122, "b364ffbfb3f4d603")),
+        3: ((151, "cbfd60515050c263"),
+            {"cliques": [], "high_degree_count": 150, "class_count": 181,
+             "weighted_width": 6, "pruned_rows": 83, "bound_solved": 117,
+             "greedy_optimal": 4, "lower_bound": 143, "min_fvs": 151},
+            {"weighted_width": 5, "pruned_rows": 65, "bound_solved": 113,
+             "greedy_optimal": 3},
+            (124, "c1f240f9531cbbc6")),
+    }
+
+    @staticmethod
+    def pin(items):
+        import hashlib
+
+        return len(items), hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_answer_and_stats(self, seed):
+        fvs, stats, below, cliques = self.PINNED[seed]
+        g = build_intersection_graph(random_udg(2000, 0.375, seed))
+        sol = solve(g, SolveConfig(k=g.n))
+        assert (sol.verdict, sol.certificate) == ("yes", "dp")
+        assert self.pin(list(sol.fvs)) == fvs
+        assert {k: v for k, v in sol.stats.items() if k != "timings"} == stats
+
+        sol = solve(g, SolveConfig(k=fvs[0] - 1))
+        assert (sol.verdict, sol.certificate, sol.fvs) == ("no", "dp", None)
+        expected = {k: v for k, v in stats.items() if k != "min_fvs"}
+        assert {k: v for k, v in sol.stats.items() if k != "timings"} == {**expected, **below}
+
+        sol = solve(g, SolveConfig(k=stats["lower_bound"] - 1))
+        assert (sol.verdict, sol.certificate, sol.fvs) == ("no", "clique-packing", None)
+        assert self.pin(sol.stats["cliques"]) == cliques
+        untouched = {"weighted_width": 0, "pruned_rows": 0, "bound_solved": 0, "greedy_optimal": 0}
+        assert {k: v for k, v in sol.stats.items() if k not in ("timings", "cliques")} == {
+            **{k: v for k, v in expected.items() if k != "cliques"}, **untouched
+        }
