@@ -1,21 +1,24 @@
 """Tree decompositions: construction, validation, blowup projection, nice form.
 
-Unweighted decompositions come from one greedy min-fill elimination pass.
-Weighted decompositions of a contracted graph are obtained by blowing each
-class vertex up into a clique of its weight, decomposing the blown graph,
-and projecting bags back: a class joins a projected bag iff the bag holds
-its entire clique.
+Unweighted decompositions come from one greedy min-fill elimination pass
+over int masks of the alive neighbourhoods. Weighted decompositions of a
+contracted graph are obtained by blowing each class vertex up into a
+clique of its weight, decomposing the blown graph, and projecting bags
+back: a class joins a projected bag iff the bag holds its entire clique.
+The blown graph's adjacency tuples are built directly from the class
+graph's, with no edge list. validate_decomposition checks the subtree
+property in one pass over the tree rooted at td.root.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, from_edge_list
+from .graph import Graph
 from .partition import ContractedGraph
+from .reduction import bits_of
 
 
 @dataclass(frozen=True)
@@ -35,54 +38,81 @@ class TreeDecomposition:
 
 
 def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
-    """Check vertex coverage, edge coverage, and the subtree property.
+    """Check the root, vertex coverage, edge coverage and the subtree property.
 
-    Raises ValidationError at the first breach.
+    Raises ValidationError at the first breach. The tree is searched once
+    from td.root; the bags holding a vertex form a subtree exactly when
+    one of them, and only one, has no parent bag that holds it too.
     """
     nodes = len(td.bags)
     if nodes == 0:
         raise ValidationError("decomposition has no nodes")
     if len(td.tree) != nodes:
         raise ValidationError("tree/bag size mismatch")
-    # the tree must actually be a tree
-    deg_sum = sum(len(a) for a in td.tree)
-    if len(_reach(td.tree, td.root, range(nodes))) != nodes or deg_sum != 2 * (nodes - 1):
+    if not 0 <= td.root < nodes:
+        raise ValidationError(f"root {td.root} out of range for {nodes} nodes")
+    parent = _parents(td.tree, td.root)
+    if parent is None:
         raise ValidationError("decomposition tree is not a tree")
 
     holder: list[list[int]] = [[] for _ in range(g.n)]
+    tops = [0] * g.n  # the bags holding v whose parent bag does not
+    empty: frozenset[int] = frozenset()
     for i, bag in enumerate(td.bags):
+        up = td.bags[parent[i]] if parent[i] >= 0 else empty
         for v in bag:
             if not 0 <= v < g.n:
                 raise ValidationError(f"bag {i} holds unknown vertex {v}")
             holder[v].append(i)
+            if v not in up:
+                tops[v] += 1
     for v in range(g.n):
-        if not holder[v]:
+        if not tops[v]:
             raise ValidationError(f"vertex {v} in no bag")
     for (u, v) in g.edges():
         if not any(v in td.bags[i] for i in holder[u]):
             raise ValidationError(f"edge ({u}, {v}) covered by no bag")
     for v in range(g.n):
-        if len(_reach(td.tree, holder[v][0], set(holder[v]))) != len(holder[v]):
+        if tops[v] > 1:
             raise ValidationError(f"bags of vertex {v} do not form a subtree")
 
 
-def _reach(tree, start: int, allowed) -> set[int]:
-    """The tree nodes reachable from start through nodes in allowed."""
-    reach = {start}
-    queue = deque([start])
-    while queue:
-        for w in tree[queue.popleft()]:
-            if w in allowed and w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return reach
+def _parents(tree, root: int) -> list[int] | None:
+    """Each node's parent in tree rooted at root (-1 at the root), or None
+    when tree is not a tree: a node is unreachable, an id is out of range,
+    or a node's list is not its children and its parent, each named once.
+    Past the search, the degree sum catches a node that omits its parent."""
+    nodes = len(tree)
+    parent = [-1] * nodes
+    seen = [False] * nodes
+    seen[root] = True
+    order = [root]
+    for u in order:
+        up = parent[u]  # -1 at the root, and once the parent is named
+        for w in tree[u]:
+            if w == up >= 0:
+                up = -1  # a second mention of the parent is a repeated edge
+            elif not 0 <= w < nodes or seen[w]:
+                return None
+            else:
+                seen[w] = True
+                parent[w] = u
+                order.append(w)
+    if len(order) != nodes or sum(map(len, tree)) != 2 * (nodes - 1):
+        return None
+    return parent
 
 
-def _fill(adj: list[set[int]], u: int) -> int:
+def _fill(adj: list[int], u: int) -> int:
     """Pairs of u's alive neighbours that are not adjacent."""
-    nbrs = adj[u]
-    d = len(nbrs)
-    return d * (d - 1) // 2 - sum(len(adj[a] & nbrs) for a in nbrs) // 2
+    nbrs = rest = adj[u]
+    d = nbrs.bit_count()
+    linked = 0  # twice the edges among the neighbours
+    while rest:
+        low = rest & -rest
+        linked += (adj[low.bit_length() - 1] & nbrs).bit_count()
+        rest ^= low
+    return d * (d - 1) // 2 - linked // 2
 
 
 def decompose_unweighted(h: Graph) -> TreeDecomposition:
@@ -94,15 +124,15 @@ def decompose_unweighted(h: Graph) -> TreeDecomposition:
     elimination order; each is linked to the bag of its earliest-eliminated
     later neighbour, or to the next bag when it has none.
 
-    The scores live in a heap with lazy invalidation. Eliminating v changes
-    only the scores of v's neighbours, which are recomputed, and of the
-    other common neighbours of each fill edge's ends, which lose one
-    missing pair per such edge. The order is that of rescoring every alive
-    vertex at every step.
+    Alive neighbourhoods are int masks. The scores live in a heap with lazy
+    invalidation. Eliminating v changes only the scores of v's neighbours,
+    which are recomputed, and of the other common neighbours of each fill
+    edge's ends, which lose one missing pair per such edge. The order is
+    that of rescoring every alive vertex at every step.
     """
     if h.n == 0:
         return TreeDecomposition(tree=((),), bags=(frozenset(),), root=0)
-    adj = [set(a) for a in h.adj]  # alive neighbours only
+    adj = [sum(1 << w for w in a) for a in h.adj]  # alive neighbours only
     score = [_fill(adj, u) for u in range(h.n)]
     heap = [(s, u) for u, s in enumerate(score)]
     heapq.heapify(heap)
@@ -116,22 +146,26 @@ def decompose_unweighted(h: Graph) -> TreeDecomposition:
         alive[v] = False
         pos[v] = len(bags)
         nbrs = adj[v]
-        bags.append(frozenset(nbrs | {v}))
+        members = list(bits_of(nbrs))
+        bags.append(frozenset(members + [v]))
+        gone = ~(1 << v)
+        outside = ~nbrs
         lowered: dict[int, int] = {}
-        for a in nbrs:
-            adj[a].discard(v)
-        for a in nbrs:
-            for b in nbrs - adj[a]:
-                if a < b:
-                    for c in adj[a] & adj[b]:
-                        lowered[c] = lowered.get(c, 0) + 1
-                    adj[a].add(b)
-                    adj[b].add(a)
+        for a in members:
+            adj_a = adj[a] & gone
+            # the fill edges (a, b) with b > a, and each one's common
+            # neighbours outside nbrs: nbrs becomes a clique, so only
+            # theirs drop without a rescore
+            for b in bits_of(nbrs & ~adj_a & -(2 << a)):
+                for c in bits_of(adj_a & adj[b] & outside):
+                    lowered[c] = lowered.get(c, 0) + 1
+            adj[a] = adj_a
+        for a in members:
+            adj[a] |= nbrs ^ (1 << a)
         for c, drop in lowered.items():
-            if c not in nbrs:
-                score[c] -= drop
-                heapq.heappush(heap, (score[c], c))
-        for a in nbrs:
+            score[c] -= drop
+            heapq.heappush(heap, (score[c], c))
+        for a in members:
             score[a] = _fill(adj, a)
             heapq.heappush(heap, (score[a], a))
     edges: list[list[int]] = [[] for _ in range(h.n)]
@@ -158,6 +192,12 @@ class BlowupGraph:
 
 
 def blowup(cg: ContractedGraph) -> BlowupGraph:
+    """Blow each class up into a clique of its weight, ids in class order.
+
+    Cliques are consecutive id ranges in class order, so a blown vertex's
+    sorted neighbours are the ranges of its class and of the class's
+    neighbours in id order, less the vertex itself.
+    """
     offsets = []
     total = 0
     for w in cg.weight:
@@ -166,16 +206,14 @@ def blowup(cg: ContractedGraph) -> BlowupGraph:
     cliques = tuple(
         tuple(range(offsets[i], offsets[i] + cg.weight[i])) for i in range(len(cg.weight))
     )
-    edges = []
-    for clique in cliques:
-        for a_idx in range(len(clique)):
-            for b_idx in range(a_idx + 1, len(clique)):
-                edges.append((clique[a_idx], clique[b_idx]))
-    for (u, v) in cg.base.edges():
-        for a in cliques[u]:
-            for b in cliques[v]:
-                edges.append((a, b))
-    return BlowupGraph(graph=from_edge_list(total, edges), cliques=cliques)
+    adj: list[tuple[int, ...]] = []
+    for c, clique in enumerate(cliques):
+        around = sorted(cg.base.adj[c] + (c,))
+        ball = tuple([x for d in around for x in cliques[d]])
+        at = ball.index(clique[0]) if clique else 0
+        adj.extend(ball[:at + i] + ball[at + i + 1:] for i in range(len(clique)))
+    graph = Graph(n=total, adj=tuple(adj), m=sum(map(len, adj)) // 2)
+    return BlowupGraph(graph=graph, cliques=cliques)
 
 
 def project(td_b: TreeDecomposition, bg: BlowupGraph) -> TreeDecomposition:
@@ -306,27 +344,18 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
         built[u] = node
     top = b.chain_to(built[td.root], frozenset())
 
-    # renumber so the root is 0 and every child id exceeds its parent's
-    new_ids = {top: 0}
+    # renumber so the root is 0 and every child id exceeds its parent's:
+    # new id i is bfs[i], the i-th node in breadth-first order from top
+    new_id = [0] * len(b.kind)
     bfs = [top]
     for u in bfs:
         for c in b.children[u]:
-            new_ids[c] = len(new_ids)
+            new_id[c] = len(bfs)
             bfs.append(c)
-    count = len(bfs)
-    kind: list[str] = [""] * count
-    vtx: list[int | None] = [None] * count
-    bags: list[frozenset[int]] = [frozenset()] * count
-    children: list[tuple[int, ...]] = [()] * count
-    for old, new in new_ids.items():
-        kind[new] = b.kind[old]
-        vtx[new] = b.vtx[old]
-        bags[new] = b.bags[old]
-        children[new] = tuple(new_ids[c] for c in b.children[old])
     return NiceDecomposition(
-        kind=tuple(kind),
-        vtx=tuple(vtx),
-        bags=tuple(bags),
-        children=tuple(children),
+        kind=tuple([b.kind[old] for old in bfs]),
+        vtx=tuple([b.vtx[old] for old in bfs]),
+        bags=tuple([b.bags[old] for old in bfs]),
+        children=tuple([tuple([new_id[c] for c in b.children[old]]) for old in bfs]),
         root=0,
     )

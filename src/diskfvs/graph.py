@@ -2,9 +2,9 @@
 
 Vertex ids are dense 0-based integers. Adjacency lists are sorted tuples,
 kept symmetric, with no loops or parallel edges. has_edge bisects them, and
-induced_subgraph relies on these invariants: it renumbers g's lists in place
-of rebuilding them from an edge list, so its result is sorted, symmetric and
-simple because g is.
+induced_subgraph and peel_degree_one rely on these invariants: they renumber
+g's lists in place of rebuilding them from an edge list, so their results
+are sorted, symmetric and simple because g is.
 """
 
 from __future__ import annotations
@@ -137,7 +137,15 @@ def is_forest(g: Graph, deleted=()) -> bool:
             continue
         for v in nbrs:
             if v > u and alive[v]:
-                ru, rv = uf_find(parent, u), uf_find(parent, v)
+                # uf_find inlined on both ends: this pass checks every witness
+                ru = u
+                while parent[ru] != ru:
+                    parent[ru] = parent[parent[ru]]
+                    ru = parent[ru]
+                rv = v
+                while parent[rv] != rv:
+                    parent[rv] = parent[parent[rv]]
+                    rv = parent[rv]
                 if ru == rv:
                     return False
                 parent[ru] = rv
@@ -164,19 +172,26 @@ def peel_degree_one(g: Graph) -> PeelResult:
     vertex had degree <= 1 at its deletion moment, so optimal feedback
     vertex sets are unchanged.
     """
-    deg = [len(g.adj[v]) for v in range(g.n)]
+    # the vertices left (the 2-core) do not depend on the deletion order,
+    # so a stack serves; a vertex is stacked once: at the start if its
+    # degree is at most 1, or when its degree falls to 1
+    deg = list(map(len, g.adj))
     removed = [False] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] <= 1)
-    while queue:
-        v = queue.popleft()
-        if removed[v]:
-            continue
+    stack = [v for v, d in enumerate(deg) if d <= 1]
+    while stack:
+        v = stack.pop()
         removed[v] = True
         for w in g.adj[v]:
             if not removed[w]:
                 deg[w] -= 1
-                if deg[w] <= 1:
-                    queue.append(w)
-    survivors = [v for v in range(g.n) if not removed[v]]
-    sub, old_of_new, _ = induced_subgraph(g, survivors)
-    return PeelResult(reduced=sub, kept=old_of_new)
+                if deg[w] == 1:
+                    stack.append(w)
+    # renumber the survivors in id order through a list indexed by old id;
+    # a removed vertex keeps -1 and is skipped, so g's sorted lists stay sorted
+    kept = [v for v in range(g.n) if not removed[v]]
+    new_id = [-1] * g.n
+    for i, v in enumerate(kept):
+        new_id[v] = i
+    adj = tuple([tuple([j for w in g.adj[v] if (j := new_id[w]) >= 0]) for v in kept])
+    sub = Graph(n=len(kept), adj=adj, m=sum(map(len, adj)) // 2)
+    return PeelResult(reduced=sub, kept=tuple(kept))

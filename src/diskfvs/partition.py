@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, connected_components, from_edge_list, induced_subgraph, uf_find
+from .graph import Graph, connected_components, induced_subgraph, uf_find
 
 # a forest keeps at most two vertices of any clique
 KEEP_PER_CLIQUE = 2
@@ -286,12 +286,14 @@ def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
         # one clique is connected, so only other classes need the search
         if len(cover) > 1 and len(connected_components(induced_subgraph(g, cls)[0])) > 1:
             raise ValidationError(f"class {i} disconnected")
-    class_edges = {
-        (p.class_of[u], p.class_of[v])
-        for (u, v) in g.edges()
-        if p.class_of[u] != p.class_of[v]
-    }
+    # each class's neighbour classes, read off its vertices' lists; g is
+    # symmetric, so the class lists are too
+    class_of = p.class_of
+    adj = tuple([
+        tuple(sorted({class_of[w] for v in cls for w in g.adj[v]} - {i}))
+        for i, cls in enumerate(p.classes)
+    ])
     return ContractedGraph(
-        base=from_edge_list(len(p.classes), class_edges),
+        base=Graph(n=len(adj), adj=adj, m=sum(map(len, adj)) // 2),
         weight=tuple(class_weight(len(c)) for c in p.classes),
     )

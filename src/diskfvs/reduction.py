@@ -108,8 +108,14 @@ def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
 
     Only a group reduce_rows can shrink (more than one row, at most
     REDUCE_MAX_GROUND kept vertices) is relabelled; it is scanned in
-    reduce_rows' order, best value first and ties by labels.
+    reduce_rows' order, best value first and ties by labels. When no group
+    can shrink, table itself is returned.
     """
+    if not any(
+        len(group) > 1 and kept.bit_count() <= REDUCE_MAX_GROUND
+        for kept, group in table.rows.items()
+    ):
+        return table
     out: dict[Kept, dict[Partition, tuple[int, Any]]] = {}
     for kept, group in table.rows.items():
         if len(group) > 1 and kept.bit_count() <= REDUCE_MAX_GROUND:

@@ -183,22 +183,25 @@ def dp_run(
     keep_cap = [max(map(len, sels)) for sels in selections]  # the most a class keeps
     slack = max_deletions - packing_bound(p)
     pruned = 0
-    work = 0
+    work = 0  # candidate states examined, charged before each batch's work
 
-    def charge(units: int) -> None:
-        nonlocal work
-        work += units
-        if work > state_budget:
-            raise ResourceError(
-                f"DP state budget exceeded ({work} > {state_budget}); "
-                "the instance's weighted width makes the table infeasible"
-            )
-
-    # masks made once: each vertex's neighbours, each class's vertices and
-    # each local selection's (sums of distinct bits are their unions)
+    # masks made once: each vertex's neighbours and each class's vertices
+    # (sums of distinct bits are their unions), and per local selection its
+    # size, its mask and each vertex's bit, neighbours and neighbours among
+    # the selection's earlier vertices
     nbr_mask = [sum(1 << u for u in a) for a in g.adj]
     class_mask = [sum(1 << v for v in cls) for cls in p.classes]
-    sel_masks = [[sum(1 << v for v in sel) for sel in sels] for sels in selections]
+    moves = []
+    for sels in selections:
+        class_moves = []
+        for sel in sels:
+            steps = []
+            earlier = 0
+            for x in sel:
+                steps.append((1 << x, nbr_mask[x], nbr_mask[x] & earlier))
+                earlier |= 1 << x
+            class_moves.append((len(sel), earlier, tuple(steps)))
+        moves.append(class_moves)
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
     cap = [0] * n_nodes
@@ -218,62 +221,76 @@ def dp_run(
             cap[node] = cap[child] + keep_cap[v_cl]
             floor = cap[node] - slack
             for kept_c, group in tables[child].items():
+                size = len(group)
                 # no row is dropped while floor <= 0, so skip the scan then
-                best_c = max(row[0] for row in group.values()) if floor > 0 else 0
-                for sel, sel_mask in zip(selections[v_cl], sel_masks[v_cl]):
-                    charge(len(group))
-                    gain = len(sel)
+                best_c = max(group.values())[0] if floor > 0 else 0
+                for gain, sel_mask, steps in moves[v_cl]:
+                    work += size
+                    if work > state_budget:
+                        raise _budget_error(work, state_budget)
                     need = floor - gain  # the least child value that survives
                     if best_c < need:
-                        pruned += len(group)
+                        pruned += size
                         continue
                     kept_n = kept_c | sel_mask
                     out = table.get(kept_n)
                     # each new vertex with its neighbours kept before it (the
                     # edges the new class is responsible for) and their number
-                    steps = []
-                    seen = kept_c
-                    for x in sel:
-                        nbrs = nbr_mask[x] & seen
-                        steps.append((1 << x, nbrs, nbrs.bit_count()))
-                        seen |= 1 << x
+                    plan = [
+                        (bit, (nbrs := around & kept_c | earlier), nbrs.bit_count())
+                        for bit, around, earlier in steps
+                    ]
                     for part_c, (value, forest) in group.items():
                         if value < need:
                             pruned += 1
                             continue
-                        blocks = list(part_c)
-                        for bit, nbrs, count in steps:
-                            if not count:
-                                blocks.append(bit)
-                                continue
-                            # the neighbours lie in distinct blocks, or the
-                            # vertex closes a cycle
-                            touched = [b for b in blocks if b & nbrs]
-                            if len(touched) != count:
-                                break
-                            blocks = [b for b in blocks if not b & nbrs]
-                            blocks.append(bit + sum(touched))  # disjoint: sum is union
+                        if not plan:  # nothing kept: the partition passes up unchanged
+                            part_n = part_c
                         else:
-                            blocks.sort()
-                            part_n = tuple(blocks)
-                            if out is None:
-                                out = table[kept_n] = {}
-                            old = out.get(part_n)
-                            if old is None or value + gain > old[0]:
-                                out[part_n] = (value + gain, forest | sel_mask)
+                            part_n = None  # stays None when a vertex closes a cycle
+                            blocks = list(part_c)
+                            for bit, nbrs, count in plan:
+                                if not count:
+                                    blocks.append(bit)
+                                elif count == 1:  # joins the one block holding it
+                                    for i, b in enumerate(blocks):
+                                        if b & nbrs:
+                                            blocks[i] = b | bit
+                                            break
+                                else:
+                                    # the neighbours lie in distinct blocks,
+                                    # or the vertex closes a cycle
+                                    touched = [b for b in blocks if b & nbrs]
+                                    if len(touched) != count:
+                                        break
+                                    blocks = [b for b in blocks if not b & nbrs]
+                                    blocks.append(bit + sum(touched))  # disjoint: sum is union
+                            else:
+                                blocks.sort()
+                                part_n = tuple(blocks)
+                            if part_n is None:
+                                continue
+                        if out is None:
+                            out = table[kept_n] = {}
+                        old = out.get(part_n)
+                        if old is None or value + gain > old[0]:
+                            out[part_n] = (value + gain, forest | sel_mask)
         elif kind == FORGET:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
             cap[node] = cap[child]  # rows pass up unchanged
             keep = ~class_mask[v_cl]
             for kept_c, group in tables[child].items():
-                charge(len(group))
+                work += len(group)
+                if work > state_budget:
+                    raise _budget_error(work, state_budget)
                 kept_n = kept_c & keep
+                unchanged = kept_n == kept_c  # the class kept nothing
                 out = table.get(kept_n)
                 if out is None:
                     out = table[kept_n] = {}
                 for part_c, row in group.items():
-                    if kept_n == kept_c:  # the class kept nothing
+                    if unchanged:
                         part_n = part_c
                     else:
                         masked = {b & keep for b in part_c}  # disjoint: only 0 repeats
@@ -296,7 +313,9 @@ def dp_run(
                 # both branches committed the edges among the kept vertices,
                 # so an acyclic union merges s - shared pairs of blocks
                 merges = s - sum((nbr_mask[v] & kept).bit_count() for v in bits_of(kept)) // 2
-                charge(len(lgroup) * len(rgroup))
+                work += len(lgroup) * len(rgroup)
+                if work > state_budget:
+                    raise _budget_error(work, state_budget)
                 best_r = max(row[0] for row in rgroup.values()) if floor > 0 else 0
                 out = None
                 for part_l, (val_l, forest_l) in lgroup.items():
@@ -342,6 +361,14 @@ def dp_run(
         stats["pruned_rows"] = stats.get("pruned_rows", 0) + pruned
     root = tables[nd.root].get(0, {}).get(())
     return (None if root is None else root[0]), tables
+
+
+def _budget_error(work: int, state_budget: int) -> ResourceError:
+    """The error dp_run raises once the work charged exceeds state_budget."""
+    return ResourceError(
+        f"DP state budget exceeded ({work} > {state_budget}); "
+        "the instance's weighted width makes the table infeasible"
+    )
 
 
 def reconstruct(tables: list[_Table], nd: NiceDecomposition, g: Graph) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,8 @@ from diskfvs import (
     validate_decomposition,
     weighted_width,
 )
-from diskfvs.decomposition import FORGET, INTRODUCE, JOIN, LEAF
+from diskfvs.decomposition import FORGET, INTRODUCE, JOIN, LEAF, BlowupGraph
+from diskfvs.partition import ContractedGraph, class_weight
 
 from conftest import complete_graph, cycle_graph, exact_treewidth, path_graph
 
@@ -92,14 +94,68 @@ def reference_project(td_b, bg):
     return TreeDecomposition(tree=td_b.tree, bags=bags, root=td_b.root)
 
 
-def pool_blowups(seeds):
-    """(contraction, blowup) of each peeled component of pool-sized UDGs."""
+def reference_blowup(cg):
+    """blowup as it was: every clique and cross pair through an edge list."""
+    offsets = []
+    total = 0
+    for w in cg.weight:
+        offsets.append(total)
+        total += w
+    cliques = tuple(
+        tuple(range(offsets[i], offsets[i] + cg.weight[i])) for i in range(len(cg.weight))
+    )
+    edges = [(a, b) for clique in cliques for a, b in itertools.combinations(clique, 2)]
+    for (u, v) in cg.base.edges():
+        edges.extend((a, b) for a in cliques[u] for b in cliques[v])
+    return BlowupGraph(graph=from_edge_list(total, edges), cliques=cliques)
+
+
+def reference_contract(g, p):
+    """contract as it was, for a valid partition: the class pairs of g's
+    edges through an edge list."""
+    class_edges = {
+        (p.class_of[u], p.class_of[v]) for (u, v) in g.edges() if p.class_of[u] != p.class_of[v]
+    }
+    return ContractedGraph(
+        base=from_edge_list(len(p.classes), class_edges),
+        weight=tuple(class_weight(len(c)) for c in p.classes),
+    )
+
+
+def reference_is_subtree(td, v):
+    """Whether the bags holding v are connected in td's tree: one search."""
+    holders = {i for i, bag in enumerate(td.bags) if v in bag}
+    start = min(holders)
+    reach, stack = {start}, [start]
+    while stack:
+        for w in td.tree[stack.pop()]:
+            if w in holders and w not in reach:
+                reach.add(w)
+                stack.append(w)
+    return reach == holders
+
+
+def pool_components(seeds):
+    """(component, greedy partition) of each peeled component of pool-sized UDGs."""
     for seed in seeds:
         peeled = peel_degree_one(build_intersection_graph(random_udg(100, 1.0, seed))).reduced
         for comp in connected_components(peeled):
             g = induced_subgraph(peeled, comp)[0]
-            cg = contract(g, greedy_partition(g))
-            yield cg, blowup(cg)
+            yield g, greedy_partition(g)
+
+
+def pool_blowups(seeds):
+    """(contraction, blowup) of each peeled component of pool-sized UDGs."""
+    for g, p in pool_components(seeds):
+        cg = contract(g, p)
+        yield cg, blowup(cg)
+
+
+def friendship_graph(t):
+    """t triangles on vertex 0; its greedy contraction is a star of degree t - 1."""
+    return from_edge_list(
+        2 * t + 1, [e for i in range(1, 2 * t, 2) for e in ((0, i), (0, i + 1), (i, i + 1))]
+    )
 
 
 def relabel_by_greedy_order(g, labelling):
@@ -217,6 +273,57 @@ class TestValidator:
         with pytest.raises(ValidationError, match="^vertex 2 in no bag$"):
             validate_decomposition(td, g)
 
+    @pytest.mark.parametrize("tree", [
+        ((), ()),  # disconnected
+        ((1, 2), (0, 2), (0, 1)),  # a cycle
+        ((1,), ()),  # node 1 does not name its parent
+        ((1, 5), ()),  # an unknown node
+        ((-1, 1), ()),  # a negative id
+        ((1, 2), (2,), (1,)),  # every node reached, but a directed triangle
+        ((1, 2), (0, 0), ()),  # one edge named twice from one side only
+        ((0,),),  # a loop
+    ])
+    def test_not_a_tree(self, tree):
+        td = TreeDecomposition(tree=tree, bags=(frozenset({0}),) * len(tree))
+        with pytest.raises(ValidationError, match="^decomposition tree is not a tree$"):
+            validate_decomposition(td, from_edge_list(1, []))
+
+    @pytest.mark.parametrize("root", [5, 1, -1])
+    def test_root_out_of_range(self, root):
+        g = from_edge_list(1, [])
+        td = TreeDecomposition(tree=((),), bags=(frozenset({0}),), root=root)
+        with pytest.raises(ValidationError, match=f"^root {root} out of range for 1 nodes$"):
+            validate_decomposition(td, g)
+
+    def test_subtree_check_matches_a_search_per_vertex(self):
+        # random bags on random trees, rooted anywhere, over an edgeless
+        # graph whose every vertex is covered: only the subtree property
+        # can fail, and the first vertex it names is the smallest breach
+        rng = random.Random(23)
+        for _ in range(400):
+            nodes = rng.randint(1, 9)
+            tree = [[] for _ in range(nodes)]
+            for i in range(1, nodes):
+                j = rng.randrange(i)
+                tree[i].append(j)
+                tree[j].append(i)
+            n = rng.randint(1, 6)
+            bags = [frozenset(v for v in range(n) if rng.random() < 0.4) for _ in range(nodes)]
+            bags[0] |= frozenset(range(n))
+            td = TreeDecomposition(
+                tree=tuple(tuple(sorted(a)) for a in tree),
+                bags=tuple(bags),
+                root=rng.randrange(nodes),
+            )
+            broken = [v for v in range(n) if not reference_is_subtree(td, v)]
+            if broken:
+                with pytest.raises(
+                    ValidationError, match=f"^bags of vertex {broken[0]} do not form a subtree$"
+                ):
+                    validate_decomposition(td, from_edge_list(n, []))
+            else:
+                validate_decomposition(td, from_edge_list(n, []))
+
 
 class TestBlowup:
     def test_single_weight_one(self):
@@ -226,8 +333,6 @@ class TestBlowup:
         assert bg.graph.n == 1 and bg.graph.m == 0
 
     def test_edge_weights_2_3_gives_k5(self):
-        from diskfvs.partition import ContractedGraph
-
         cg = ContractedGraph(
             base=from_edge_list(2, [(0, 1)]),
             weight=(2, 3),
@@ -252,6 +357,15 @@ class TestBlowup:
                 for b in bg.cliques[v]:
                     assert bg.graph.has_edge(a, b)
 
+    def test_same_as_edge_list_reference(self):
+        for cg, bg in pool_blowups(range(5)):
+            assert bg == reference_blowup(cg)
+        rng = random.Random(24)
+        for _ in range(200):
+            base = random_graph(rng.randint(0, 12), rng.uniform(0.05, 0.6), rng)
+            cg = ContractedGraph(base=base, weight=tuple(rng.randint(1, 4) for _ in range(base.n)))
+            assert blowup(cg) == reference_blowup(cg)
+
     def test_triangle_weights_one_unchanged(self):
         g = cycle_graph(3)
         p = greedy_partition(g)
@@ -259,6 +373,25 @@ class TestBlowup:
         if all(w == 1 for w in cg.weight):
             bg = blowup(cg)
             assert bg.graph.adj == cg.base.adj
+
+
+class TestContract:
+    def test_same_as_edge_list_reference(self):
+        for g, p in pool_components(range(5)):
+            assert contract(g, p) == reference_contract(g, p)
+        rng = random.Random(25)
+        for _ in range(200):
+            g = random_graph(rng.randint(1, 25), rng.uniform(0.05, 0.6), rng)
+            p = greedy_partition(g)
+            assert contract(g, p) == reference_contract(g, p)
+
+    def test_friendship_star(self):
+        g = friendship_graph(42)
+        p = greedy_partition(g)
+        cg = contract(g, p)
+        assert cg == reference_contract(g, p)
+        assert max(len(a) for a in cg.base.adj) == 41
+        assert blowup(cg) == reference_blowup(cg)
 
 
 class TestProject:
@@ -347,8 +480,6 @@ class TestWeightedWidth:
         assert weighted_width(td, cg) == 4
 
     def test_two_bags(self):
-        from diskfvs.partition import ContractedGraph
-
         cg = ContractedGraph(
             base=from_edge_list(2, [(0, 1)]),
             weight=(1, 2),
@@ -360,8 +491,6 @@ class TestWeightedWidth:
 
     def test_empty(self):
         g = from_edge_list(0, [])
-        from diskfvs.partition import ContractedGraph
-
         cg = ContractedGraph(base=g, weight=())
         td = TreeDecomposition(tree=((),), bags=(frozenset(),))
         assert weighted_width(td, cg) == 0

@@ -11,6 +11,7 @@ from diskfvs import (
     min_fvs_bruteforce,
     peel_degree_one,
 )
+from diskfvs.graph import PeelResult
 
 from conftest import (
     complete_graph,
@@ -93,6 +94,18 @@ class TestPeel:
             once = peel_degree_one(g).reduced
             again = peel_degree_one(once)
             assert again.kept == tuple(range(once.n))
+
+    def test_matches_induced_subgraph_of_the_survivors(self):
+        # peeling to a fixpoint, one degree <= 1 vertex at a time, leaves the
+        # same vertices in any order; the result is their induced subgraph
+        rng = random.Random(14)
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 20), rng.choice([0.05, 0.1, 0.2, 0.3]), rng)
+            alive = set(range(g.n))
+            while low := [v for v in alive if len(alive.intersection(g.adj[v])) <= 1]:
+                alive.difference_update(low[:1])
+            sub, old_of_new, _ = induced_subgraph(g, alive)
+            assert peel_degree_one(g) == PeelResult(reduced=sub, kept=old_of_new)
 
     def test_preserves_min_fvs(self):
         rng = random.Random(9)

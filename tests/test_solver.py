@@ -638,6 +638,24 @@ class TestThresholds:
         with pytest.raises(ResourceError, match="state budget"):
             solve(g, SolveConfig(k=size, mode="dp-rank", state_budget=10))
 
+    @pytest.mark.parametrize("n,density,seed,budget,work", [
+        (16, 1.0, 10, 10, 11),
+        (60, 2.0, 1, 2_000, 2_001),
+        (60, 2.0, 1, 15_142, 15_155),
+    ])
+    def test_state_budget_trips_at_a_fixed_point(self, n, density, seed, budget, work):
+        # the budget is charged per selection of an introduced class, per
+        # child group at a forget and per pair of groups at a join, so the
+        # work counted when it trips is fixed by the instance
+        g = build_intersection_graph(random_udg(n, density, seed))
+        message = (
+            f"DP state budget exceeded ({work} > {budget}); "
+            "the instance's weighted width makes the table infeasible"
+        )
+        with pytest.raises(ResourceError) as info:
+            solve(g, SolveConfig(k=g.n, state_budget=budget))
+        assert str(info.value) == message
+
     def test_state_budget_resource_error(self):
         rng = random.Random(61)
         g = random_graph(30, 0.4, rng)
