@@ -1,13 +1,15 @@
 """Tree decompositions: construction, validation, blowup projection, nice form.
 
-Unweighted decompositions come from one greedy min-fill elimination pass
-over int masks of the alive neighbourhoods. Weighted decompositions of a
-contracted graph are obtained by blowing each class vertex up into a
-clique of its weight, decomposing the blown graph, and projecting bags
-back: a class joins a projected bag iff the bag holds its entire clique.
-The blown graph's adjacency tuples are built directly from the class
-graph's, with no edge list. validate_decomposition checks the subtree
-property in one pass over the tree rooted at td.root.
+Every decomposition is a tree of bags rooted at node 0 and stored as each
+node's children, in ascending id. Unweighted decompositions come from one
+greedy min-fill elimination pass over int masks of the alive
+neighbourhoods. Weighted decompositions of a contracted graph are obtained
+by blowing each class vertex up into a clique of its weight, decomposing
+the blown graph, and projecting bags back: a class joins a projected bag
+iff the bag holds its entire clique. The blown graph's adjacency tuples are
+built directly from the class graph's, with no edge list.
+validate_decomposition takes any children/bags tree, the nice form
+included, and checks the subtree property in one search from node 0.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from .reduction import bits_of
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Tree of bags; rooted at node 0 by convention."""
+    """Tree of bags rooted at node 0; children[i] lists node i's children."""
 
-    tree: tuple[tuple[int, ...], ...]
+    children: tuple[tuple[int, ...], ...]
     bags: tuple[frozenset[int], ...]
-    root: int = 0
 
     @property
     def width(self) -> int:
@@ -37,34 +38,42 @@ class TreeDecomposition:
         return len(self.bags)
 
 
-def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
-    """Check the root, vertex coverage, edge coverage and the subtree property.
+def validate_decomposition(td: TreeDecomposition | NiceDecomposition, g: Graph) -> None:
+    """Check the tree, vertex coverage, edge coverage and the subtree property.
 
-    Raises ValidationError at the first breach. The tree is searched once
-    from td.root; the bags holding a vertex form a subtree exactly when
+    td is any tree of bags rooted at node 0 with a children list per node:
+    a TreeDecomposition or a NiceDecomposition. Raises ValidationError at
+    the first breach. The tree is searched once from node 0; it is a tree
+    when every id named is in 1..nodes-1, no node is named twice, and every
+    node is reached. The bags holding a vertex form a subtree exactly when
     one of them, and only one, has no parent bag that holds it too.
     """
     nodes = len(td.bags)
     if nodes == 0:
         raise ValidationError("decomposition has no nodes")
-    if len(td.tree) != nodes:
+    if len(td.children) != nodes:
         raise ValidationError("tree/bag size mismatch")
-    if not 0 <= td.root < nodes:
-        raise ValidationError(f"root {td.root} out of range for {nodes} nodes")
-    parent = _parents(td.tree, td.root)
-    if parent is None:
+    up: list[frozenset[int] | None] = [None] * nodes  # parent bag, once reached
+    up[0] = frozenset()
+    order = [0]
+    for u in order:
+        for w in td.children[u]:
+            if not 0 < w < nodes or up[w] is not None:
+                raise ValidationError("decomposition tree is not a tree")
+            up[w] = td.bags[u]
+            order.append(w)
+    if len(order) != nodes:
         raise ValidationError("decomposition tree is not a tree")
 
     holder: list[list[int]] = [[] for _ in range(g.n)]
     tops = [0] * g.n  # the bags holding v whose parent bag does not
-    empty: frozenset[int] = frozenset()
     for i, bag in enumerate(td.bags):
-        up = td.bags[parent[i]] if parent[i] >= 0 else empty
+        above = up[i]
         for v in bag:
             if not 0 <= v < g.n:
                 raise ValidationError(f"bag {i} holds unknown vertex {v}")
             holder[v].append(i)
-            if v not in up:
+            if v not in above:
                 tops[v] += 1
     for v in range(g.n):
         if not tops[v]:
@@ -75,32 +84,6 @@ def validate_decomposition(td: TreeDecomposition, g: Graph) -> None:
     for v in range(g.n):
         if tops[v] > 1:
             raise ValidationError(f"bags of vertex {v} do not form a subtree")
-
-
-def _parents(tree, root: int) -> list[int] | None:
-    """Each node's parent in tree rooted at root (-1 at the root), or None
-    when tree is not a tree: a node is unreachable, an id is out of range,
-    or a node's list is not its children and its parent, each named once.
-    Past the search, the degree sum catches a node that omits its parent."""
-    nodes = len(tree)
-    parent = [-1] * nodes
-    seen = [False] * nodes
-    seen[root] = True
-    order = [root]
-    for u in order:
-        up = parent[u]  # -1 at the root, and once the parent is named
-        for w in tree[u]:
-            if w == up >= 0:
-                up = -1  # a second mention of the parent is a repeated edge
-            elif not 0 <= w < nodes or seen[w]:
-                return None
-            else:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
-    if len(order) != nodes or sum(map(len, tree)) != 2 * (nodes - 1):
-        return None
-    return parent
 
 
 def _fill(adj: list[int], u: int) -> int:
@@ -121,8 +104,9 @@ def decompose_unweighted(h: Graph) -> TreeDecomposition:
     Each step eliminates the alive vertex whose alive neighbours need the
     fewest fill edges to become a clique (ties to the smaller id) and
     records its bag: the vertex and those neighbours. Bags are numbered in
-    elimination order; each is linked to the bag of its earliest-eliminated
-    later neighbour, or to the next bag when it has none.
+    elimination order; each bag's parent is the bag of its earliest-eliminated
+    later neighbour, or the next bag when it has none. That tree is rooted
+    at the last bag; reversing the path from bag 0 up to it roots it at 0.
 
     Alive neighbourhoods are int masks. The scores live in a heap with lazy
     invalidation. Eliminating v changes only the scores of v's neighbours,
@@ -131,7 +115,7 @@ def decompose_unweighted(h: Graph) -> TreeDecomposition:
     that of rescoring every alive vertex at every step.
     """
     if h.n == 0:
-        return TreeDecomposition(tree=((),), bags=(frozenset(),), root=0)
+        return TreeDecomposition(children=((),), bags=(frozenset(),))
     adj = [sum(1 << w for w in a) for a in h.adj]  # alive neighbours only
     score = [_fill(adj, u) for u in range(h.n)]
     heap = [(s, u) for u, s in enumerate(score)]
@@ -168,15 +152,24 @@ def decompose_unweighted(h: Graph) -> TreeDecomposition:
         for a in members:
             score[a] = _fill(adj, a)
             heapq.heappush(heap, (score[a], a))
-    edges: list[list[int]] = [[] for _ in range(h.n)]
-    for i in range(h.n - 1):
-        later = [pos[w] for w in bags[i] if pos[w] > i]
-        parent = min(later, default=i + 1)
-        edges[i].append(parent)
-        edges[parent].append(i)
-    return TreeDecomposition(
-        tree=tuple(tuple(sorted(e)) for e in edges), bags=tuple(bags), root=0
-    )
+    parent = [
+        min([pos[w] for w in bags[i] if pos[w] > i], default=i + 1) for i in range(h.n - 1)
+    ]
+    # every parent id exceeds its child's, so the path from bag 0 ends at
+    # the last bag; its edges turn over, and ascending i lists each node's
+    # children in ascending id
+    on_path = [False] * h.n
+    i = 0
+    while i < h.n - 1:
+        on_path[i] = True
+        i = parent[i]
+    children: list[list[int]] = [[] for _ in range(h.n)]
+    for i, p in enumerate(parent):
+        if on_path[i]:
+            children[i].append(p)
+        else:
+            children[p].append(i)
+    return TreeDecomposition(children=tuple(map(tuple, children)), bags=tuple(bags))
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def project(td_b: TreeDecomposition, bg: BlowupGraph) -> TreeDecomposition:
             if count[c] == len(bg.cliques[c]):
                 full.append(c)
         bags.append(frozenset(full))
-    return TreeDecomposition(tree=td_b.tree, bags=tuple(bags), root=td_b.root)
+    return TreeDecomposition(children=td_b.children, bags=tuple(bags))
 
 
 def weighted_width(td: TreeDecomposition, cg: ContractedGraph) -> int:
@@ -267,20 +260,9 @@ class NiceDecomposition:
     vtx: tuple[int | None, ...]
     bags: tuple[frozenset[int], ...]
     children: tuple[tuple[int, ...], ...]
-    root: int = 0
 
     def node_count(self) -> int:
         return len(self.kind)
-
-    def to_tree_decomposition(self) -> TreeDecomposition:
-        edges: list[list[int]] = [[] for _ in range(len(self.kind))]
-        for u, chs in enumerate(self.children):
-            for c in chs:
-                edges[u].append(c)
-                edges[c].append(u)
-        return TreeDecomposition(
-            tree=tuple(tuple(sorted(e)) for e in edges), bags=self.bags, root=self.root
-        )
 
 
 class _NiceBuilder:
@@ -314,35 +296,29 @@ class _NiceBuilder:
 
 
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
-    """Normalize to leaf/introduce/forget/join nodes with an empty root bag."""
-    n = len(td.bags)
-    parent = [-1] * n
-    order = [td.root]
-    seen = {td.root}
+    """Normalize to leaf/introduce/forget/join nodes with an empty root bag.
+
+    td must be a tree rooted at node 0, as validate_decomposition defines
+    one; a node's children are joined in the order td lists them.
+    """
+    order = [0]  # breadth-first from the root
     for u in order:
-        for w in td.tree[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                order.append(w)
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v in order[1:]:
-        kids[parent[v]].append(v)
+        order.extend(td.children[u])
 
     b = _NiceBuilder()
     # children before parents: reversed BFS order
-    built: dict[int, int] = {}
+    built = [0] * len(td.bags)
     for u in reversed(order):
         bag = td.bags[u]
-        if not kids[u]:
+        if not td.children[u]:
             built[u] = b.leaf_chain(bag)
             continue
-        lifted = [b.chain_to(built[c], bag) for c in kids[u]]
+        lifted = [b.chain_to(built[c], bag) for c in td.children[u]]
         node = lifted[0]
         for other in lifted[1:]:
             node = b.add(JOIN, None, bag, [node, other])
         built[u] = node
-    top = b.chain_to(built[td.root], frozenset())
+    top = b.chain_to(built[0], frozenset())
 
     # renumber so the root is 0 and every child id exceeds its parent's:
     # new id i is bfs[i], the i-th node in breadth-first order from top
@@ -357,5 +333,4 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
         vtx=tuple([b.vtx[old] for old in bfs]),
         bags=tuple([b.bags[old] for old in bfs]),
         children=tuple([tuple([new_id[c] for c in b.children[old]]) for old in bfs]),
-        root=0,
     )

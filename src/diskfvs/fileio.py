@@ -7,7 +7,8 @@ Graph:          p fvs <n> <m>          then m lines  e <u> <v>   (0-based)
 Objects:        p objects <n> <alpha> <gamma>
                 then n lines           o <shape> <x> <y> <inner_r> <outer_r>
                 (the set must pass geometry.validate_object_set)
-Lines starting with "c " (or "c" alone) are comments in both.
+A line whose first whitespace-separated field is "c" is a comment in both,
+whatever whitespace follows it; every line is split on any whitespace.
 parse_instance tells the two apart by the problem line.
 """
 
@@ -21,11 +22,11 @@ from .graph import Graph, from_edge_list
 
 
 def _data_lines(text: str):
+    """(line number, fields) of each line that is neither blank nor a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        yield lineno, line
+        parts = raw.split()
+        if parts and parts[0] != "c":
+            yield lineno, parts
 
 
 def serialize_graph(g: Graph) -> str:
@@ -38,8 +39,7 @@ def parse_graph(text: str) -> Graph:
     n = m = None
     edges = []
     seen: set[tuple[int, int]] = set()
-    for lineno, line in _data_lines(text):
-        parts = line.split()
+    for lineno, parts in _data_lines(text):
         if parts[0] == "p":
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate problem line")
@@ -74,10 +74,10 @@ def parse_graph(text: str) -> Graph:
 
 def parse_instance(text: str) -> Graph:
     """A graph file's graph, or a points file's intersection graph."""
-    _, header = next(_data_lines(text), (0, ""))
-    if header.startswith("p fvs"):
+    _, header = next(_data_lines(text), (0, []))
+    if header[:2] == ["p", "fvs"]:
         return parse_graph(text)
-    if header.startswith("p objects"):
+    if header[:2] == ["p", "objects"]:
         return build_intersection_graph(parse_objects(text))
     raise InputError("unrecognized file header: expected 'p fvs' or 'p objects'")
 
@@ -99,8 +99,7 @@ def serialize_objects(objs: ObjectSet) -> str:
 def parse_objects(text: str) -> ObjectSet:
     n = alpha = gamma = None
     objects = []
-    for lineno, line in _data_lines(text):
-        parts = line.split()
+    for lineno, parts in _data_lines(text):
         if parts[0] == "p":
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate problem line")

@@ -29,9 +29,6 @@ class Graph:
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self.adj[v])
-
     def edges(self):
         """Yield each edge once as (u, v) with u < v, sorted."""
         for u in range(self.n):

@@ -44,13 +44,15 @@ KEEP_PER_CLIQUE = 2
 class KappaPartition:
     """Partition of V into connected classes with per-class clique covers.
 
-    greedy_partition makes every class a clique, so its cover is the class
-    itself; hand-built partitions may cover a class with several cliques,
-    and the capacities and the bound count cliques, not classes.
+    Class i is classes[i], covered by the cliques clique_cover[i]; each
+    fact is stored once, and contract() builds the vertex-to-class lookup
+    while it checks the contract. greedy_partition makes every class a
+    clique, so its cover is the class itself; hand-built partitions may
+    cover a class with several cliques, and the capacities and the bound
+    count cliques, not classes.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
     clique_cover: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
@@ -82,15 +84,14 @@ def greedy_partition(g: Graph) -> KappaPartition:
     position = [0] * g.n
     for pos, v in enumerate(order):
         position[v] = pos
-    class_of = [-1] * g.n
+    covered = [False] * g.n
     classes: list[tuple[int, ...]] = []
     has_edge = g.has_edge
     for v in order:
-        if class_of[v] != -1:
+        if covered[v]:
             continue
-        idx = len(classes)
-        class_of[v] = idx
-        candidates = [w for w in g.adj[v] if class_of[w] == -1]
+        covered[v] = True
+        candidates = [w for w in g.adj[v] if not covered[w]]
         if len(candidates) > 1:
             candidates.sort(key=position.__getitem__)
         # every candidate is the seed's neighbour: test only the others
@@ -98,13 +99,11 @@ def greedy_partition(g: Graph) -> KappaPartition:
         for w in candidates:
             if all(has_edge(w, u) for u in joined):
                 joined.append(w)
-                class_of[w] = idx
+                covered[w] = True
         joined.append(v)
         classes.append(tuple(sorted(joined)))
     return KappaPartition(
-        classes=tuple(classes),
-        class_of=tuple(class_of),
-        clique_cover=tuple((cls,) for cls in classes),
+        classes=tuple(classes), clique_cover=tuple((cls,) for cls in classes)
     )
 
 
@@ -119,16 +118,10 @@ def restrict_partition(p: KappaPartition, class_ids, new_of_old) -> KappaPartiti
     """
     classes = []
     covers = []
-    class_of = [0] * len(new_of_old)
-    for j, i in enumerate(class_ids):
-        cls = tuple([new_of_old[v] for v in p.classes[i]])
-        for v in cls:
-            class_of[v] = j
-        classes.append(cls)
+    for i in class_ids:
+        classes.append(tuple([new_of_old[v] for v in p.classes[i]]))
         covers.append(tuple(tuple([new_of_old[v] for v in q]) for q in p.clique_cover[i]))
-    return KappaPartition(
-        classes=tuple(classes), class_of=tuple(class_of), clique_cover=tuple(covers)
-    )
+    return KappaPartition(classes=tuple(classes), clique_cover=tuple(covers))
 
 
 def local_selections(cls, cover) -> list[tuple[int, ...]]:
@@ -268,8 +261,6 @@ def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
         raise ValidationError(f"uncovered vertices: {missing[:5]}")
     if doubled:
         raise ValidationError(f"overlapping vertices: {doubled[:5]}")
-    if list(p.class_of) != owner:
-        raise ValidationError("class_of does not match the classes")
     if len(p.clique_cover) != len(p.classes):
         raise ValidationError(
             f"{len(p.clique_cover)} clique covers for {len(p.classes)} classes"
@@ -288,9 +279,8 @@ def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
             raise ValidationError(f"class {i} disconnected")
     # each class's neighbour classes, read off its vertices' lists; g is
     # symmetric, so the class lists are too
-    class_of = p.class_of
     adj = tuple([
-        tuple(sorted({class_of[w] for v in cls for w in g.adj[v]} - {i}))
+        tuple(sorted({owner[w] for v in cls for w in g.adj[v]} - {i}))
         for i, cls in enumerate(p.classes)
     ])
     return ContractedGraph(

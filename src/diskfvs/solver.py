@@ -359,7 +359,7 @@ def dp_run(
 
     if stats is not None:
         stats["pruned_rows"] = stats.get("pruned_rows", 0) + pruned
-    root = tables[nd.root].get(0, {}).get(())
+    root = tables[0].get(0, {}).get(())
     return (None if root is None else root[0]), tables
 
 
@@ -377,7 +377,7 @@ def reconstruct(tables: list[_Table], nd: NiceDecomposition, g: Graph) -> frozen
     Only the root row is read. The set is checked to leave a forest in g
     and to have g.n - value vertices, the row's own invariant.
     """
-    best_value, forest = tables[nd.root][0][()]
+    best_value, forest = tables[0][0][()]
     deleted = frozenset(range(g.n)).difference(bits_of(forest))
     if not is_forest(g, deleted):
         raise InternalError("reconstructed kept set does not induce a forest")
@@ -415,7 +415,7 @@ def build_pipeline(gc: Graph, part: KappaPartition) -> Pipeline:
     td = project(decompose_unweighted(bg.graph), bg)
     w = weighted_width(td, cg)
     nd = make_nice(td)
-    validate_decomposition(nd.to_tree_decomposition(), cg.base)
+    validate_decomposition(nd, cg.base)
     return Pipeline(partition=part, contracted=cg, nice=nd, weighted_width=w)
 
 

@@ -199,14 +199,23 @@ def graft_leaf_bags(td, rng):
     from diskfvs.decomposition import TreeDecomposition
 
     bags = list(td.bags)
-    tree = [list(a) for a in td.tree]
+    children = [list(a) for a in td.children]
     for i in range(len(td.bags)):
         for _ in range(rng.randint(0, 2)):
             extra = frozenset(rng.sample(sorted(td.bags[i]), rng.randint(0, len(td.bags[i]))))
             bags.append(extra)
-            tree.append([i])
-            tree[i].append(len(bags) - 1)
-    return TreeDecomposition(tree=tuple(tuple(sorted(a)) for a in tree), bags=tuple(bags), root=0)
+            children.append([])
+            children[i].append(len(bags) - 1)
+    return TreeDecomposition(children=tuple(map(tuple, children)), bags=tuple(bags))
+
+
+def class_of(p) -> list[int]:
+    """Each vertex's class index in the partition p, read off p.classes."""
+    owner = [0] * sum(map(len, p.classes))
+    for i, cls in enumerate(p.classes):
+        for v in cls:
+            owner[v] = i
+    return owner
 
 
 def euclid(a, b) -> float:

@@ -201,7 +201,7 @@ def test_criterion_3_structural_validity():
             td = project(td_b, bg)
             validate_decomposition(td, cg.base)
             nd = make_nice(td)
-            validate_decomposition(nd.to_tree_decomposition(), cg.base)
+            validate_decomposition(nd, cg.base)
 
 
 @criterion(4, "weighted width scales at most like sqrt(k)")

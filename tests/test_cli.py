@@ -94,6 +94,13 @@ class TestSolveCommand:
         path = write_graph(tmp_path, cycle_graph(4))
         assert main(["solve", path, "--k", "0"]) == 1
 
+    def test_tab_separated_comments(self, tmp_path, capsys):
+        # a comment before the problem line and one between edges
+        path = tmp_path / "tabs.graph"
+        path.write_text("c\tC4\np fvs 4 4\ne 0 1\ne 1 2\nc\tbetween edges\ne 2 3\ne 0 3\n")
+        assert main(["solve", str(path), "--k", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_fvs"] == 1
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
         bad.write_text("not a graph\n")

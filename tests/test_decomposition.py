@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -23,8 +24,9 @@ from diskfvs import (
 )
 from diskfvs.decomposition import FORGET, INTRODUCE, JOIN, LEAF, BlowupGraph
 from diskfvs.partition import ContractedGraph, class_weight
+from diskfvs.solver import component_pipelines
 
-from conftest import complete_graph, cycle_graph, exact_treewidth, path_graph
+from conftest import class_of, complete_graph, cycle_graph, exact_treewidth, path_graph
 
 
 def random_graph(n, p, rng):
@@ -60,9 +62,10 @@ def fill_score(adj, alive, u):
 
 def reference_decompose(h):
     """decompose_unweighted as it was, rescoring every alive vertex at each
-    step: the reference for the incremental scores."""
+    step: the reference for the incremental scores. Returns (tree, bags),
+    tree[i] being node i's sorted neighbours; rooted() roots it at node 0."""
     if h.n == 0:
-        return TreeDecomposition(tree=((),), bags=(frozenset(),), root=0)
+        return ((),), (frozenset(),)
     adj = [set(a) for a in h.adj]
     alive = set(range(h.n))
     pos, bags = {}, []
@@ -80,9 +83,29 @@ def reference_decompose(h):
         parent = min((pos[w] for w in bags[i] if pos[w] > i), default=i + 1)
         edges[i].append(parent)
         edges[parent].append(i)
-    return TreeDecomposition(
-        tree=tuple(tuple(sorted(e)) for e in edges), bags=tuple(bags), root=0
-    )
+    return tuple(tuple(sorted(e)) for e in edges), tuple(bags)
+
+
+def rooted(tree, bags):
+    """The undirected tree of bags rooted at node 0: each node's children
+    are its neighbours but its parent, in ascending id."""
+    children = [()] * len(tree)
+    seen = {0}
+    order = [0]
+    for u in order:
+        children[u] = tuple(w for w in tree[u] if w not in seen)
+        seen.update(children[u])
+        order.extend(children[u])
+    return TreeDecomposition(children=tuple(children), bags=bags)
+
+
+def undirected(children):
+    """Each node's neighbours in a children-list tree."""
+    tree = [set(chs) for chs in children]
+    for u, chs in enumerate(children):
+        for c in chs:
+            tree[c].add(u)
+    return tree
 
 
 def reference_project(td_b, bg):
@@ -91,7 +114,7 @@ def reference_project(td_b, bg):
         frozenset(c for c, clique in enumerate(bg.cliques) if all(b in bag for b in clique))
         for bag in td_b.bags
     )
-    return TreeDecomposition(tree=td_b.tree, bags=bags, root=td_b.root)
+    return TreeDecomposition(children=td_b.children, bags=bags)
 
 
 def reference_blowup(cg):
@@ -113,9 +136,8 @@ def reference_blowup(cg):
 def reference_contract(g, p):
     """contract as it was, for a valid partition: the class pairs of g's
     edges through an edge list."""
-    class_edges = {
-        (p.class_of[u], p.class_of[v]) for (u, v) in g.edges() if p.class_of[u] != p.class_of[v]
-    }
+    owner = class_of(p)
+    class_edges = {(owner[u], owner[v]) for (u, v) in g.edges() if owner[u] != owner[v]}
     return ContractedGraph(
         base=from_edge_list(len(p.classes), class_edges),
         weight=tuple(class_weight(len(c)) for c in p.classes),
@@ -124,11 +146,12 @@ def reference_contract(g, p):
 
 def reference_is_subtree(td, v):
     """Whether the bags holding v are connected in td's tree: one search."""
+    tree = undirected(td.children)
     holders = {i for i, bag in enumerate(td.bags) if v in bag}
     start = min(holders)
     reach, stack = {start}, [start]
     while stack:
-        for w in td.tree[stack.pop()]:
+        for w in tree[stack.pop()]:
             if w in holders and w not in reach:
                 reach.add(w)
                 stack.append(w)
@@ -236,23 +259,39 @@ class TestDecompose:
         rng = random.Random(21)
         for _ in range(300):
             g = random_graph(rng.randint(1, 45), rng.uniform(0.02, 0.6), rng)
-            assert decompose_unweighted(g) == reference_decompose(g)
+            assert decompose_unweighted(g) == rooted(*reference_decompose(g))
 
     def test_same_as_full_rescan_on_blown_components(self):
         for _, bg in pool_blowups(range(5)):
-            assert decompose_unweighted(bg.graph) == reference_decompose(bg.graph)
+            assert decompose_unweighted(bg.graph) == rooted(*reference_decompose(bg.graph))
+
+    @pytest.mark.parametrize("n, density, components, digest", [
+        (60, 2.0, 1, "94c594af228c66c0019004b945035bcf3223ef37fa08fd7a6dd329eb05c49cd6"),
+        (100, 3.0, 1, "8d930e5629dbfc85dfdf4bedb29c39e9194c8eb229f2fe606407950ab0643ec1"),
+        (2000, 0.375, 122, "05bc5333b0633e157dd098acc03be7a9b52a333974e5883783a026136f32dc3f"),
+    ])
+    def test_nice_decompositions_pinned(self, n, density, components, digest):
+        # every component's nice decomposition and weighted width: a change
+        # to any decomposition stage changes the digest
+        pipes = component_pipelines(build_intersection_graph(random_udg(n, density, 1)))
+        h = hashlib.sha256()
+        for _, pipe in pipes:
+            nd = pipe.nice
+            bags = tuple(tuple(sorted(b)) for b in nd.bags)
+            h.update(repr((nd.kind, nd.vtx, bags, nd.children, pipe.weighted_width)).encode())
+        assert (len(pipes), h.hexdigest()) == (components, digest)
 
 
 class TestValidator:
     def test_single_full_bag_valid(self):
         g = cycle_graph(4)
-        td = TreeDecomposition(tree=((),), bags=(frozenset({0, 1, 2, 3}),))
+        td = TreeDecomposition(children=((),), bags=(frozenset({0, 1, 2, 3}),))
         validate_decomposition(td, g)
 
     def test_edge_coverage_violation(self):
         g = cycle_graph(4)
         td = TreeDecomposition(
-            tree=((1,), (0,)), bags=(frozenset({0, 1}), frozenset({2, 3}))
+            children=((1,), ()), bags=(frozenset({0, 1}), frozenset({2, 3}))
         )
         # the first uncovered edge in g.edges() order: (0, 1), (0, 3), ...
         with pytest.raises(ValidationError, match=r"^edge \(0, 3\) covered by no bag$"):
@@ -261,7 +300,7 @@ class TestValidator:
     def test_subtree_violation(self):
         g = path_graph(3)
         td = TreeDecomposition(
-            tree=((1,), (0, 2), (1,)),
+            children=((1,), (2,), ()),
             bags=(frozenset({0, 1}), frozenset({1, 2}), frozenset({0})),
         )
         with pytest.raises(ValidationError, match="^bags of vertex 0 do not form a subtree$"):
@@ -269,52 +308,52 @@ class TestValidator:
 
     def test_uncovered_vertex(self):
         g = from_edge_list(3, [(0, 1)])
-        td = TreeDecomposition(tree=((),), bags=(frozenset({0, 1}),))
+        td = TreeDecomposition(children=((),), bags=(frozenset({0, 1}),))
         with pytest.raises(ValidationError, match="^vertex 2 in no bag$"):
             validate_decomposition(td, g)
 
+    def test_size_mismatch(self):
+        td = TreeDecomposition(children=((1,), (), ()), bags=(frozenset({0}),) * 2)
+        with pytest.raises(ValidationError, match="^tree/bag size mismatch$"):
+            validate_decomposition(td, from_edge_list(1, []))
+
     @pytest.mark.parametrize("tree", [
-        ((), ()),  # disconnected
-        ((1, 2), (0, 2), (0, 1)),  # a cycle
-        ((1,), ()),  # node 1 does not name its parent
-        ((1, 5), ()),  # an unknown node
+        ((1,), (0,)),  # node 0 named as a child
+        ((1, 2), (3,), (3,), ()),  # a node named by two parents
+        ((1, 1), ()),  # a node named twice by one parent
+        ((1,), (), ()),  # a node no list names
+        ((1, 5), ()),  # an id >= nodes
+        ((2,), ()),  # an id equal to nodes
         ((-1, 1), ()),  # a negative id
-        ((1, 2), (2,), (1,)),  # every node reached, but a directed triangle
-        ((1, 2), (0, 0), ()),  # one edge named twice from one side only
-        ((0,),),  # a loop
+        ((1,), (1,)),  # a node naming itself
+        ((0,),),  # the root naming itself
+        ((), (2,), (1,)),  # a cycle that node 0 does not reach
+        ((1,), (2,), (1,)),  # a cycle below node 0
     ])
     def test_not_a_tree(self, tree):
-        td = TreeDecomposition(tree=tree, bags=(frozenset({0}),) * len(tree))
+        td = TreeDecomposition(children=tree, bags=(frozenset({0}),) * len(tree))
         with pytest.raises(ValidationError, match="^decomposition tree is not a tree$"):
             validate_decomposition(td, from_edge_list(1, []))
 
-    @pytest.mark.parametrize("root", [5, 1, -1])
-    def test_root_out_of_range(self, root):
-        g = from_edge_list(1, [])
-        td = TreeDecomposition(tree=((),), bags=(frozenset({0}),), root=root)
-        with pytest.raises(ValidationError, match=f"^root {root} out of range for 1 nodes$"):
-            validate_decomposition(td, g)
-
     def test_subtree_check_matches_a_search_per_vertex(self):
-        # random bags on random trees, rooted anywhere, over an edgeless
-        # graph whose every vertex is covered: only the subtree property
-        # can fail, and the first vertex it names is the smallest breach
+        # random bags on random trees over an edgeless graph whose every
+        # vertex is covered: only the subtree property can fail, and the
+        # first vertex it names is the smallest breach. The nodes are
+        # relabelled, so node 0, the root, lands anywhere in the shape.
         rng = random.Random(23)
         for _ in range(400):
             nodes = rng.randint(1, 9)
+            label = list(range(nodes))
+            rng.shuffle(label)
             tree = [[] for _ in range(nodes)]
             for i in range(1, nodes):
                 j = rng.randrange(i)
-                tree[i].append(j)
-                tree[j].append(i)
+                tree[label[i]].append(label[j])
+                tree[label[j]].append(label[i])
             n = rng.randint(1, 6)
             bags = [frozenset(v for v in range(n) if rng.random() < 0.4) for _ in range(nodes)]
-            bags[0] |= frozenset(range(n))
-            td = TreeDecomposition(
-                tree=tuple(tuple(sorted(a)) for a in tree),
-                bags=tuple(bags),
-                root=rng.randrange(nodes),
-            )
+            bags[rng.randrange(nodes)] |= frozenset(range(n))
+            td = rooted(tuple(tuple(sorted(a)) for a in tree), tuple(bags))
             broken = [v for v in range(n) if not reference_is_subtree(td, v)]
             if broken:
                 with pytest.raises(
@@ -454,7 +493,6 @@ class TestProject:
         classes = ((0, 1), (2, 3), (4, 5))
         p = KappaPartition(
             classes=classes,
-            class_of=(0, 0, 1, 1, 2, 2),
             clique_cover=tuple((c,) for c in classes),
         )
         cg = contract(g, p)
@@ -472,11 +510,10 @@ class TestWeightedWidth:
         g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         p = KappaPartition(
             classes=((0, 1, 2, 3, 4),),
-            class_of=(0, 0, 0, 0, 0),
             clique_cover=(((0, 1), (2,), (3,), (4,)),),
         )
         cg = contract(g, p)  # single class of size 5 -> weight 4
-        td = TreeDecomposition(tree=((),), bags=(frozenset({0}),))
+        td = TreeDecomposition(children=((),), bags=(frozenset({0}),))
         assert weighted_width(td, cg) == 4
 
     def test_two_bags(self):
@@ -485,26 +522,26 @@ class TestWeightedWidth:
             weight=(1, 2),
         )
         td = TreeDecomposition(
-            tree=((1,), (0,)), bags=(frozenset({0}), frozenset({0, 1}))
+            children=((1,), ()), bags=(frozenset({0}), frozenset({0, 1}))
         )
         assert weighted_width(td, cg) == 3
 
     def test_empty(self):
         g = from_edge_list(0, [])
         cg = ContractedGraph(base=g, weight=())
-        td = TreeDecomposition(tree=((),), bags=(frozenset(),))
+        td = TreeDecomposition(children=((),), bags=(frozenset(),))
         assert weighted_width(td, cg) == 0
 
 
 class TestMakeNice:
     def test_single_bag_chain(self):
-        td = TreeDecomposition(tree=((),), bags=(frozenset({0, 1}),))
+        td = TreeDecomposition(children=((),), bags=(frozenset({0, 1}),))
         nd = make_nice(td)
         kinds = [nd.kind[i] for i in range(nd.node_count())]
         assert kinds.count(LEAF) == 1
         assert kinds.count(INTRODUCE) == 2
         assert kinds.count(FORGET) == 2
-        assert nd.bags[nd.root] == frozenset()
+        assert nd.bags[0] == frozenset()
 
     def test_join_children_identical_bags(self):
         g = cycle_graph(6)
@@ -521,7 +558,7 @@ class TestMakeNice:
             g = random_graph(rng.randint(1, 12), rng.choice([0.2, 0.4]), rng)
             td = decompose_unweighted(g)
             nd = make_nice(td)
-            validate_decomposition(nd.to_tree_decomposition(), g)
+            validate_decomposition(nd, g)
             for i in range(nd.node_count()):
                 kind = nd.kind[i]
                 if kind == LEAF:
@@ -558,7 +595,7 @@ class TestMakeNice:
     def test_path_decomposition_of_p4(self):
         g = path_graph(4)
         nd = make_nice(decompose_unweighted(g))
-        validate_decomposition(nd.to_tree_decomposition(), g)
+        validate_decomposition(nd, g)
 
 
 class TestPipelineOnGeometry:
@@ -575,4 +612,4 @@ class TestPipelineOnGeometry:
             td = project(td_b, bg)
             validate_decomposition(td, cg.base)
             nd = make_nice(td)
-            validate_decomposition(nd.to_tree_decomposition(), cg.base)
+            validate_decomposition(nd, cg.base)

@@ -37,7 +37,7 @@ from diskfvs.graph import uf_find
 from diskfvs.partition import packing_bound
 from diskfvs.reduction import reduce_rows
 
-from conftest import graft_leaf_bags
+from conftest import class_of, graft_leaf_bags
 
 
 def canonicalize(labels):
@@ -55,7 +55,8 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
     keep_cap = [max(map(len, sels)) for sels in selections]
     slack = g.n if max_deletions is None else max_deletions - packing_bound(p)
     pruned = 0
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbrs = [frozenset(g.adj[v]) for v in range(g.n)]
+    owner = class_of(p)
     tables = [{} for _ in range(nd.node_count())]
     cap = [0] * nd.node_count()
 
@@ -116,7 +117,7 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
             child = nd.children[node][0]
             cap[node] = cap[child]
             for kept_c, group in tables[child].items():
-                keep_pos = [i for i, v in enumerate(kept_c) if p.class_of[v] != v_cl]
+                keep_pos = [i for i, v in enumerate(kept_c) if owner[v] != v_cl]
                 kept_n = tuple(kept_c[i] for i in keep_pos)
                 for part_c, (value, _) in group.items():
                     part_n = canonicalize([part_c[i] for i in keep_pos])
@@ -162,21 +163,22 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
         tables[node] = table
         if not table:
             break
-    root_group = tables[nd.root].get((), {})
+    root_group = tables[0].get((), {})
     best = root_group[()][0] if () in root_group else None
     return best, tables, pruned
 
 
 def reference_reconstruct(tables, nd, g, p):
     chosen = {}
-    stack = [(nd.root, (), ())]
+    owner = class_of(p)
+    stack = [(0, (), ())]
     while stack:
         node, kept, part = stack.pop()
         back = tables[node][kept][part][1]
         kind = nd.kind[node]
         if kind == INTRODUCE:
             v_cl = nd.vtx[node]
-            chosen.setdefault(v_cl, tuple(v for v in kept if p.class_of[v] == v_cl))
+            chosen.setdefault(v_cl, tuple(v for v in kept if owner[v] == v_cl))
             stack.append((nd.children[node][0], *back))
         elif kind == FORGET:
             stack.append((nd.children[node][0], *back))

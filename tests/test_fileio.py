@@ -1,6 +1,6 @@
 import pytest
 
-from diskfvs import InputError, random_udg
+from diskfvs import InputError, from_edge_list, random_udg
 from diskfvs.fileio import (
     parse_graph, parse_instance, parse_objects, serialize_graph, serialize_objects,
 )
@@ -19,6 +19,12 @@ class TestGraphFormat:
         text = "c a comment\np fvs 2 1\nc another\ne 0 1\n"
         g = parse_graph(text)
         assert g.n == 2 and g.m == 1
+
+    def test_comment_is_its_first_field_whatever_whitespace_follows(self):
+        # records split on any whitespace, and so does the comment marker
+        text = "c\tnote\np fvs 3 2\ne\t0\t1\nc\tbetween edges\nc  two spaces\ne 1 2\n"
+        assert parse_graph(text) == from_edge_list(3, [(0, 1), (1, 2)])
+        assert parse_instance(text) == from_edge_list(3, [(0, 1), (1, 2)])
 
     def test_exact_format(self):
         g = cycle_graph(3)
@@ -104,7 +110,16 @@ class TestParseInstance:
         objs = random_udg(12, 1.0, 3)
         assert parse_instance(serialize_objects(objs)) == build_intersection_graph(objs)
 
-    @pytest.mark.parametrize("text", ["", "c only a comment\n", "e 0 1\n", "p graph 2 1\n"])
+    def test_tab_separated_comment_and_header(self):
+        objs = random_udg(12, 1.0, 3)
+        text = "c\tpoints\n" + serialize_objects(objs).replace(" ", "\t")
+        assert parse_instance(text) == build_intersection_graph(objs)
+        assert parse_instance("c\tgraph\np\tfvs\t2\t1\ne 0 1\n") == from_edge_list(2, [(0, 1)])
+
+    @pytest.mark.parametrize("text", [
+        "", "c only a comment\n", "c\tonly a comment\n", "e 0 1\n", "p graph 2 1\n",
+        "cfvs\np fvs 2 1\ne 0 1\n",
+    ])
     def test_unrecognized_header(self, text):
         with pytest.raises(InputError, match="unrecognized file header"):
             parse_instance(text)

@@ -47,7 +47,7 @@ def reference_greedy_partition(g):
         members = [seed]
         uncovered.discard(seed)
         for v in order:
-            if v in uncovered and all(v in g.neighbors(u) for u in members):
+            if v in uncovered and all(v in frozenset(g.adj[u]) for u in members):
                 members.append(v)
                 uncovered.discard(v)
         classes.append(tuple(sorted(members)))
@@ -103,8 +103,8 @@ class TestGreedyPartition:
                 for i in range(len(cls)):
                     for j in range(i + 1, len(cls)):
                         assert g.has_edge(cls[i], cls[j])
-            for idx, cls in enumerate(p.classes):
-                assert all(p.class_of[v] == idx for v in cls)
+            # the classes partition the vertices
+            assert sorted(v for cls in p.classes for v in cls) == list(range(g.n))
 
 
 class TestContract:
@@ -112,7 +112,6 @@ class TestContract:
         g = cycle_graph(5)
         p = KappaPartition(
             classes=tuple((v,) for v in range(5)),
-            class_of=tuple(range(5)),
             clique_cover=tuple(((v,),) for v in range(5)),
         )
         cg = contract(g, p)
@@ -124,7 +123,6 @@ class TestContract:
         classes = ((0, 1), (2, 3), (4, 5))
         p = KappaPartition(
             classes=classes,
-            class_of=(0, 0, 1, 1, 2, 2),
             clique_cover=tuple((c,) for c in classes),
         )
         cg = contract(g, p)
@@ -142,7 +140,6 @@ class TestContract:
         g = cycle_graph(4)
         p = KappaPartition(
             classes=((0, 2), (1, 3)),  # disconnected classes
-            class_of=(0, 1, 0, 1),
             clique_cover=(((0,), (2,)), ((1,), (3,))),
         )
         with pytest.raises(ValidationError):
@@ -151,27 +148,26 @@ class TestContract:
     def test_non_clique_cover_rejected(self):
         # the path 0-1-2 is connected, but (0, 1, 2) is not a clique of it
         g = path_graph(3)
-        p = KappaPartition(classes=((0, 1, 2),), class_of=(0, 0, 0), clique_cover=(((0, 1, 2),),))
+        p = KappaPartition(classes=((0, 1, 2),), clique_cover=(((0, 1, 2),),))
         with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
             contract(g, p)
         with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
             build_pipeline(g, p)
 
     @pytest.mark.parametrize(
-        "classes, class_of, cover, match",
+        "classes, cover, match",
         [
-            (((0, 1, 5), (2, 3)), (0, 0, 1, 1), (((0, 1, 5),), ((2, 3),)), "outside graph"),
-            (((0, 1), (2,)), (0, 0, 1, 1), (((0, 1),), ((2,),)), "uncovered vertices: \\[3\\]"),
-            (((0, 1), (1, 2, 3)), (0, 0, 1, 1), (((0, 1),), ((1, 2), (3,))), "overlapping"),
-            (((0, 1), (2, 3)), (0, 1, 1, 1), (((0, 1),), ((2, 3),)), "class_of"),
-            (((0, 1), (2, 3)), (0, 0, 1, 1), (((0, 1),),), "1 clique covers for 2 classes"),
-            (((0, 1), (2, 3)), (0, 0, 1, 1), (((0, 1),), ((2,),)), "does not partition"),
-            (((0, 1, 2, 3), ()), (0, 0, 0, 0), (((0, 1), (2, 3)), ()), "class 1 is empty"),
+            (((0, 1, 5), (2, 3)), (((0, 1, 5),), ((2, 3),)), "outside graph"),
+            (((0, 1), (2,)), (((0, 1),), ((2,),)), "uncovered vertices: \\[3\\]"),
+            (((0, 1), (1, 2, 3)), (((0, 1),), ((1, 2), (3,))), "overlapping"),
+            (((0, 1), (2, 3)), (((0, 1),),), "1 clique covers for 2 classes"),
+            (((0, 1), (2, 3)), (((0, 1),), ((2,),)), "does not partition"),
+            (((0, 1, 2, 3), ()), (((0, 1), (2, 3)), ()), "class 1 is empty"),
         ],
     )
-    def test_each_breach_rejected(self, classes, class_of, cover, match):
+    def test_each_breach_rejected(self, classes, cover, match):
         g = cycle_graph(4)
-        p = KappaPartition(classes=classes, class_of=class_of, clique_cover=cover)
+        p = KappaPartition(classes=classes, clique_cover=cover)
         with pytest.raises(ValidationError, match=match):
             contract(g, p)
 
@@ -187,7 +183,7 @@ class TestContract:
         contract(g, greedy_partition(g))
         assert calls == []
         two_cliques = KappaPartition(
-            classes=((0, 1, 2, 3),), class_of=(0, 0, 0, 0), clique_cover=(((0, 1), (2, 3)),)
+            classes=((0, 1, 2, 3),), clique_cover=(((0, 1), (2, 3)),)
         )
         contract(cycle_graph(4), two_cliques)
         assert calls == [1]
@@ -201,7 +197,6 @@ class TestCoverCliqueRule:
         # must lose a vertex, and the first class can keep all four
         p = KappaPartition(
             classes=((0, 1, 2, 3), (4, 5, 6)),
-            class_of=(0, 0, 0, 0, 1, 1, 1),
             clique_cover=(((0, 1), (2, 3)), ((4, 5, 6),)),
         )
         assert packing_bound(p) == 1
@@ -364,7 +359,6 @@ class TestWholeGraphFrontEnd:
         g = from_edge_list(7, [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (1, 5)])
         p = KappaPartition(
             classes=((0, 2, 4, 6), (1, 3, 5)),
-            class_of=(0, 1, 0, 1, 0, 1, 0),
             clique_cover=(((0, 2), (4, 6)), ((1, 3, 5),)),
         )
         comps = list(per_component(g, p))
@@ -372,7 +366,7 @@ class TestWholeGraphFrontEnd:
         sub, _, new_of_old, ids = comps[0]
         q = restrict_partition(p, ids, new_of_old)
         assert q == KappaPartition(
-            classes=((0, 1, 2, 3),), class_of=(0, 0, 0, 0), clique_cover=(((0, 1), (2, 3)),)
+            classes=((0, 1, 2, 3),), clique_cover=(((0, 1), (2, 3)),)
         )
         contract(sub, q)
 
@@ -392,7 +386,6 @@ class TestValidatePartition:
         g = cycle_graph(4)
         p = KappaPartition(
             classes=((0, 2), (1, 3)),
-            class_of=(0, 1, 0, 1),
             clique_cover=(((0,), (2,)), ((1,), (3,))),
         )
         with pytest.raises(ValidationError, match="disconnected"):
@@ -402,7 +395,6 @@ class TestValidatePartition:
         g = cycle_graph(5)
         p = KappaPartition(
             classes=tuple((v,) for v in range(5)),
-            class_of=tuple(range(5)),
             clique_cover=tuple(((v,),) for v in range(5)),
         )
         contract(g, p)
@@ -412,7 +404,6 @@ class TestValidatePartition:
         g = from_edge_list(3, [(0, 1)])
         p = KappaPartition(
             classes=((0, 1, 2),),
-            class_of=(0, 0, 0),
             clique_cover=(((0, 1, 2),),),  # 0-2 and 1-2 are not edges
         )
         with pytest.raises(ValidationError, match="non-adjacent"):

@@ -20,7 +20,7 @@ from diskfvs import (
     validate_decomposition,
 )
 
-from conftest import complete_graph, cycle_graph, graft_leaf_bags, path_graph
+from conftest import class_of, complete_graph, cycle_graph, graft_leaf_bags, path_graph
 
 
 def random_graph(n, p, rng):
@@ -80,7 +80,7 @@ class TestDpRun:
         g = complete_graph(3)
         p = greedy_partition(g)  # one class covering the whole clique
         assert p.classes == ((0, 1, 2),)
-        nd = make_nice(TreeDecomposition(tree=((),), bags=(frozenset({0}),)))
+        nd = make_nice(TreeDecomposition(children=((),), bags=(frozenset({0}),)))
         best, _ = dp_run(nd, g, p, mode="dp-naive", max_deletions=g.n)
         assert best == 2  # max induced forest, so min deletion is 1
 
@@ -113,11 +113,12 @@ class TestDpRun:
                 g, _, _ = induced_subgraph(peeled.reduced, comp)
                 pipe = build_pipeline(g, greedy_partition(g))
                 nd, p = pipe.nice, pipe.partition
+                owner = class_of(p)
                 for mode in ("dp-naive", "dp-rank"):
                     best, tables = dp_run(nd, g, p, mode=mode, max_deletions=g.n)
                     for node, table in enumerate(tables):
                         for kept, group in table.items():
-                            per_class = Counter(p.class_of[v] for v in bits_of(kept))
+                            per_class = Counter(owner[v] for v in bits_of(kept))
                             assert set(per_class) <= nd.bags[node]
                             assert max(per_class.values(), default=0) <= 2
                             for part, (value, forest) in group.items():
@@ -145,7 +146,7 @@ class TestDpRun:
         g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         pipe = build_pipeline(g, greedy_partition(g))
         best, tables = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive", max_deletions=g.n)
-        root = tables[pipe.nice.root][0]
+        root = tables[0][0]
         assert best == 4 and root[()][1] == 0b11011  # all but vertex 2
         assert reconstruct(tables, pipe.nice, g) == {2}
         root[()] = tamper(*root[()])
@@ -290,7 +291,7 @@ class TestPipeline:
             children=((1,), (2,), (3,), (4,), (5,), (6,), ()),
         )
         with pytest.raises(ValidationError, match="subtree"):
-            validate_decomposition(nd.to_tree_decomposition(), path_graph(2))
+            validate_decomposition(nd, path_graph(2))
 
 
 class TestDenseUdg:
@@ -430,7 +431,7 @@ class TestPruning:
                     got, tables = dp_run(
                         nd, g, p, mode=mode, max_deletions=minimum - 1, stats=stats
                     )
-                    assert got is None and not tables[nd.root]
+                    assert got is None and not tables[0]
                     assert stats["pruned_rows"] > 0
                     refuted += 1
         assert refuted > 10
@@ -538,21 +539,17 @@ def merged_partition(g):
     from diskfvs import greedy_partition
 
     p = greedy_partition(g)
+    owner = class_of(p)
     groups = []
     taken = set()
     for i, cls in enumerate(p.classes):
         if i in taken:
             continue
-        nbrs = sorted({p.class_of[w] for v in cls for w in g.adj[v]} - taken - {i})
+        nbrs = sorted({owner[w] for v in cls for w in g.adj[v]} - taken - {i})
         groups.append([i] + nbrs[:1])
         taken.update(groups[-1])
-    class_of = [0] * g.n
-    for c, group in enumerate(groups):
-        for v in (v for j in group for v in p.classes[j]):
-            class_of[v] = c
     return KappaPartition(
         classes=tuple(tuple(sorted(v for j in grp for v in p.classes[j])) for grp in groups),
-        class_of=tuple(class_of),
         clique_cover=tuple(tuple(p.classes[j] for j in grp) for grp in groups),
     )
 
@@ -595,7 +592,6 @@ class TestCoverCliques:
         g = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
         p = KappaPartition(
             classes=((0, 1, 2, 3), (4, 5, 6)),
-            class_of=(0, 0, 0, 0, 1, 1, 1),
             clique_cover=(((0, 1), (2, 3)), ((4, 5, 6),)),
         )
         assert min_fvs_bruteforce(g)[0] == 1
