@@ -69,11 +69,12 @@ class ObjectSet:
     alpha: float = 1.0
     gamma: float = 1.0
 
-    def __len__(self) -> int:
-        return len(self.objects)
+
+# absolute slack in validate_object_set's diameter, ratio and fatness checks
+TOLERANCE = 1e-9
 
 
-def validate_object_set(objs: ObjectSet, tol: float = 1e-9) -> None:
+def validate_object_set(objs: ObjectSet) -> None:
     """Raise InputError when the set-level invariants fail."""
     if not (0.0 < objs.alpha <= 1.0):
         raise InputError(f"alpha must be in (0, 1], got {objs.alpha}")
@@ -82,14 +83,14 @@ def validate_object_set(objs: ObjectSet, tol: float = 1e-9) -> None:
     if not objs.objects:
         return
     diams = [o.diameter for o in objs.objects]
-    if abs(min(diams) - 1.0) > tol:
+    if abs(min(diams) - 1.0) > TOLERANCE:
         raise InputError(f"smallest diameter must be 1, got {min(diams)}")
-    if max(diams) / min(diams) > objs.gamma + tol:
+    if max(diams) / min(diams) > objs.gamma + TOLERANCE:
         raise InputError(
             f"diameter ratio {max(diams) / min(diams)} exceeds gamma={objs.gamma}"
         )
     for o in objs.objects:
-        if o.inner_radius / o.outer_radius < objs.alpha - tol:
+        if o.inner_radius / o.outer_radius < objs.alpha - TOLERANCE:
             raise InputError(f"object fatness below alpha={objs.alpha}: {o}")
 
 

@@ -75,9 +75,10 @@ def transversal_vector(part: Labels) -> int:
 
 @dataclass
 class RepresentativeTable:
-    """Rows keyed by kept mask: kept -> partition -> (value, payload)."""
+    """Rows keyed by kept mask: kept -> partition -> forest, the mask of
+    the vertices a DP row keeps, whose popcount is the row's value."""
 
-    rows: dict[Kept, dict[Partition, tuple[int, Any]]]
+    rows: dict[Kept, dict[Partition, int]]
 
     def row_count(self) -> int:
         return sum(len(group) for group in self.rows.values())
@@ -116,10 +117,12 @@ def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
         for kept, group in table.rows.items()
     ):
         return table
-    out: dict[Kept, dict[Partition, tuple[int, Any]]] = {}
+    out: dict[Kept, dict[Partition, int]] = {}
     for kept, group in table.rows.items():
         if len(group) > 1 and kept.bit_count() <= REDUCE_MAX_GROUND:
-            labelled = {block_labels(part, kept): (row[0], part) for part, row in group.items()}
+            labelled = {
+                block_labels(part, kept): (row.bit_count(), part) for part, row in group.items()
+            }
             reduced = reduce_rows(labelled, kept.bit_count())
             group = {part: group[part] for _, part in reduced.values()}
         out[kept] = group

@@ -37,9 +37,9 @@ DP state at a nice-decomposition node: the vertices kept in the bag's
 classes (at most two per cover clique: local_selections) as a bitmask over
 the component's vertex ids, and the partition of those vertices into
 connected pieces of the partial forest as the sorted tuple of its block
-masks. Each state's row is (value, forest): forest is the bitmask of every
-vertex the partial forest keeps in the node's subtree, and value, its size,
-is maximized. The root row's forest is the witness. Edges are committed
+masks. Each state's row is its forest: the bitmask of every vertex the
+partial forest keeps in the node's subtree, whose popcount, the row's
+value, is maximized. The root row is the witness. Edges are committed
 when the later of their two classes is introduced: each new vertex closes
 a cycle when two of its kept neighbours share a block, and otherwise
 merges the blocks it touches. At join nodes both branches have committed
@@ -129,11 +129,9 @@ class Solution:
     stats: dict[str, Any] = field(default_factory=dict, compare=False)
 
 
-# (value, forest): the mask of the vertices kept in the node's subtree, and
-# value == forest.bit_count()
-_Row = tuple[int, int]
-# kept mask -> partition (sorted block masks) -> row
-_Table = dict[Kept, dict[Partition, _Row]]
+# kept mask -> partition (sorted block masks) -> forest, the mask of the
+# vertices kept in the node's subtree
+_Table = dict[Kept, dict[Partition, int]]
 
 
 def dp_run(
@@ -145,16 +143,16 @@ def dp_run(
     state_budget: int = STATE_BUDGET,
     stats: dict[str, Any] | None = None,
 ) -> tuple[int | None, list[_Table]]:
-    """Maximum induced forest size over the nice decomposition.
+    """A maximum induced forest over the nice decomposition.
 
-    Returns the optimum and the per-node tables. Tables are keyed by kept
+    Returns the root row and the per-node tables. Tables are keyed by kept
     mask, the bits of the kept vertices' ids, then by partition, the sorted
-    tuple of its block masks. A row is (value, forest): forest is the mask
-    of the vertices kept in the node's subtree and value its size. A join's
-    branches share only the bag's kept vertices (the subtree property
-    keeps every other class on one side), which its value counts once, so
-    value == forest.bit_count() in every row, and the root row's forest is
-    a maximum induced forest.
+    tuple of its block masks. A row is its forest, the mask of the vertices
+    kept in the node's subtree, and its value is the forest's popcount. A
+    join's branches share only the bag's kept vertices (the subtree property
+    keeps every other class on one side), so the union of its two forests
+    has their values' sum less the kept count. The root row is a maximum
+    induced forest.
     The state count is exponential in the weighted width; state_budget
     caps the number of candidate states examined and raises ResourceError
     beyond it rather than grinding on an infeasible instance.
@@ -170,10 +168,11 @@ def dp_run(
     clique still to come needs its own max(0, |q| - 2), so it cannot end
     within max_deletions. The rows of an optimal set never break the
     floor, and a stored row is never worse than the one it stands for
-    (rank reduction included), so the root value is exact whenever the
+    (rank reduction included), so the root row is a maximum whenever the
     minimum is at most max_deletions; otherwise the root table is empty
-    and the optimum is returned as None. cap(t) <= g.n - packing_bound(p),
-    so max_deletions = g.n drops no row.
+    and the root row is returned as None (a root row of 0 keeps no vertex
+    but is a result). cap(t) <= g.n - packing_bound(p), so max_deletions =
+    g.n drops no row.
     If stats is given, stats["pruned_rows"] grows by the candidate rows
     the floor dropped.
     """
@@ -206,15 +205,15 @@ def dp_run(
     tables: list[_Table] = [{} for _ in range(n_nodes)]
     cap = [0] * n_nodes
 
-    # A candidate row replaces a stored one only with a larger value, so the
-    # first of equal rows stays. Each loop looks its output group up once
+    # A candidate row replaces a stored one only with a larger popcount, so
+    # the first of equal rows stays. Each loop looks its output group up once
     # and adds it to the table with its first row, keeping the table's
     # groups in the order their first rows were found.
     for node in range(n_nodes - 1, -1, -1):
         kind = nd.kind[node]
         table: _Table = {}
         if kind == LEAF:
-            table[0] = {(): (0, 0)}
+            table[0] = {(): 0}
         elif kind == INTRODUCE:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
@@ -223,7 +222,7 @@ def dp_run(
             for kept_c, group in tables[child].items():
                 size = len(group)
                 # no row is dropped while floor <= 0, so skip the scan then
-                best_c = max(group.values())[0] if floor > 0 else 0
+                best_c = max(map(int.bit_count, group.values())) if floor > 0 else 0
                 for gain, sel_mask, steps in moves[v_cl]:
                     work += size
                     if work > state_budget:
@@ -240,8 +239,8 @@ def dp_run(
                         (bit, (nbrs := around & kept_c | earlier), nbrs.bit_count())
                         for bit, around, earlier in steps
                     ]
-                    for part_c, (value, forest) in group.items():
-                        if value < need:
+                    for part_c, forest in group.items():
+                        if need > 0 and forest.bit_count() < need:
                             pruned += 1
                             continue
                         if not plan:  # nothing kept: the partition passes up unchanged
@@ -272,9 +271,10 @@ def dp_run(
                                 continue
                         if out is None:
                             out = table[kept_n] = {}
+                        forest_n = forest | sel_mask
                         old = out.get(part_n)
-                        if old is None or value + gain > old[0]:
-                            out[part_n] = (value + gain, forest | sel_mask)
+                        if old is None or forest_n.bit_count() > old.bit_count():
+                            out[part_n] = forest_n
         elif kind == FORGET:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
@@ -289,7 +289,7 @@ def dp_run(
                 out = table.get(kept_n)
                 if out is None:
                     out = table[kept_n] = {}
-                for part_c, row in group.items():
+                for part_c, forest in group.items():
                     if unchanged:
                         part_n = part_c
                     else:
@@ -297,8 +297,8 @@ def dp_run(
                         masked.discard(0)
                         part_n = tuple(sorted(masked))
                     old = out.get(part_n)
-                    if old is None or row[0] > old[0]:
-                        out[part_n] = row
+                    if old is None or forest.bit_count() > old.bit_count():
+                        out[part_n] = forest
         elif kind == JOIN:
             left, right = nd.children[node]
             # the bag's classes are in both subtrees
@@ -316,16 +316,16 @@ def dp_run(
                 work += len(lgroup) * len(rgroup)
                 if work > state_budget:
                     raise _budget_error(work, state_budget)
-                best_r = max(row[0] for row in rgroup.values()) if floor > 0 else 0
+                best_r = max(map(int.bit_count, rgroup.values())) if floor > 0 else 0
                 out = None
-                for part_l, (val_l, forest_l) in lgroup.items():
-                    # val_l >= s, so need <= 0 while floor <= 0
-                    need = floor + s - val_l  # the least right value that survives
+                for part_l, forest_l in lgroup.items():
+                    # the left value is at least s, so need <= 0 while floor <= 0
+                    need = floor + s - forest_l.bit_count()  # the least right value that survives
                     if best_r < need:
                         pruned += len(rgroup)
                         continue
-                    for part_r, (val_r, forest_r) in rgroup.items():
-                        if val_r < need:
+                    for part_r, forest_r in rgroup.items():
+                        if need > 0 and forest_r.bit_count() < need:
                             pruned += 1
                             continue
                         # each right block merges the blocks it meets
@@ -343,10 +343,10 @@ def dp_run(
                         part_n = tuple(blocks)
                         if out is None:
                             out = table[kept] = {}
+                        forest = forest_l | forest_r
                         old = out.get(part_n)
-                        value = val_l + val_r - s
-                        if old is None or value > old[0]:
-                            out[part_n] = (value, forest_l | forest_r)
+                        if old is None or forest.bit_count() > old.bit_count():
+                            out[part_n] = forest
         else:
             raise InternalError(f"unknown nice node kind {kind!r}")
 
@@ -359,8 +359,7 @@ def dp_run(
 
     if stats is not None:
         stats["pruned_rows"] = stats.get("pruned_rows", 0) + pruned
-    root = tables[0].get(0, {}).get(())
-    return (None if root is None else root[0]), tables
+    return tables[0].get(0, {}).get(()), tables
 
 
 def _budget_error(work: int, state_budget: int) -> ResourceError:
@@ -371,20 +370,12 @@ def _budget_error(work: int, state_budget: int) -> ResourceError:
     )
 
 
-def reconstruct(tables: list[_Table], nd: NiceDecomposition, g: Graph) -> frozenset[int]:
-    """The vertices outside the root row's forest, a minimum deletion set.
-
-    Only the root row is read. The set is checked to leave a forest in g
-    and to have g.n - value vertices, the row's own invariant.
-    """
-    best_value, forest = tables[0][0][()]
+def reconstruct(forest: int, g: Graph) -> frozenset[int]:
+    """The vertices outside forest, the root row dp_run returns: a minimum
+    deletion set. The set is checked to leave a forest in g."""
     deleted = frozenset(range(g.n)).difference(bits_of(forest))
     if not is_forest(g, deleted):
         raise InternalError("reconstructed kept set does not induce a forest")
-    if len(deleted) != g.n - best_value:
-        raise InternalError(
-            f"reconstructed deletion size {len(deleted)} != {g.n - best_value}"
-        )
     return deleted
 
 
@@ -563,11 +554,11 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             )
         # the loop condition gives budget >= bound, and ub - 1 >= bound here
         # unless bound = budget = 0, so max_deletions >= 0
-        best, tables = dp_run(
+        root, _ = dp_run(
             pipe.nice, sub, sub_part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
         )
-        if best is not None:
-            deleted_reduced.update(old_of_new[v] for v in reconstruct(tables, pipe.nice, sub))
+        if root is not None:
+            deleted_reduced.update(old_of_new[v] for v in reconstruct(root, sub))
         elif ub > budget:
             refuted = True
             break

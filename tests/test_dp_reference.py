@@ -4,9 +4,10 @@ The reference below is the DP as it was before rows became bitmasks: a kept
 set was the sorted tuple of its vertices, a partition a tuple of block
 labels by position, and introduce and join ran a list-based union-find.
 The state budget is left out. Both versions must agree on the root value,
-the pruned rows, every table's rows (values, forests and order) and the
-reconstructed witness. A reference row's forest is read off its backrefs,
-bottom-up (reference_forests).
+the pruned rows, every table's rows (forests and order) and the
+reconstructed witness. A reference row keeps its (value, backref) form:
+its forest is read off its backrefs, bottom-up (reference_forests), and
+its value must equal that forest's popcount.
 """
 
 import random
@@ -221,18 +222,18 @@ def reference_forests(tables, nd):
 
 
 def as_masks(table, forests):
-    """A reference table in mask coding, its rows (value, forest) and its
-    order included, as (kept, [(partition, row)]) pairs."""
-    return [
-        (
-            sum(1 << v for v in kept),
-            [
-                (blocks_mask(kept, part), (value, forests[kept, part]))
-                for part, (value, _) in group.items()
-            ],
-        )
-        for kept, group in table.items()
-    ]
+    """A reference table in mask coding, its rows' forests and its order
+    included, as (kept, [(partition, forest)]) pairs. Each reference row's
+    value must be its forest's popcount."""
+    out = []
+    for kept, group in table.items():
+        rows = []
+        for part, (value, _) in group.items():
+            forest = forests[kept, part]
+            assert value == forest.bit_count(), (kept, part)
+            rows.append((blocks_mask(kept, part), forest))
+        out.append((sum(1 << v for v in kept), rows))
+    return out
 
 
 def assert_same_dp(nd, g, p):
@@ -249,7 +250,7 @@ def assert_same_dp(nd, g, p):
             stats = {}
             bound = g.n if max_deletions is None else max_deletions
             got, tables = dp_run(nd, g, p, mode=mode, max_deletions=bound, stats=stats)
-            assert got == want
+            assert (None if got is None else got.bit_count()) == want
             assert stats.get("pruned_rows", 0) == ref_pruned
             assert len(tables) == len(ref_tables)
             ref_forests = reference_forests(ref_tables, nd)
@@ -258,7 +259,8 @@ def assert_same_dp(nd, g, p):
                 got_rows = [(kept, list(group.items())) for kept, group in table.items()]
                 assert got_rows == as_masks(ref, ref_forests[node]), node
             if got is not None:
-                assert reconstruct(tables, nd, g) == reference_reconstruct(ref_tables, nd, g, p)
+                assert got == tables[0][0][()]
+                assert reconstruct(got, g) == reference_reconstruct(ref_tables, nd, g, p)
 
 
 @pytest.mark.parametrize("density", [1.0, 1.5, 2.0])
@@ -283,5 +285,5 @@ def test_join_heavy_decompositions():
         bg = blowup(contract(g, part))
         nd = make_nice(graft_leaf_bags(project(decompose_unweighted(bg.graph), bg), rng))
         assert_same_dp(nd, g, part)
-        best = dp_run(nd, g, part, mode="dp-naive", max_deletions=g.n)[0]
-        assert g.n - best == min_fvs_bruteforce(g)[0]
+        root = dp_run(nd, g, part, mode="dp-naive", max_deletions=g.n)[0]
+        assert g.n - root.bit_count() == min_fvs_bruteforce(g)[0]

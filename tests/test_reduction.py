@@ -101,8 +101,8 @@ class TestRankReduce:
     def test_table_groups_independent(self):
         table = RepresentativeTable(
             rows={
-                0b011: {(0b011,): (4, None), (0b001, 0b010): (6, None)},
-                0b100: {(0b100,): (1, None)},
+                0b011: {(0b011,): (1 << 4) - 1, (0b001, 0b010): (1 << 6) - 1},
+                0b100: {(0b100,): (1 << 1) - 1},
             }
         )
         out = rank_reduce(table)
@@ -114,13 +114,14 @@ class TestRankReduce:
         for s in range(1, 7):
             ground = tuple(range(s))
             parts = [block_masks(p) for p in all_partitions(ground)]
-            rows = {p: (rng.randint(0, 9), None) for p in parts}
+            # a row of value v is the forest of vertices 0..v-1
+            rows = {p: (1 << rng.randint(0, 9)) - 1 for p in parts}
             kept = (1 << s) - 1
             out = rank_reduce(RepresentativeTable(rows={kept: rows}))
             assert len(out.rows[kept]) <= 1 << (s - 1)
             for q in all_partitions(ground):
                 best = [
-                    max((v for p, (v, _) in group.items()
+                    max((f.bit_count() for p, f in group.items()
                          if merge_blocks_acyclic(mask_blocks(p), q, ground)), default=None)
                     for group in (rows, out.rows[kept])
                 ]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -81,8 +82,8 @@ class TestDpRun:
         p = greedy_partition(g)  # one class covering the whole clique
         assert p.classes == ((0, 1, 2),)
         nd = make_nice(TreeDecomposition(children=((),), bags=(frozenset({0}),)))
-        best, _ = dp_run(nd, g, p, mode="dp-naive", max_deletions=g.n)
-        assert best == 2  # max induced forest, so min deletion is 1
+        root, _ = dp_run(nd, g, p, mode="dp-naive", max_deletions=g.n)
+        assert root.bit_count() == 2  # max induced forest, so min deletion is 1
 
     def test_forest_keeps_everything(self):
         from diskfvs import dp_run, greedy_partition, make_nice
@@ -96,8 +97,8 @@ class TestDpRun:
         td = project(decompose_unweighted(bg.graph), bg)
         nd = make_nice(td)
         for mode in ("dp-naive", "dp-rank"):
-            best, _ = dp_run(nd, g, p, mode=mode, max_deletions=g.n)
-            assert best == 5
+            root, _ = dp_run(nd, g, p, mode=mode, max_deletions=g.n)
+            assert root.bit_count() == 5
 
     def test_tables_keyed_by_kept_vertices(self):
         from collections import Counter
@@ -115,43 +116,56 @@ class TestDpRun:
                 nd, p = pipe.nice, pipe.partition
                 owner = class_of(p)
                 for mode in ("dp-naive", "dp-rank"):
-                    best, tables = dp_run(nd, g, p, mode=mode, max_deletions=g.n)
+                    root, tables = dp_run(nd, g, p, mode=mode, max_deletions=g.n)
+                    assert root == tables[0][0][()]
                     for node, table in enumerate(tables):
                         for kept, group in table.items():
                             per_class = Counter(owner[v] for v in bits_of(kept))
                             assert set(per_class) <= nd.bags[node]
                             assert max(per_class.values(), default=0) <= 2
-                            for part, (value, forest) in group.items():
+                            for part, forest in group.items():
                                 # nonempty disjoint blocks, sorted, covering kept
                                 assert all(part) and list(part) == sorted(part)
                                 assert sum(part) == kept
                                 assert sum(b.bit_count() for b in part) == kept.bit_count()
                                 # the row's forest holds the kept vertices
                                 assert forest & kept == kept
-                                assert value == forest.bit_count()
-                    assert len(reconstruct(tables, nd, g)) == g.n - best
+                    assert len(reconstruct(root, g)) == g.n - root.bit_count()
 
-    @pytest.mark.parametrize(
-        "tamper, message",
-        [
-            # keep the whole triangle 0, 1, 2, with the value to match
-            (lambda value, forest: (value + 1, forest | 0b111), "does not induce a forest"),
-            (lambda value, forest: (value - 1, forest), "deletion size"),
-        ],
-    )
-    def test_reconstruct_checks_the_root_row(self, tamper, message):
+    def test_reconstruct_checks_the_root_row(self):
         from diskfvs import build_pipeline, dp_run, greedy_partition, reconstruct
 
         # two triangles sharing vertex 2
         g = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
         pipe = build_pipeline(g, greedy_partition(g))
-        best, tables = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive", max_deletions=g.n)
-        root = tables[0][0]
-        assert best == 4 and root[()][1] == 0b11011  # all but vertex 2
-        assert reconstruct(tables, pipe.nice, g) == {2}
-        root[()] = tamper(*root[()])
-        with pytest.raises(InternalError, match=message):
-            reconstruct(tables, pipe.nice, g)
+        root, _ = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive", max_deletions=g.n)
+        assert root == 0b11011  # all but vertex 2
+        assert reconstruct(root, g) == {2}
+        # keep vertex 2 as well, which closes both triangles
+        with pytest.raises(InternalError, match="does not induce a forest"):
+            reconstruct(root | 0b100, g)
+
+    @pytest.mark.parametrize("n, density, components, digest", [
+        (60, 2.0, 1, "0e3d6f9208f58148165128d8a8d5c2682718fcc076ac8cf974303953524f7236"),
+        (150, 1.5, 7, "8b54039a4b926d9c9363d912448567976c926c609e4824f348480163d2a04fa0"),
+    ])
+    def test_tables_pinned(self, n, density, components, digest):
+        # every component's DP tables (kept masks, partitions, forests and
+        # their order) in both modes, with no floor and with the floor one
+        # below the minimum: a change to any row changes the digest
+        from diskfvs import component_pipelines, dp_run
+        from diskfvs.solver import MODES
+
+        pipes = component_pipelines(build_intersection_graph(random_udg(n, density, 1)))
+        h = hashlib.sha256()
+        for sub, pipe in pipes:
+            for mode in MODES:
+                root, tables = dp_run(pipe.nice, sub, pipe.partition, mode, sub.n)
+                h.update(repr(tables).encode())
+                minimum = sub.n - root.bit_count()
+                tables = dp_run(pipe.nice, sub, pipe.partition, mode, minimum - 1)[1]
+                h.update(repr(tables).encode())
+        assert (len(pipes), h.hexdigest()) == (components, digest)
 
 
 class TestSolveBasics:
@@ -224,8 +238,8 @@ class TestSolveAgainstOracle:
         for _ in range(25):
             g = random_graph(rng.randint(2, 10), 0.35, rng)
             pipe = build_pipeline(g, greedy_partition(g))
-            best, _ = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive", max_deletions=g.n)
-            assert g.n - best == min_fvs_bruteforce(g)[0]
+            root, _ = dp_run(pipe.nice, g, pipe.partition, mode="dp-naive", max_deletions=g.n)
+            assert g.n - root.bit_count() == min_fvs_bruteforce(g)[0]
 
     def test_join_heavy_decompositions(self):
         # natural elimination-order decompositions branch rarely, so force
@@ -248,9 +262,9 @@ class TestSolveAgainstOracle:
             joins_seen += sum(1 for k in nd.kind if k == JOIN)
             oracle_min, _ = min_fvs_bruteforce(g)
             for mode in ("dp-naive", "dp-rank"):
-                best, tables = dp_run(nd, g, part, mode=mode, max_deletions=g.n)
-                assert g.n - best == oracle_min
-                assert len(reconstruct(tables, nd, g)) == oracle_min
+                root, _ = dp_run(nd, g, part, mode=mode, max_deletions=g.n)
+                assert g.n - root.bit_count() == oracle_min
+                assert len(reconstruct(root, g)) == oracle_min
         assert joins_seen > 100
 
 
@@ -420,11 +434,11 @@ class TestPruning:
                 pipe = build_pipeline(g, greedy_partition(g))
                 nd, p = pipe.nice, pipe.partition
                 best, _ = dp_run(nd, g, p, mode="dp-naive", max_deletions=g.n)
-                minimum = g.n - best
+                minimum = g.n - best.bit_count()
                 for mode in ("dp-naive", "dp-rank"):
-                    got, tables = dp_run(nd, g, p, mode=mode, max_deletions=minimum)
-                    assert got == best
-                    assert len(reconstruct(tables, nd, g)) == minimum
+                    got, _ = dp_run(nd, g, p, mode=mode, max_deletions=minimum)
+                    assert got.bit_count() == best.bit_count()
+                    assert len(reconstruct(got, g)) == minimum
                     if minimum == 0:
                         continue
                     stats = {}
@@ -577,12 +591,12 @@ class TestCoverCliques:
                 nd = build_pipeline(sub, p).nice
                 for mode in ("dp-naive", "dp-rank"):
                     for k in range(sub.n + 1):
-                        best, tables = dp_run(nd, sub, p, mode=mode, max_deletions=k)
+                        root, _ = dp_run(nd, sub, p, mode=mode, max_deletions=k)
                         if minimum > k:
-                            assert best is None, (seed, mode, k)
+                            assert root is None, (seed, mode, k)
                             continue
-                        assert best == sub.n - minimum, (seed, mode, k)
-                        assert len(reconstruct(tables, nd, sub)) == minimum
+                        assert root.bit_count() == sub.n - minimum, (seed, mode, k)
+                        assert len(reconstruct(root, sub)) == minimum
         assert merged >= 40
 
     def test_path_of_two_cliques_beside_a_triangle(self):
@@ -598,9 +612,9 @@ class TestCoverCliques:
         nd = build_pipeline(g, p).nice
         for mode in ("dp-naive", "dp-rank"):
             for k in (g.n, 1, 2):
-                best, tables = dp_run(nd, g, p, mode=mode, max_deletions=k)
-                assert best == 6, (mode, k)
-                assert len(reconstruct(tables, nd, g)) == 1
+                root, _ = dp_run(nd, g, p, mode=mode, max_deletions=k)
+                assert root.bit_count() == 6, (mode, k)
+                assert len(reconstruct(root, g)) == 1
             assert dp_run(nd, g, p, mode=mode, max_deletions=0)[0] is None
 
 
