@@ -27,6 +27,7 @@ STATS_COLUMNS = [
     "weighted_width",
     "bound_solved",
     "greedy_optimal",
+    "search_proven",
     "pruned_rows",
     "high_degree_count",
 ]

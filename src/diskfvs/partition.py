@@ -14,6 +14,9 @@ minimum, and a minimum whenever it has at most max(bound, 1) vertices.
 Above that size it puts back every deleted vertex that closes no cycle,
 lowest degree first, so the set it returns is inclusion-minimal; at or
 below it the set is already a minimum and the pass is skipped.
+packing_search_refutes closes a small gap between the two: it proves that
+no feedback vertex set has at most the bound plus a few vertices by
+choosing a kept subset per cover clique.
 
 greedy_partition processes vertices in non-increasing degree order (ties by
 smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
@@ -38,6 +41,9 @@ from .graph import Graph, connected_components, induced_subgraph, uf_find
 
 # a forest keeps at most two vertices of any clique
 KEEP_PER_CLIQUE = 2
+# packing_search_refutes gives up, refuting nothing, past this many search
+# nodes (one per clique choice tried)
+SEARCH_NODE_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -234,6 +240,111 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
             for r in roots:
                 parent[r] = v
     return frozenset(v for v in deleted if out[v])
+
+
+def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
+    """True when g has no feedback vertex set of at most packing_bound(p) +
+    extra vertices; False when it has one, or when the search gave up after
+    SEARCH_NODE_CAP nodes.
+
+    p's cover cliques partition g's vertices, and a forest keeps at most
+    min(2, |q|) vertices of a clique q, so a set of at most bound + extra
+    vertices is exactly one kept subset per cover clique, with the kept
+    vertices inducing a forest, whose total shortfall below min(2, |q|) is
+    at most extra. The search assigns the cliques one at a time, each time
+    branching on the unassigned clique with the fewest feasible subsets
+    (the first such clique; subsets of least shortfall first). A subset is
+    feasible when its shortfall fits what is left of extra and keeping it
+    closes no cycle: its vertices' kept neighbours lie in distinct trees of
+    the forest kept so far, and for a pair, which is an edge, the two
+    vertices touch no tree in common. A subset infeasible at a node stays
+    infeasible below it, since the kept set only grows and the shortfall
+    left only falls. So a node where some clique has no feasible subset has
+    no set below it, and only a subset whose vertices border the tree the
+    last choice made, or whose shortfall no longer fits, needs a new test.
+    A search that ends without a set has tried every set, so it refutes;
+    a set it finds, or a give-up, refutes nothing.
+    """
+    nbr = [sum(1 << u for u in a) for a in g.adj]
+    cliques = [q for cover in p.clique_cover for q in cover]
+    # what each clique's vertices border: only a tree meeting it can change
+    # the clique's feasible subsets
+    reach = [0] * len(cliques)
+    for i, q in enumerate(cliques):
+        for v in q:
+            reach[i] |= nbr[v]
+    # each clique's subsets the shortfall allows, least shortfall first, as
+    # (shortfall, vertices, the tree keeping them makes): with nothing kept
+    # yet, each subset's tree is its own vertices
+    start = {}
+    for i, q in enumerate(cliques):
+        keep = min(KEEP_PER_CLIQUE, len(q))
+        start[i] = [
+            (keep - r, sel, sum(1 << v for v in sel))
+            for r in range(keep, max(keep - extra, 0) - 1, -1)
+            for sel in itertools.combinations(q, r)
+        ]
+    nodes = 0
+
+    def tree_of(sel, kept: int, tree_at: list[int]) -> int:
+        """The tree that keeping sel (at most two vertices, an edge when two)
+        makes with the trees it touches, or -1 when it closes a cycle."""
+        tree = 0
+        for v in sel:
+            touched = 0
+            m = nbr[v] & kept
+            while m:
+                t = tree_at[(m & -m).bit_length() - 1]
+                if m & t != m & -m:  # two neighbours in one tree
+                    return -1
+                touched |= t
+                m &= ~t
+            if touched & tree:  # a pair's two vertices reach one tree
+                return -1
+            tree |= touched | 1 << v
+        return tree
+
+    def search(kept: int, tree_at: list[int], options: dict, left: int) -> bool:
+        """True when the choices so far extend to a set within the bound.
+
+        kept is the mask of the vertices kept so far, tree_at[v] the mask of
+        kept vertex v's tree, options each unassigned clique's feasible
+        subsets and left what is left of extra."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_CAP or not options:
+            return True
+        i = min(options, key=lambda j: len(options[j]))
+        for short, sel, tree in options[i]:
+            kept_n = kept | tree
+            tree_at_n = tree_at
+            if tree:
+                tree_at_n = tree_at.copy()
+                m = tree
+                while m:
+                    low = m & -m
+                    tree_at_n[low.bit_length() - 1] = tree
+                    m ^= low
+            left_n = left - short
+            options_n = {}
+            for j, opts in options.items():
+                if j == i:
+                    continue
+                if reach[j] & tree or opts[-1][0] > left_n:
+                    opts = [
+                        (s, sel_j, t)
+                        for s, sel_j, _ in opts
+                        if s <= left_n and (t := tree_of(sel_j, kept_n, tree_at_n)) >= 0
+                    ]
+                    if not opts:
+                        break
+                options_n[j] = opts
+            else:
+                if search(kept_n, tree_at_n, options_n, left_n):
+                    return True
+        return False
+
+    return not search(0, [0] * g.n, start, extra)
 
 
 def contract(g: Graph, p: KappaPartition) -> ContractedGraph:

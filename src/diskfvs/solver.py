@@ -18,6 +18,13 @@ so no vertex of the set is redundant. When a component's share of that set
 has ub <= max(LB, 1) vertices, LB the component's bound, it is a minimum
 (a peeled component holds a cycle), and when it also fits the component's
 share of k the component needs no subgraph, no decomposition and no DP.
+When ub fits that share and ub - 1 - LB <= 1, so a smaller set would be at
+most one vertex above the bound, partition.packing_search_refutes asks the
+DP's question first, with no decomposition: is there a set of at most
+ub - 1 vertices, one kept subset per cover clique? When it proves there is
+none, the greedy set is a minimum and the component is not decomposed. When
+it finds such a set, or gives up, the DP below runs as it would without the
+search, so the search changes no answer.
 
 The two bounds prune every DP. A component C has budget = k - done - rest,
 where done sums the exact minima of the components already solved and rest
@@ -88,6 +95,7 @@ from .partition import (
     packing_bound,
     packing_cliques,
     packing_completion,
+    packing_search_refutes,
     restrict_partition,
 )
 from .reduction import Kept, Partition, RepresentativeTable, bits_of, rank_reduce
@@ -480,16 +488,22 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     components' bounds are taken from k. The component's share of the
     greedy set, ub vertices, is taken without a decomposition or a DP when
     ub <= max(bound, 1) and ub <= budget (stats["bound_solved"] counts
-    these components). Otherwise the DP runs with max_deletions =
-    min(budget, ub - 1) and drops the rows that cannot stay within it (see
-    dp_run). When its root comes back empty, the greedy set is a minimum
-    if ub <= budget (stats["greedy_optimal"] counts these components), and
-    the component is refuted otherwise. The solve stops with "no" as soon
-    as the solved minima plus the bounds still to come exceed k, so
-    stats["min_fvs"] is set only when every component's minimum was
-    computed, and stats["weighted_width"] covers only the components
-    whose pipeline was built (0 when none was). stats["pruned_rows"]
-    counts the candidate DP rows the floor dropped.
+    these components). Otherwise, when ub <= budget and ub - 1 - bound <= 1,
+    packing_search_refutes may prove that no set has at most ub - 1
+    vertices, and the greedy set is taken with no decomposition
+    (stats["search_proven"] counts these components). Otherwise the DP runs
+    with max_deletions = min(budget, ub - 1) and drops the rows that cannot
+    stay within it (see dp_run). When its root comes back empty, the greedy
+    set is a minimum if ub <= budget, and the component is refuted
+    otherwise. stats["greedy_optimal"] counts the components whose greedy
+    set the search or the DP proved minimal. The search runs only when the
+    greedy set fits the budget, so every "no" still comes from the DP or the
+    clique-packing bound. The solve stops with "no" as soon as the solved
+    minima plus the bounds still to come exceed k, so stats["min_fvs"] is
+    set only when every component's minimum was computed, and
+    stats["weighted_width"] covers only the components whose pipeline was
+    built (0 when none was). stats["pruned_rows"] counts the candidate DP
+    rows the floor dropped.
     """
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
@@ -511,6 +525,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     stats["pruned_rows"] = 0
     stats["bound_solved"] = 0
     stats["greedy_optimal"] = 0
+    stats["search_proven"] = 0
 
     rest = stats["lower_bound"] = sum(bounds)
     greedy_of: list[list[int]] = [[] for _ in comps]
@@ -545,25 +560,32 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             continue
         sub, old_of_new, new_of_old = induced_subgraph(gp, comps[i])
         sub_part = restrict_partition(part, class_ids[i], new_of_old)
-        pipe = build_pipeline(sub, sub_part)
-        stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
-        if pipe.weighted_width > WIDTH_SAFETY_CAP:
-            raise ResourceError(
-                f"weighted width {pipe.weighted_width} exceeds safety cap "
-                f"{WIDTH_SAFETY_CAP} on a component of {sub.n} vertices"
+        # max_deletions = ub - 1 would leave the DP a slack of at most 1: a
+        # clique-choice search refutes that small a set more cheaply
+        extra = ub - 1 - bound
+        if ub <= budget and extra <= 1 and packing_search_refutes(sub, sub_part, extra):
+            root = None
+            stats["search_proven"] += 1
+        else:
+            pipe = build_pipeline(sub, sub_part)
+            stats["weighted_width"] = max(stats["weighted_width"], pipe.weighted_width)
+            if pipe.weighted_width > WIDTH_SAFETY_CAP:
+                raise ResourceError(
+                    f"weighted width {pipe.weighted_width} exceeds safety cap "
+                    f"{WIDTH_SAFETY_CAP} on a component of {sub.n} vertices"
+                )
+            # the loop condition gives budget >= bound, and ub - 1 >= bound
+            # here unless bound = budget = 0, so max_deletions >= 0
+            root, _ = dp_run(
+                pipe.nice, sub, sub_part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
             )
-        # the loop condition gives budget >= bound, and ub - 1 >= bound here
-        # unless bound = budget = 0, so max_deletions >= 0
-        root, _ = dp_run(
-            pipe.nice, sub, sub_part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
-        )
         if root is not None:
             deleted_reduced.update(old_of_new[v] for v in reconstruct(root, sub))
         elif ub > budget:
             refuted = True
             break
         else:
-            deleted_reduced.update(greedy)  # the DP proved no smaller set exists
+            deleted_reduced.update(greedy)  # no smaller set exists
             stats["greedy_optimal"] += 1
     timings["pipeline"] = time.perf_counter() - t1
 

@@ -17,7 +17,7 @@ from diskfvs import (
 from diskfvs import bench
 from diskfvs.cli import main
 from diskfvs.fileio import parse_objects, serialize_graph
-from diskfvs.partition import packing_bound, packing_completion
+from diskfvs.partition import packing_bound, packing_completion, packing_search_refutes
 
 from conftest import cycle_graph, path_graph
 
@@ -208,8 +208,10 @@ class TestValidateCommand:
         assert (solved["verdict"], solved["fvs"]) == ("yes", [0])
 
     def test_width_matches_solve(self, tmp_path, capsys):
+        # of its four components, the completion solves two, the search
+        # proves the third's greedy set minimal and the DP solves the fourth
         out = tmp_path / "w"
-        main(["gen", "--udg", "-n", "40", "--density", "1.0", "--seed", "2",
+        main(["gen", "--udg", "-n", "40", "--density", "1.5", "--seed", "8",
               "--out", str(out)])
         points = str(out.with_suffix(".points"))
         capsys.readouterr()
@@ -219,16 +221,23 @@ class TestValidateCommand:
         main(["solve", points, "--k", "40", "--json"])
         solved = json.loads(capsys.readouterr().out)
         # solve decomposes only the components whose packing completion is
-        # above max(bound, 1); validate lists the components in the same order
+        # above max(bound, 1) and whose search, when it runs, refutes nothing;
+        # validate lists the components in the same order
         g = build_intersection_graph(parse_objects(Path(points).read_text()))
         peeled = peel_degree_one(g).reduced
         declined = []
         for comp, report in zip(connected_components(peeled), components):
             sub, _, _ = induced_subgraph(peeled, comp)
             p = greedy_partition(sub)
-            if len(packing_completion(sub, p)) > max(packing_bound(p), 1):
+            ub, bound = len(packing_completion(sub, p)), packing_bound(p)
+            if ub <= max(bound, 1):
+                continue  # the completion is a minimum
+            if not (ub - 1 - bound <= 1 and packing_search_refutes(sub, p, ub - 1 - bound)):
                 declined.append(report["weighted_width"])
-        assert declined and len(declined) == len(components) - solved["bound_solved"]
+        assert solved["search_proven"] > 0
+        assert declined and len(declined) == (
+            len(components) - solved["bound_solved"] - solved["search_proven"]
+        )
         assert solved["weighted_width"] == max(declined)
 
 

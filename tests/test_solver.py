@@ -145,6 +145,38 @@ class TestDpRun:
         with pytest.raises(InternalError, match="does not induce a forest"):
             reconstruct(root | 0b100, g)
 
+    def test_introduce_keeps_the_first_of_equal_rows(self):
+        from diskfvs import dp_run
+        from diskfvs.decomposition import FORGET, INTRODUCE, LEAF, NiceDecomposition
+
+        # the 6-cycle a-u-b-w-c-x (a, b, c, u, w, x = 0..5), one class per
+        # vertex, on a path that keeps a, b, c in every bag and introduces
+        # and forgets u, then w, then introduces x
+        g = from_edge_list(6, [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)])
+        p = KappaPartition(
+            classes=tuple((v,) for v in range(6)),
+            clique_cover=tuple(((v,),) for v in range(6)),
+        )
+        F, I = FORGET, INTRODUCE
+        nd = NiceDecomposition(
+            kind=(F, F, F, F, I, F, I, F, I, I, I, I, LEAF),
+            vtx=(0, 1, 2, 5, 5, 4, 4, 3, 3, 2, 1, 0, None),
+            bags=tuple(map(frozenset, (
+                (), (0,), (0, 1), (0, 1, 2), (0, 1, 2, 5), (0, 1, 2), (0, 1, 2, 4),
+                (0, 1, 2), (0, 1, 2, 3), (0, 1, 2), (0, 1), (0,), (),
+            ))),
+            children=tuple((i + 1,) for i in range(12)) + ((),),
+        )
+        _, tables = dp_run(nd, g, p, mode="dp-naive", max_deletions=g.n)
+        # below x, keeping a, b, c: the row {a, b}{c} keeps u and comes first,
+        # the row {a}{b, c} keeps w; both have four vertices
+        assert list(tables[5][0b111].items())[1:3] == [
+            ((0b11, 0b100), 0b1111), ((0b1, 0b110), 0b10111),
+        ]
+        # x joins both into the one block a, b, c, x with five vertices: the
+        # first candidate, keeping u, stays
+        assert tables[4][0b100111][(0b100111,)] == 0b101111
+
     @pytest.mark.parametrize("n, density, components, digest", [
         (60, 2.0, 1, "0e3d6f9208f58148165128d8a8d5c2682718fcc076ac8cf974303953524f7236"),
         (150, 1.5, 7, "8b54039a4b926d9c9363d912448567976c926c609e4824f348480163d2a04fa0"),
@@ -283,12 +315,16 @@ class TestPipeline:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, "validate_decomposition", counting)
-        g = build_intersection_graph(random_udg(60, 0.8, seed=3))
+        # five components: the completion solves three, the search proves
+        # the fourth's greedy set minimal and the DP solves the fifth
+        g = build_intersection_graph(random_udg(60, 0.8, seed=17))
         components = len(connected_components(peel_degree_one(g).reduced))
         assert components >= 3
         sol = solve(g, SolveConfig(k=g.n))
-        # the components the packing completion solved are never decomposed
-        left_to_dp = components - sol.stats["bound_solved"]
+        # the components the packing completion solved, or the search
+        # proved, are never decomposed
+        assert sol.stats["search_proven"] > 0
+        left_to_dp = components - sol.stats["bound_solved"] - sol.stats["search_proven"]
         assert left_to_dp > 0
         assert len(calls) == left_to_dp
 
@@ -618,6 +654,64 @@ class TestCoverCliques:
             assert dp_run(nd, g, p, mode=mode, max_deletions=0)[0] is None
 
 
+class TestPackingSearch:
+    """packing_search_refutes asks whether some feedback vertex set has at
+    most bound + extra vertices, by choosing a kept subset per cover clique,
+    and refutes only when none has."""
+
+    def test_exact_desk_scale(self):
+        from diskfvs import connected_components, greedy_partition
+        from diskfvs.partition import packing_bound, packing_search_refutes
+
+        # peeled components of desk-scale UDGs with greedy and merged
+        # (kappa = 2) partitions, and unpeeled random graphs
+        cases = []
+        for seed in range(90):
+            objs = random_udg(6 + seed % 13, (0.5, 1.0, 2.0)[seed % 3], seed)
+            peeled = peel_degree_one(build_intersection_graph(objs)).reduced
+            for comp in connected_components(peeled):
+                sub = induced_subgraph(peeled, comp)[0]
+                cases += [(sub, greedy_partition(sub)), (sub, merged_partition(sub))]
+        rng = random.Random(62)
+        for _ in range(150):
+            g = random_graph(rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6]), rng)
+            cases.append((g, greedy_partition(g)))
+        refuted = [0, 0, 0]
+        merged = 0
+        for g, p in cases:
+            minimum = min_fvs_bruteforce(g)[0]
+            for extra in (0, 1, 2):
+                # no search here reaches SEARCH_NODE_CAP, so each is decided
+                refutes = packing_search_refutes(g, p, extra)
+                assert refutes == (minimum > packing_bound(p) + extra), (g, p, extra)
+                refuted[extra] += refutes
+                merged += refutes and any(len(cover) > 1 for cover in p.clique_cover)
+        assert min(refuted) > 10 and merged > 10, (refuted, merged)
+
+    def test_refutation_matches_the_dp_on_the_pool(self):
+        # every peeled component of pool graphs 0-119 whose greedy set leaves
+        # the DP a slack of at most 1, as solve asks at k = n
+        from diskfvs import build_pipeline, connected_components, dp_run, greedy_partition
+        from diskfvs.partition import packing_bound, packing_completion, packing_search_refutes
+
+        asked = refuted = 0
+        for seed in range(120):
+            g = build_intersection_graph(random_udg(100, 1.0, seed))
+            peeled = peel_degree_one(g).reduced
+            for comp in connected_components(peeled):
+                sub = induced_subgraph(peeled, comp)[0]
+                p = greedy_partition(sub)
+                ub, bound = len(packing_completion(sub, p)), packing_bound(p)
+                if ub <= max(bound, 1) or ub - 1 - bound > 1:
+                    continue
+                asked += 1
+                if packing_search_refutes(sub, p, ub - 1 - bound):
+                    refuted += 1
+                    nd = build_pipeline(sub, p).nice
+                    assert dp_run(nd, sub, p, "dp-naive", ub - 1)[0] is None, seed
+        assert refuted > 200 and asked > refuted, (asked, refuted)
+
+
 class TestThresholds:
     """Paths behind the bound: the DP, the width safety cap and the state
     budget, each reached at a k the clique-packing bound cannot reject."""
@@ -633,11 +727,14 @@ class TestThresholds:
     def test_width_safety_cap_resource_error(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
         # the first has one 16-vertex component that the packing completion
-        # leaves to the DP: the cap raises however small the component
-        for g in (build_intersection_graph(random_udg(16, 1.0, 0)),
-                  random_graph(24, 0.5, random.Random(60))):
+        # leaves to the DP: the cap raises however small the component. It
+        # is asked one below its minimum, where the greedy set does not fit
+        # and no search can prove it minimal first
+        udg = build_intersection_graph(random_udg(16, 1.0, 0))
+        for g, k in ((udg, min_fvs_bruteforce(udg)[0] - 1),
+                     (random_graph(24, 0.5, random.Random(60)), 24)):
             with pytest.raises(ResourceError, match="safety cap"):
-                solve(g, SolveConfig(k=g.n, mode="dp-rank"))
+                solve(g, SolveConfig(k=k, mode="dp-rank"))
 
     def test_state_budget_raises_on_a_small_component(self):
         # one 10-vertex component whose DP, pruned against the greedy set,
@@ -678,30 +775,37 @@ class TestSparseSolvePinned:
     components: at k = n, at one below the minimum and at one below the
     clique-packing bound. The figures were read off the per-component front
     end (one partition and one packing completion per component); the
-    whole-graph pass must repeat them. A list too long to spell out is
-    pinned by its length and a sha256 prefix of its repr."""
+    whole-graph pass must repeat them. weighted_width and pruned_rows cover
+    only the components that reach the DP, and were read again once the
+    packing search proved greedy sets minimal before it. A list too long to
+    spell out is pinned by its length and a sha256 prefix of its repr."""
 
     # seed -> (fvs at k = n, stats at k = n less timings, the stats that
     # differ at k = min - 1, cliques at k = lower_bound - 1)
     PINNED = {
         1: ((172, "d97aa97cd2086511"),
             {"cliques": [], "high_degree_count": 214, "class_count": 208,
-             "weighted_width": 6, "pruned_rows": 221, "bound_solved": 110,
-             "greedy_optimal": 12, "lower_bound": 156, "min_fvs": 172},
-            {"greedy_optimal": 11},
+             "weighted_width": 0, "pruned_rows": 0, "bound_solved": 110,
+             "greedy_optimal": 12, "search_proven": 12, "lower_bound": 156,
+             "min_fvs": 172},
+            {"weighted_width": 6, "pruned_rows": 49, "greedy_optimal": 11,
+             "search_proven": 11},
             (126, "b611823585aaa9c0")),
         2: ((145, "3081ffa185ed8369"),
             {"cliques": [], "high_degree_count": 139, "class_count": 175,
-             "weighted_width": 5, "pruned_rows": 105, "bound_solved": 116,
-             "greedy_optimal": 6, "lower_bound": 137, "min_fvs": 145},
-            {"greedy_optimal": 5},
+             "weighted_width": 0, "pruned_rows": 0, "bound_solved": 116,
+             "greedy_optimal": 6, "search_proven": 6, "lower_bound": 137,
+             "min_fvs": 145},
+            {"weighted_width": 5, "pruned_rows": 42, "greedy_optimal": 5,
+             "search_proven": 5},
             (122, "b364ffbfb3f4d603")),
         3: ((151, "cbfd60515050c263"),
             {"cliques": [], "high_degree_count": 150, "class_count": 181,
-             "weighted_width": 6, "pruned_rows": 83, "bound_solved": 117,
-             "greedy_optimal": 4, "lower_bound": 143, "min_fvs": 151},
-            {"weighted_width": 5, "pruned_rows": 65, "bound_solved": 113,
-             "greedy_optimal": 3},
+             "weighted_width": 6, "pruned_rows": 18, "bound_solved": 117,
+             "greedy_optimal": 4, "search_proven": 4, "lower_bound": 143,
+             "min_fvs": 151},
+            {"weighted_width": 5, "pruned_rows": 23, "bound_solved": 113,
+             "greedy_optimal": 3, "search_proven": 3},
             (124, "c1f240f9531cbbc6")),
     }
 
@@ -728,7 +832,10 @@ class TestSparseSolvePinned:
         sol = solve(g, SolveConfig(k=stats["lower_bound"] - 1))
         assert (sol.verdict, sol.certificate, sol.fvs) == ("no", "clique-packing", None)
         assert self.pin(sol.stats["cliques"]) == cliques
-        untouched = {"weighted_width": 0, "pruned_rows": 0, "bound_solved": 0, "greedy_optimal": 0}
+        untouched = {
+            "weighted_width": 0, "pruned_rows": 0, "bound_solved": 0, "greedy_optimal": 0,
+            "search_proven": 0,
+        }
         assert {k: v for k, v in sol.stats.items() if k not in ("timings", "cliques")} == {
             **{k: v for k, v in expected.items() if k != "cliques"}, **untouched
         }
