@@ -17,6 +17,9 @@ below it the set is already a minimum and the pass is skipped.
 packing_search_refutes closes a small gap between the two: it proves that
 no feedback vertex set has at most the bound plus a few vertices by
 choosing a kept subset per cover clique.
+conflict_pairs finds disjoint pairs of classes that no forest keeps in
+full, each worth one deletion beyond the bound; the DP's floor counts
+those its subtree has not reached.
 
 greedy_partition processes vertices in non-increasing degree order (ties by
 smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
@@ -155,6 +158,61 @@ def packing_cliques(p: KappaPartition) -> list[tuple[int, ...]]:
 def packing_bound(p: KappaPartition) -> int:
     """Clique-packing lower bound on every feedback vertex set."""
     return sum(len(q) - KEEP_PER_CLIQUE for q in packing_cliques(p))
+
+
+def conflict_pairs(g: Graph, p: KappaPartition) -> list[tuple[int, int]]:
+    """Disjoint pairs (i, j), i < j, of classes of p, each class covered by
+    one clique, such that every way of keeping min(2, |q|) vertices of
+    both cliques closes a cycle.
+
+    Each kept subset is an edge or a vertex, and two of them close a cycle
+    exactly when two edges join them. So a pair conflicts when, for every
+    way S of keeping the first clique, the min(2, |q|) vertices of the
+    second with the fewest neighbours in S have two or more between them.
+    A forest then falls at least one vertex short of min(2, |q|) on one
+    clique of each pair, and the pairs are disjoint, so every feedback
+    vertex set has at least packing_bound(p) + len(pairs) vertices.
+    The pairs are greedy: each class in order is paired with the first
+    later unpaired class it conflicts with.
+    """
+    nbr = [sum(1 << u for u in a) for a in g.adj]
+    owner = [-1] * g.n
+    for i, cover in enumerate(p.clique_cover):
+        if len(cover) == 1:
+            for v in cover[0]:
+                owner[v] = i
+    paired = [False] * len(p.classes)
+    pairs = []
+    for i, cover in enumerate(p.clique_cover):
+        if paired[i] or owner[cover[0][0]] != i:  # a class of several cliques has -1
+            continue
+        for j in sorted({owner[w] for v in cover[0] for w in g.adj[v] if owner[w] > i}):
+            if not paired[j] and _pair_closes_cycles(cover[0], p.classes[j], nbr):
+                pairs.append((i, j))
+                paired[i] = paired[j] = True
+                break
+    return pairs
+
+
+def _pair_closes_cycles(qa, qb, nbr) -> bool:
+    """True when every way of keeping min(2, |q|) vertices of both cliques
+    qa and qb keeps two edges between them, nbr being the neighbour masks."""
+    if len(qa) > len(qb):  # fewer ways to keep the smaller clique
+        qa, qb = qb, qa
+    qb_mask = sum(1 << v for v in qb)
+    cap_b = min(KEEP_PER_CLIQUE, len(qb))
+    for sel in itertools.combinations(qa, min(KEEP_PER_CLIQUE, len(qa))):
+        first, last = nbr[sel[0]] & qb_mask, nbr[sel[-1]] & qb_mask
+        reach = first | last  # the vertices of qb with a neighbour in sel
+        both = first & last if len(sel) == 2 else 0
+        # the cap_b vertices of qb with the fewest edges to sel: those with
+        # none first, then those with one; r of them have an edge, each two
+        # but for the min(r, ones) with one
+        r = max(0, cap_b - (len(qb) - reach.bit_count()))
+        ones = (reach ^ both).bit_count()
+        if 2 * r - min(r, ones) < 2:
+            return False
+    return True
 
 
 def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:

@@ -31,6 +31,11 @@ from typing import Any
 # ground-set sizes for which the factorization has been verified; larger
 # tables are left unreduced (correct, merely unpruned)
 REDUCE_MAX_GROUND = 8
+# three or fewer distinct partitions are always independent, so rank_reduce
+# leaves a group of fewer rows as it is: every vector has bit A = {} set,
+# so a dependent subset has even size, and two distinct partitions differ
+# at some pair A = {i, j}
+REDUCE_MIN_ROWS = 4
 
 Kept = int  # bitmask over the component's vertex ids
 Partition = tuple[int, ...]  # sorted disjoint block masks whose union is kept
@@ -107,19 +112,20 @@ def reduce_rows(
 def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
     """Reduce the rows of every kept mask, with its vertices as ground set.
 
-    Only a group reduce_rows can shrink (more than one row, at most
-    REDUCE_MAX_GROUND kept vertices) is relabelled; it is scanned in
-    reduce_rows' order, best value first and ties by labels. When no group
-    can shrink, table itself is returned.
+    Only a group reduce_rows can shrink (at least REDUCE_MIN_ROWS rows, at
+    most REDUCE_MAX_GROUND kept vertices) is relabelled; it is scanned in
+    reduce_rows' order, best value first and ties by labels. Every other
+    group keeps its rows in their order, and when no group can shrink,
+    table itself is returned.
     """
     if not any(
-        len(group) > 1 and kept.bit_count() <= REDUCE_MAX_GROUND
+        len(group) >= REDUCE_MIN_ROWS and kept.bit_count() <= REDUCE_MAX_GROUND
         for kept, group in table.rows.items()
     ):
         return table
     out: dict[Kept, dict[Partition, int]] = {}
     for kept, group in table.rows.items():
-        if len(group) > 1 and kept.bit_count() <= REDUCE_MAX_GROUND:
+        if len(group) >= REDUCE_MIN_ROWS and kept.bit_count() <= REDUCE_MAX_GROUND:
             labelled = {
                 block_labels(part, kept): (row.bit_count(), part) for part, row in group.items()
             }

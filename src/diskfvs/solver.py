@@ -32,10 +32,14 @@ the bounds of those still to come, and is solved with max_deletions =
 min(budget, ub - 1): the DP looks only for a set smaller than the greedy
 one, with slack = max_deletions - LB_C. A row at node t has deleted
 proc(t) - value of the proc(t) vertices in its subtree's classes, and
-lbsub(t) of the bound belongs to those classes' cover cliques, so a row
-with value < proc(t) - lbsub(t) - slack cannot lead to a set of at most
-max_deletions vertices and is dropped (see dp_run). An optimal set never
-breaks that floor at any node, so a surviving root row is exact. An empty
+lbsub(t) of the bound belongs to those classes' cover cliques. The classes
+outside the subtree owe deletions beyond their share of the bound too:
+partition.conflict_pairs gives disjoint pairs of classes that no forest
+keeps in full, so each pair with neither class in the subtree owes one,
+owed(t) in all. A row with value < proc(t) - lbsub(t) - slack + owed(t)
+cannot lead to a set of at most max_deletions vertices and is dropped
+(see dp_run). An optimal set never breaks that floor at any node, so a
+surviving root row is exact. An empty
 root proves C's minimum exceeds max_deletions: the greedy set is then a
 minimum when ub <= budget, and otherwise C's minimum exceeds its share of
 k.
@@ -89,6 +93,7 @@ from .partition import (
     KEEP_PER_CLIQUE,
     ContractedGraph,
     KappaPartition,
+    conflict_pairs,
     contract,
     greedy_partition,
     local_selections,
@@ -169,18 +174,25 @@ def dp_run(
     in this component: solve passes the smaller of the component's share of
     k and one less than a known feedback vertex set. With slack =
     max_deletions - packing_bound(p), a row at node t with value < cap(t) -
-    slack is dropped before its block work. cap(t) sums min(2, |q|) over
-    the cover cliques q of the classes in t's subtree: the most a row at t
-    can keep, and their size less their share of the bound. Such a row
-    has deleted cap(t) - value vertices beyond that share, and every cover
-    clique still to come needs its own max(0, |q| - 2), so it cannot end
-    within max_deletions. The rows of an optimal set never break the
+    slack + owed(t) is dropped before its block work. cap(t) sums
+    min(2, |q|) over the cover cliques q of the classes in t's subtree: the
+    most a row at t can keep, and their size less their share of the
+    bound. Such a row has deleted cap(t) - value vertices beyond that
+    share, and every cover clique still to come needs its own
+    max(0, |q| - 2). owed(t) counts the conflict_pairs with neither class
+    in t's subtree. A forest that kept min(2, |q|) vertices of both
+    classes of a pair would contain a cycle, so every forest falls at
+    least one vertex short on each pair, and the pairs are disjoint, so
+    these shortfalls add: the classes still to come delete at least
+    owed(t) vertices beyond their share of the bound. So the row cannot
+    end within max_deletions. The rows of an optimal set never break the
     floor, and a stored row is never worse than the one it stands for
     (rank reduction included), so the root row is a maximum whenever the
     minimum is at most max_deletions; otherwise the root table is empty
     and the root row is returned as None (a root row of 0 keeps no vertex
-    but is a result). cap(t) <= g.n - packing_bound(p), so max_deletions =
-    g.n drops no row.
+    but is a result). owed(t) is at most the cap of the classes outside
+    t's subtree, and cap(t) plus that cap is g.n - packing_bound(p), so
+    max_deletions = g.n drops no row.
     If stats is given, stats["pruned_rows"] grows by the candidate rows
     the floor dropped.
     """
@@ -189,6 +201,7 @@ def dp_run(
     selections = [local_selections(cls, cov) for cls, cov in zip(p.classes, p.clique_cover)]
     keep_cap = [max(map(len, sels)) for sels in selections]  # the most a class keeps
     slack = max_deletions - packing_bound(p)
+    pair_masks = [1 << i | 1 << j for i, j in conflict_pairs(g, p)]
     pruned = 0
     work = 0  # candidate states examined, charged before each batch's work
 
@@ -212,6 +225,12 @@ def dp_run(
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
     cap = [0] * n_nodes
+    subtree = [0] * n_nodes  # the classes introduced below each node, as a mask
+
+    def owed(node: int) -> int:
+        """The conflict pairs with neither class in node's subtree."""
+        inside = subtree[node]
+        return sum(1 for m in pair_masks if not m & inside)
 
     # A candidate row replaces a stored one only with a larger popcount, so
     # the first of equal rows stays. Each loop looks its output group up once
@@ -226,7 +245,8 @@ def dp_run(
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
             cap[node] = cap[child] + keep_cap[v_cl]
-            floor = cap[node] - slack
+            subtree[node] = subtree[child] | 1 << v_cl
+            floor = cap[node] - slack + owed(node)
             for kept_c, group in tables[child].items():
                 size = len(group)
                 # no row is dropped while floor <= 0, so skip the scan then
@@ -287,6 +307,7 @@ def dp_run(
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
             cap[node] = cap[child]  # rows pass up unchanged
+            subtree[node] = subtree[child]
             keep = ~class_mask[v_cl]
             for kept_c, group in tables[child].items():
                 work += len(group)
@@ -311,7 +332,8 @@ def dp_run(
             left, right = nd.children[node]
             # the bag's classes are in both subtrees
             cap[node] = cap[left] + cap[right] - sum(keep_cap[c] for c in nd.bags[node])
-            floor = cap[node] - slack
+            subtree[node] = subtree[left] | subtree[right]
+            floor = cap[node] - slack + owed(node)
             rt = tables[right]
             for kept, lgroup in tables[left].items():
                 rgroup = rt.get(kept)

@@ -218,6 +218,18 @@ def class_of(p) -> list[int]:
     return owner
 
 
+def subtree_classes(nd) -> list[set[int]]:
+    """The classes introduced in each nice node's subtree."""
+    from diskfvs.decomposition import INTRODUCE
+
+    below = [set() for _ in nd.kind]
+    for node in range(nd.node_count() - 1, -1, -1):
+        below[node] = set().union(*(below[c] for c in nd.children[node]))
+        if nd.kind[node] == INTRODUCE:
+            below[node].add(nd.vtx[node])
+    return below
+
+
 def euclid(a, b) -> float:
     return math.dist((a.x, a.y), (b.x, b.y))
 

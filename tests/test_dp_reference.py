@@ -3,7 +3,9 @@
 The reference below is the DP as it was before rows became bitmasks: a kept
 set was the sorted tuple of its vertices, a partition a tuple of block
 labels by position, and introduce and join ran a list-based union-find.
-The state budget is left out. Both versions must agree on the root value,
+The state budget is left out. The reference takes the same floor, the
+conflict pairs outside each subtree included, and reduces only groups of
+at least REDUCE_MIN_ROWS rows. Both versions must agree on the root value,
 the pruned rows, every table's rows (forests and order) and the
 reconstructed witness. A reference row keeps its (value, backref) form:
 its forest is read off its backrefs, bottom-up (reference_forests), and
@@ -35,10 +37,10 @@ from diskfvs import (
 )
 from diskfvs.decomposition import FORGET, INTRODUCE, JOIN, LEAF
 from diskfvs.graph import uf_find
-from diskfvs.partition import packing_bound
-from diskfvs.reduction import reduce_rows
+from diskfvs.partition import conflict_pairs, packing_bound
+from diskfvs.reduction import REDUCE_MIN_ROWS, reduce_rows
 
-from conftest import class_of, graft_leaf_bags
+from conftest import class_of, graft_leaf_bags, subtree_classes
 
 
 def canonicalize(labels):
@@ -58,8 +60,13 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
     pruned = 0
     nbrs = [frozenset(g.adj[v]) for v in range(g.n)]
     owner = class_of(p)
+    pairs = conflict_pairs(g, p)
+    below = subtree_classes(nd)
     tables = [{} for _ in range(nd.node_count())]
     cap = [0] * nd.node_count()
+
+    def owed(node):
+        return sum(1 for a, b in pairs if a not in below[node] and b not in below[node])
 
     def put(table, kept, part, value, back):
         group = table.setdefault(kept, {})
@@ -76,7 +83,7 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
             cap[node] = cap[child] + keep_cap[v_cl]
-            floor = cap[node] - slack
+            floor = cap[node] - slack + owed(node)
             for kept_c, group in tables[child].items():
                 s_c = len(kept_c)
                 best_c = max(row[0] for row in group.values()) if floor > 0 else 0
@@ -126,7 +133,7 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
         elif kind == JOIN:
             left, right = nd.children[node]
             cap[node] = cap[left] + cap[right] - sum(keep_cap[c] for c in nd.bags[node])
-            floor = cap[node] - slack
+            floor = cap[node] - slack + owed(node)
             rt = tables[right]
             for kept, lgroup in tables[left].items():
                 rgroup = rt.get(kept)
@@ -160,7 +167,10 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
                         part_n = canonicalize([uf_find(parent, a) for a in part_l])
                         put(table, kept, part_n, val_l + val_r - s, (part_l, part_r))
         if mode == "dp-rank":
-            table = {kept: reduce_rows(group, len(kept)) for kept, group in table.items()}
+            table = {
+                kept: reduce_rows(group, len(kept)) if len(group) >= REDUCE_MIN_ROWS else group
+                for kept, group in table.items()
+            }
         tables[node] = table
         if not table:
             break

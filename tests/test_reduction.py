@@ -1,7 +1,14 @@
+import itertools
 import random
 
 from diskfvs import RepresentativeTable, rank_reduce
-from diskfvs.reduction import bits_of, block_labels, reduce_rows, transversal_vector
+from diskfvs.reduction import (
+    REDUCE_MIN_ROWS,
+    bits_of,
+    block_labels,
+    reduce_rows,
+    transversal_vector,
+)
 
 from conftest import all_partitions, blocks_of, merge_blocks_acyclic
 
@@ -126,3 +133,41 @@ class TestRankReduce:
                     for group in (rows, out.rows[kept])
                 ]
                 assert best[0] == best[1], (s, q)
+
+
+class TestSmallGroups:
+    """Up to three distinct partitions are independent, so rank_reduce
+    leaves a group of fewer than REDUCE_MIN_ROWS rows as it is."""
+
+    def test_up_to_three_partitions_are_kept(self):
+        for s in range(1, 7):
+            parts = [canonical(p) for p in all_partitions(tuple(range(s)))]
+            # every set of up to three (of up to two at s = 6, where the
+            # triples number 1.4 million)
+            for r in range(1, 3 if s == 6 else 4):
+                for combo in itertools.combinations(parts, r):
+                    rows = {part: (i, None) for i, part in enumerate(combo)}
+                    assert reduce_rows(rows, s).keys() == rows.keys(), combo
+            # three vectors are dependent only when one is the sum of the
+            # other two, which a transversal vector never is: each has bit
+            # A = {} set, so a sum of two has it clear
+            vecs = {transversal_vector(part) for part in parts}
+            assert len(vecs) == len(parts)
+            assert all(a ^ b not in vecs for a, b in itertools.combinations(vecs, 2))
+
+    def test_small_groups_keep_their_order(self):
+        # kept {0, 1, 2}: three rows, worst first; kept {3, 4, 5}: all five
+        # partitions, one more than the rank bound 2^(3 - 1)
+        three = {(0b1, 0b10, 0b100): 0b1, (0b11, 0b100): 0b111, (0b111,): 0b1111}
+        five = {
+            block_masks(tuple(tuple(x + 3 for x in blk) for blk in blocks)): (1 << 9) - 1
+            for blocks in all_partitions((0, 1, 2))
+        }
+        assert len(three) < REDUCE_MIN_ROWS <= len(five)
+        table = RepresentativeTable(rows={0b111: dict(three), 0b111000: dict(five)})
+        out = rank_reduce(table)
+        assert list(out.rows[0b111].items()) == list(three.items())
+        assert len(out.rows[0b111000]) < len(five)
+        # with no group of REDUCE_MIN_ROWS rows the table comes back as it is
+        table = RepresentativeTable(rows={0b111: dict(three)})
+        assert rank_reduce(table) is table

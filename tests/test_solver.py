@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,14 @@ from diskfvs import (
     validate_decomposition,
 )
 
-from conftest import class_of, complete_graph, cycle_graph, graft_leaf_bags, path_graph
+from conftest import (
+    class_of,
+    complete_graph,
+    cycle_graph,
+    graft_leaf_bags,
+    path_graph,
+    subtree_classes,
+)
 
 
 def random_graph(n, p, rng):
@@ -178,8 +186,8 @@ class TestDpRun:
         assert tables[4][0b100111][(0b100111,)] == 0b101111
 
     @pytest.mark.parametrize("n, density, components, digest", [
-        (60, 2.0, 1, "0e3d6f9208f58148165128d8a8d5c2682718fcc076ac8cf974303953524f7236"),
-        (150, 1.5, 7, "8b54039a4b926d9c9363d912448567976c926c609e4824f348480163d2a04fa0"),
+        (60, 2.0, 1, "a6ab2a3e60b5c6b9a989315fde2bfd5516ee1c412e3206ab093d5450a70f942d"),
+        (150, 1.5, 7, "137538cafcbc6ebf6be0bf9cfb6f525b0affa13fcf160b43f6d66755e1c19b97"),
     ])
     def test_tables_pinned(self, n, density, components, digest):
         # every component's DP tables (kept masks, partitions, forests and
@@ -654,6 +662,112 @@ class TestCoverCliques:
             assert dp_run(nd, g, p, mode=mode, max_deletions=0)[0] is None
 
 
+def keeps_close_cycles(g, qa, qb):
+    """Every way of keeping min(2, |q|) vertices of both cliques closes a
+    cycle, by trying each."""
+    return not any(
+        is_forest(induced_subgraph(g, a + b)[0])
+        for a in itertools.combinations(qa, min(2, len(qa)))
+        for b in itertools.combinations(qb, min(2, len(qb)))
+    )
+
+
+class TestConflictPairs:
+    """conflict_pairs finds disjoint pairs of one-clique classes that no
+    forest keeps in full, and dp_run's floor counts the pairs with neither
+    class in a node's subtree as deletions still owed."""
+
+    @staticmethod
+    def cases():
+        """Peeled components of UDGs of at most 16 disks at densities 1 to
+        3, each with its greedy and its merged (kappa = 2) partition, and
+        random graphs with their greedy partitions."""
+        from diskfvs import connected_components, greedy_partition
+
+        cases = []
+        for seed in range(150):
+            objs = random_udg(6 + seed % 11, (1.0, 2.0, 3.0)[seed % 3], seed)
+            peeled = peel_degree_one(build_intersection_graph(objs)).reduced
+            for comp in connected_components(peeled):
+                sub = induced_subgraph(peeled, comp)[0]
+                cases += [(sub, greedy_partition(sub)), (sub, merged_partition(sub))]
+        rng = random.Random(27)
+        for _ in range(100):
+            g = random_graph(rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6]), rng)
+            cases.append((g, greedy_partition(g)))
+        return cases
+
+    def test_pairs_desk_scale(self):
+        # each pair conflicts, no two classes left unpaired do, the pairs
+        # are disjoint, and each adds one to the packing bound
+        from diskfvs.partition import conflict_pairs, packing_bound
+
+        found = 0
+        for g, p in self.cases():
+            pairs = conflict_pairs(g, p)
+            paired = [c for pair in pairs for c in pair]
+            assert len(paired) == len(set(paired)), pairs
+            single = [i for i, cover in enumerate(p.clique_cover) if len(cover) == 1]
+            for i, j in itertools.combinations(single, 2):
+                if (i, j) in pairs or not (i in paired or j in paired):
+                    conflict = keeps_close_cycles(g, p.classes[i], p.classes[j])
+                    assert conflict == ((i, j) in pairs), (g, p, i, j)
+            assert len(pairs) <= min_fvs_bruteforce(g)[0] - packing_bound(p), (g, p)
+            found += len(pairs)
+        assert found > 50, found
+
+    def test_owed_within_the_outside_shortfall(self):
+        # at every nice node, the pairs with neither class in the subtree
+        # number at most what the classes outside must fall short by: their
+        # induced subgraph's minimum less their packing bound
+        from diskfvs import build_pipeline
+        from diskfvs.partition import conflict_pairs
+
+        checked = 0
+        for g, p in self.cases():
+            pairs = conflict_pairs(g, p)
+            if not pairs:
+                continue
+            exact = {}
+            for below in subtree_classes(build_pipeline(g, p).nice):
+                owed = sum(1 for a, b in pairs if a not in below and b not in below)
+                if not owed:
+                    continue
+                outside = frozenset(range(len(p.classes))) - below
+                if outside not in exact:
+                    sub = induced_subgraph(g, [v for c in outside for v in p.classes[c]])[0]
+                    bound = sum(max(0, len(q) - 2) for c in outside for q in p.clique_cover[c])
+                    exact[outside] = min_fvs_bruteforce(sub)[0] - bound
+                assert owed <= exact[outside], (g, p, below)
+                checked += 1
+        assert checked > 150, checked
+
+    def test_floor_on_the_pool(self, monkeypatch):
+        # every component of pool graphs 0-119 that reaches the DP at k = n:
+        # the DP allowed its minimum finds a set of that size, and allowed
+        # one vertex fewer finds none
+        from diskfvs import dp_run, solver
+
+        reached = []
+
+        def capture(nd, g, p, mode, max_deletions, *rest):
+            reached.append((nd, g, p))
+            return dp_run(nd, g, p, mode, max_deletions, *rest)
+
+        monkeypatch.setattr(solver, "dp_run", capture)
+        for seed in range(120):
+            solve(build_intersection_graph(random_udg(100, 1.0, seed)), SolveConfig(k=100))
+        monkeypatch.undo()
+        for nd, g, p in reached:
+            stats = {}
+            minimum = g.n - dp_run(nd, g, p, "dp-naive", g.n, stats=stats)[0].bit_count()
+            assert stats["pruned_rows"] == 0  # max_deletions = g.n drops no row
+            for mode in ("dp-naive", "dp-rank"):
+                assert dp_run(nd, g, p, mode, minimum)[0].bit_count() == g.n - minimum
+                assert dp_run(nd, g, p, mode, minimum - 1)[0] is None
+        assert len(reached) > 70, len(reached)
+
+
 class TestPackingSearch:
     """packing_search_refutes asks whether some feedback vertex set has at
     most bound + extra vertices, by choosing a kept subset per cover clique,
@@ -748,7 +862,7 @@ class TestThresholds:
     @pytest.mark.parametrize("n,density,seed,budget,work", [
         (16, 1.0, 10, 10, 11),
         (60, 2.0, 1, 2_000, 2_001),
-        (60, 2.0, 1, 15_142, 15_155),
+        (60, 2.0, 1, 15_142, 15_143),
     ])
     def test_state_budget_trips_at_a_fixed_point(self, n, density, seed, budget, work):
         # the budget is charged per selection of an introduced class, per
@@ -776,9 +890,10 @@ class TestSparseSolvePinned:
     clique-packing bound. The figures were read off the per-component front
     end (one partition and one packing completion per component); the
     whole-graph pass must repeat them. weighted_width and pruned_rows cover
-    only the components that reach the DP, and were read again once the
-    packing search proved greedy sets minimal before it. A list too long to
-    spell out is pinned by its length and a sha256 prefix of its repr."""
+    only the components that reach the DP, so they move with the packing
+    search that settles components before it, and pruned_rows also with
+    the DP's floor. A list too long to spell out is pinned by its length
+    and a sha256 prefix of its repr."""
 
     # seed -> (fvs at k = n, stats at k = n less timings, the stats that
     # differ at k = min - 1, cliques at k = lower_bound - 1)
@@ -796,7 +911,7 @@ class TestSparseSolvePinned:
              "weighted_width": 0, "pruned_rows": 0, "bound_solved": 116,
              "greedy_optimal": 6, "search_proven": 6, "lower_bound": 137,
              "min_fvs": 145},
-            {"weighted_width": 5, "pruned_rows": 42, "greedy_optimal": 5,
+            {"weighted_width": 5, "pruned_rows": 29, "greedy_optimal": 5,
              "search_proven": 5},
             (122, "b364ffbfb3f4d603")),
         3: ((151, "cbfd60515050c263"),
@@ -804,7 +919,7 @@ class TestSparseSolvePinned:
              "weighted_width": 6, "pruned_rows": 18, "bound_solved": 117,
              "greedy_optimal": 4, "search_proven": 4, "lower_bound": 143,
              "min_fvs": 151},
-            {"weighted_width": 5, "pruned_rows": 23, "bound_solved": 113,
+            {"weighted_width": 5, "pruned_rows": 11, "bound_solved": 113,
              "greedy_optimal": 3, "search_proven": 3},
             (124, "c1f240f9531cbbc6")),
     }
