@@ -49,6 +49,8 @@ def parse_graph(text: str) -> Graph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise InputError(f"line {lineno}: bad counts") from exc
+            if n < 0:
+                raise InputError(f"line {lineno}: vertex count must be >= 0, got {n}")
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before problem line")
@@ -58,6 +60,10 @@ def parse_graph(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise InputError(f"line {lineno}: bad edge") from exc
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise InputError(f"line {lineno}: self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InputError(f"line {lineno}: repeated edge {u} {v}")

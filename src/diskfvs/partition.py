@@ -344,45 +344,40 @@ def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
         ]
     nodes = 0
 
-    def tree_of(sel, kept: int, tree_at: list[int]) -> int:
+    def tree_of(sel, trees: list[int]) -> int:
         """The tree that keeping sel (at most two vertices, an edge when two)
         makes with the trees it touches, or -1 when it closes a cycle."""
         tree = 0
         for v in sel:
             touched = 0
-            m = nbr[v] & kept
-            while m:
-                t = tree_at[(m & -m).bit_length() - 1]
-                if m & t != m & -m:  # two neighbours in one tree
-                    return -1
-                touched |= t
-                m &= ~t
+            around = nbr[v]
+            for t in trees:
+                m = around & t
+                if m:
+                    if m & (m - 1):  # two neighbours in one tree
+                        return -1
+                    touched |= t
             if touched & tree:  # a pair's two vertices reach one tree
                 return -1
             tree |= touched | 1 << v
         return tree
 
-    def search(kept: int, tree_at: list[int], options: dict, left: int) -> bool:
+    def search(trees: list[int], options: dict, left: int) -> bool:
         """True when the choices so far extend to a set within the bound.
 
-        kept is the mask of the vertices kept so far, tree_at[v] the mask of
-        kept vertex v's tree, options each unassigned clique's feasible
-        subsets and left what is left of extra."""
+        trees are the masks of the disjoint trees of the forest kept so
+        far, options each unassigned clique's feasible subsets and left
+        what is left of extra."""
         nonlocal nodes
         nodes += 1
         if nodes > SEARCH_NODE_CAP or not options:
             return True
         i = min(options, key=lambda j: len(options[j]))
         for short, sel, tree in options[i]:
-            kept_n = kept | tree
-            tree_at_n = tree_at
-            if tree:
-                tree_at_n = tree_at.copy()
-                m = tree
-                while m:
-                    low = m & -m
-                    tree_at_n[low.bit_length() - 1] = tree
-                    m ^= low
+            trees_n = trees
+            if tree:  # it replaces the trees it touches
+                trees_n = [t for t in trees if not t & tree]
+                trees_n.append(tree)
             left_n = left - short
             options_n = {}
             for j, opts in options.items():
@@ -392,17 +387,17 @@ def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
                     opts = [
                         (s, sel_j, t)
                         for s, sel_j, _ in opts
-                        if s <= left_n and (t := tree_of(sel_j, kept_n, tree_at_n)) >= 0
+                        if s <= left_n and (t := tree_of(sel_j, trees_n)) >= 0
                     ]
                     if not opts:
                         break
                 options_n[j] = opts
             else:
-                if search(kept_n, tree_at_n, options_n, left_n):
+                if search(trees_n, options_n, left_n):
                     return True
         return False
 
-    return not search(0, [0] * g.n, start, extra)
+    return not search([], start, extra)
 
 
 def contract(g: Graph, p: KappaPartition) -> ContractedGraph:

@@ -30,19 +30,10 @@ The two bounds prune every DP. A component C has budget = k - done - rest,
 where done sums the exact minima of the components already solved and rest
 the bounds of those still to come, and is solved with max_deletions =
 min(budget, ub - 1): the DP looks only for a set smaller than the greedy
-one, with slack = max_deletions - LB_C. A row at node t has deleted
-proc(t) - value of the proc(t) vertices in its subtree's classes, and
-lbsub(t) of the bound belongs to those classes' cover cliques. The classes
-outside the subtree owe deletions beyond their share of the bound too:
-partition.conflict_pairs gives disjoint pairs of classes that no forest
-keeps in full, so each pair with neither class in the subtree owes one,
-owed(t) in all. A row with value < proc(t) - lbsub(t) - slack + owed(t)
-cannot lead to a set of at most max_deletions vertices and is dropped
-(see dp_run). An optimal set never breaks that floor at any node, so a
-surviving root row is exact. An empty
-root proves C's minimum exceeds max_deletions: the greedy set is then a
-minimum when ub <= budget, and otherwise C's minimum exceeds its share of
-k.
+one, and drops every row that cannot end within max_deletions (dp_run's
+docstring gives the floor and its proof). An empty root proves C's minimum
+exceeds max_deletions: the greedy set is then a minimum when ub <= budget,
+and otherwise C's minimum exceeds its share of k.
 
 DP state at a nice-decomposition node: the vertices kept in the bag's
 classes (at most two per cover clique: local_selections) as a bitmask over
@@ -173,21 +164,23 @@ def dp_run(
     max_deletions is the most vertices the caller can still accept deleting
     in this component: solve passes the smaller of the component's share of
     k and one less than a known feedback vertex set. With slack =
-    max_deletions - packing_bound(p), a row at node t with value < cap(t) -
-    slack + owed(t) is dropped before its block work. cap(t) sums
-    min(2, |q|) over the cover cliques q of the classes in t's subtree: the
-    most a row at t can keep, and their size less their share of the
-    bound. Such a row has deleted cap(t) - value vertices beyond that
-    share, and every cover clique still to come needs its own
-    max(0, |q| - 2). owed(t) counts the conflict_pairs with neither class
-    in t's subtree. A forest that kept min(2, |q|) vertices of both
+    max_deletions - packing_bound(p), a row at node t is dropped before its
+    block work when its value is below floor(t) = cap(t) - slack + owed(t),
+    a function of the set of classes in t's subtree alone. cap(t) sums
+    min(2, |q|) over those classes' cover cliques q, and owed(t) counts the
+    conflict_pairs with neither class among them. The proof: the subtree's
+    classes hold cap(t) vertices plus their cliques' share of the bound,
+    so a row of value v has deleted cap(t) - v vertices beyond that share.
+    Every cover clique outside the subtree still deletes its own
+    max(0, |q| - 2). A forest that kept min(2, |q|) vertices of both
     classes of a pair would contain a cycle, so every forest falls at
     least one vertex short on each pair, and the pairs are disjoint, so
-    these shortfalls add: the classes still to come delete at least
-    owed(t) vertices beyond their share of the bound. So the row cannot
-    end within max_deletions. The rows of an optimal set never break the
-    floor, and a stored row is never worse than the one it stands for
-    (rank reduction included), so the root row is a maximum whenever the
+    the classes outside delete at least owed(t) vertices beyond their
+    share. Every set the row leads to thus has at least cap(t) - v +
+    packing_bound(p) + owed(t) vertices, more than max_deletions exactly
+    when v < floor(t). The rows of an optimal set never break the floor,
+    and a stored row is never worse than the one it stands for (rank
+    reduction included), so the root row is a maximum whenever the
     minimum is at most max_deletions; otherwise the root table is empty
     and the root row is returned as None (a root row of 0 keeps no vertex
     but is a result). owed(t) is at most the cap of the classes outside
@@ -224,13 +217,12 @@ def dp_run(
         moves.append(class_moves)
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
-    cap = [0] * n_nodes
     subtree = [0] * n_nodes  # the classes introduced below each node, as a mask
 
-    def owed(node: int) -> int:
-        """The conflict pairs with neither class in node's subtree."""
-        inside = subtree[node]
-        return sum(1 for m in pair_masks if not m & inside)
+    def floor_of(inside: int) -> int:
+        """floor(t) at a node t whose subtree holds the classes inside."""
+        outside_pairs = sum(1 for m in pair_masks if not m & inside)
+        return sum(keep_cap[c] for c in bits_of(inside)) - slack + outside_pairs
 
     # A candidate row replaces a stored one only with a larger popcount, so
     # the first of equal rows stays. Each loop looks its output group up once
@@ -244,13 +236,11 @@ def dp_run(
         elif kind == INTRODUCE:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
-            cap[node] = cap[child] + keep_cap[v_cl]
             subtree[node] = subtree[child] | 1 << v_cl
-            floor = cap[node] - slack + owed(node)
+            floor = floor_of(subtree[node])
             for kept_c, group in tables[child].items():
                 size = len(group)
-                # no row is dropped while floor <= 0, so skip the scan then
-                best_c = max(map(int.bit_count, group.values())) if floor > 0 else 0
+                best_c = max(map(int.bit_count, group.values()))
                 for gain, sel_mask, steps in moves[v_cl]:
                     work += size
                     if work > state_budget:
@@ -268,45 +258,38 @@ def dp_run(
                         for bit, around, earlier in steps
                     ]
                     for part_c, forest in group.items():
-                        if need > 0 and forest.bit_count() < need:
+                        if forest.bit_count() < need:
                             pruned += 1
                             continue
-                        if not plan:  # nothing kept: the partition passes up unchanged
-                            part_n = part_c
-                        else:
-                            part_n = None  # stays None when a vertex closes a cycle
-                            blocks = list(part_c)
-                            for bit, nbrs, count in plan:
-                                if not count:
-                                    blocks.append(bit)
-                                elif count == 1:  # joins the one block holding it
-                                    for i, b in enumerate(blocks):
-                                        if b & nbrs:
-                                            blocks[i] = b | bit
-                                            break
-                                else:
-                                    # the neighbours lie in distinct blocks,
-                                    # or the vertex closes a cycle
-                                    touched = [b for b in blocks if b & nbrs]
-                                    if len(touched) != count:
+                        blocks = list(part_c)
+                        for bit, nbrs, count in plan:
+                            if not count:
+                                blocks.append(bit)
+                            elif count == 1:  # joins the one block holding it
+                                for i, b in enumerate(blocks):
+                                    if b & nbrs:
+                                        blocks[i] = b | bit
                                         break
-                                    blocks = [b for b in blocks if not b & nbrs]
-                                    blocks.append(bit + sum(touched))  # disjoint: sum is union
                             else:
-                                blocks.sort()
-                                part_n = tuple(blocks)
-                            if part_n is None:
-                                continue
-                        if out is None:
-                            out = table[kept_n] = {}
-                        forest_n = forest | sel_mask
-                        old = out.get(part_n)
-                        if old is None or forest_n.bit_count() > old.bit_count():
-                            out[part_n] = forest_n
+                                # the neighbours lie in distinct blocks, or
+                                # the vertex closes a cycle
+                                touched = [b for b in blocks if b & nbrs]
+                                if len(touched) != count:
+                                    break
+                                blocks = [b for b in blocks if not b & nbrs]
+                                blocks.append(bit + sum(touched))  # disjoint: sum is union
+                        else:  # no vertex closed a cycle
+                            if out is None:
+                                out = table[kept_n] = {}
+                            blocks.sort()
+                            part_n = tuple(blocks)
+                            forest_n = forest | sel_mask
+                            old = out.get(part_n)
+                            if old is None or forest_n.bit_count() > old.bit_count():
+                                out[part_n] = forest_n
         elif kind == FORGET:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
-            cap[node] = cap[child]  # rows pass up unchanged
             subtree[node] = subtree[child]
             keep = ~class_mask[v_cl]
             for kept_c, group in tables[child].items():
@@ -314,26 +297,20 @@ def dp_run(
                 if work > state_budget:
                     raise _budget_error(work, state_budget)
                 kept_n = kept_c & keep
-                unchanged = kept_n == kept_c  # the class kept nothing
                 out = table.get(kept_n)
                 if out is None:
                     out = table[kept_n] = {}
                 for part_c, forest in group.items():
-                    if unchanged:
-                        part_n = part_c
-                    else:
-                        masked = {b & keep for b in part_c}  # disjoint: only 0 repeats
-                        masked.discard(0)
-                        part_n = tuple(sorted(masked))
+                    masked = {b & keep for b in part_c}  # disjoint: only 0 repeats
+                    masked.discard(0)
+                    part_n = tuple(sorted(masked))
                     old = out.get(part_n)
                     if old is None or forest.bit_count() > old.bit_count():
                         out[part_n] = forest
         elif kind == JOIN:
             left, right = nd.children[node]
-            # the bag's classes are in both subtrees
-            cap[node] = cap[left] + cap[right] - sum(keep_cap[c] for c in nd.bags[node])
             subtree[node] = subtree[left] | subtree[right]
-            floor = cap[node] - slack + owed(node)
+            floor = floor_of(subtree[node])
             rt = tables[right]
             for kept, lgroup in tables[left].items():
                 rgroup = rt.get(kept)
@@ -346,16 +323,15 @@ def dp_run(
                 work += len(lgroup) * len(rgroup)
                 if work > state_budget:
                     raise _budget_error(work, state_budget)
-                best_r = max(map(int.bit_count, rgroup.values())) if floor > 0 else 0
+                best_r = max(map(int.bit_count, rgroup.values()))
                 out = None
                 for part_l, forest_l in lgroup.items():
-                    # the left value is at least s, so need <= 0 while floor <= 0
                     need = floor + s - forest_l.bit_count()  # the least right value that survives
                     if best_r < need:
                         pruned += len(rgroup)
                         continue
                     for part_r, forest_r in rgroup.items():
-                        if need > 0 and forest_r.bit_count() < need:
+                        if forest_r.bit_count() < need:
                             pruned += 1
                             continue
                         # each right block merges the blocks it meets

@@ -269,7 +269,7 @@ class TestDecompose:
         (60, 2.0, 1, "94c594af228c66c0019004b945035bcf3223ef37fa08fd7a6dd329eb05c49cd6"),
         (100, 3.0, 1, "8d930e5629dbfc85dfdf4bedb29c39e9194c8eb229f2fe606407950ab0643ec1"),
         (2000, 0.375, 122, "05bc5333b0633e157dd098acc03be7a9b52a333974e5883783a026136f32dc3f"),
-    ])
+    ], ids=["60-2.0-1", "100-3.0-1", "2000-0.375-1"])
     def test_nice_decompositions_pinned(self, n, density, components, digest):
         # every component's nice decomposition and weighted width: a change
         # to any decomposition stage changes the digest

@@ -37,6 +37,17 @@ class TestGraphFormat:
             parse_graph("p fvs 2 2\ne 0 1\n")  # wrong edge count
         with pytest.raises(InputError):
             parse_graph("p fvs 2 1\nx 0 1\n")
+        with pytest.raises(InputError, match="^line 2: vertex count must be >= 0, got -1$"):
+            parse_graph("c a comment\np fvs -1 0\n")
+
+    @pytest.mark.parametrize("edge, message", [
+        ("e 0 0", "self-loop at vertex 0"),
+        ("e 0 5", r"edge \(0, 5\) out of range for n=2"),
+        ("e -1 1", r"edge \(-1, 1\) out of range for n=2"),
+    ], ids=["self-loop", "above-n", "negative"])
+    def test_bad_edge_names_its_line(self, edge, message):
+        with pytest.raises(InputError, match=f"^line 3: {message}$"):
+            parse_graph(f"c a comment\np fvs 2 1\n{edge}\n")
 
     @pytest.mark.parametrize("second", ["e 1 0", "e 0 1"])
     def test_repeated_edge_is_input_error(self, second):

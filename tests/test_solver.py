@@ -188,7 +188,7 @@ class TestDpRun:
     @pytest.mark.parametrize("n, density, components, digest", [
         (60, 2.0, 1, "a6ab2a3e60b5c6b9a989315fde2bfd5516ee1c412e3206ab093d5450a70f942d"),
         (150, 1.5, 7, "137538cafcbc6ebf6be0bf9cfb6f525b0affa13fcf160b43f6d66755e1c19b97"),
-    ])
+    ], ids=["60-2.0-1", "150-1.5-1"])
     def test_tables_pinned(self, n, density, components, digest):
         # every component's DP tables (kept masks, partitions, forests and
         # their order) in both modes, with no floor and with the floor one
@@ -825,6 +825,34 @@ class TestPackingSearch:
                     assert dp_run(nd, sub, p, "dp-naive", ub - 1)[0] is None, seed
         assert refuted > 200 and asked > refuted, (asked, refuted)
 
+    def test_gives_up_past_the_node_cap(self, monkeypatch):
+        # pool graph 106 peels to a 39-vertex component of 15 classes whose
+        # greedy set of 15 is one above the bound: at extra 0 the search
+        # needs 479 nodes to refute a set of 14, so at the default cap it
+        # gives up, and the DP refutes that set instead
+        from diskfvs import build_pipeline, connected_components, dp_run, greedy_partition
+        from diskfvs.partition import (
+            SEARCH_NODE_CAP,
+            packing_bound,
+            packing_completion,
+            packing_search_refutes,
+        )
+
+        peeled = peel_degree_one(build_intersection_graph(random_udg(100, 1.0, 106))).reduced
+        comp = next(c for c in connected_components(peeled) if len(c) == 39)
+        sub = induced_subgraph(peeled, comp)[0]
+        p = greedy_partition(sub)
+        assert (len(p.classes), packing_bound(p), len(packing_completion(sub, p))) == (15, 14, 15)
+        assert SEARCH_NODE_CAP == 200
+        assert not packing_search_refutes(sub, p, 0)
+        nd = build_pipeline(sub, p).nice
+        for mode in ("dp-naive", "dp-rank"):
+            assert dp_run(nd, sub, p, mode, 14)[0] is None
+        monkeypatch.setattr("diskfvs.partition.SEARCH_NODE_CAP", 478)
+        assert not packing_search_refutes(sub, p, 0)
+        monkeypatch.setattr("diskfvs.partition.SEARCH_NODE_CAP", 479)
+        assert packing_search_refutes(sub, p, 0)
+
 
 class TestThresholds:
     """Paths behind the bound: the DP, the width safety cap and the state
@@ -863,7 +891,7 @@ class TestThresholds:
         (16, 1.0, 10, 10, 11),
         (60, 2.0, 1, 2_000, 2_001),
         (60, 2.0, 1, 15_142, 15_143),
-    ])
+    ], ids=["16-1.0-10-budget-10", "60-2.0-1-budget-2000", "60-2.0-1-budget-15142"])
     def test_state_budget_trips_at_a_fixed_point(self, n, density, seed, budget, work):
         # the budget is charged per selection of an introduced class, per
         # child group at a forget and per pair of groups at a join, so the
