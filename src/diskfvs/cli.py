@@ -44,15 +44,23 @@ def _list_arg(text: str, kind) -> list:
     return values
 
 
+def _out_prefix(text: str) -> Path:
+    """An --out path prefix, refused when it names no file to suffix."""
+    out = Path(text)
+    if not out.name:
+        raise InputError(f"--out {text!r} names no file")
+    return out
+
+
 def _cmd_gen(args) -> int:
     if args.udg == args.planted:
         raise InputError("choose exactly one of --udg / --planted")
+    out = _out_prefix(args.out)
     if args.udg:
         objs = random_udg(args.n, args.density, args.seed)
     else:
         objs, _ = planted_yes_instance(args.k, args.path_len, args.seed)
     g = build_intersection_graph(objs)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     points_path = out.with_suffix(".points")
     graph_path = out.with_suffix(".graph")
@@ -134,12 +142,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    out = _out_prefix(args.out)
     report = bench_mod.run_sweep(
         n_values=_list_arg(args.n_list, int),
         densities=_list_arg(args.density_list, float),
         seeds=args.seeds,
     )
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.with_suffix(".csv").write_text(bench_mod.report_to_csv(report))
     out.with_suffix(".json").write_text(bench_mod.report_to_json(report))
@@ -151,7 +159,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_compare(args) -> int:
     g = _load_instance(args.input)
-    size, _ = min_fvs_bruteforce(g)  # first: it refuses graphs of over 20 vertices
+    SolveConfig(k=args.k)  # refuses a negative k before the oracle runs
+    size, _ = min_fvs_bruteforce(g)  # before solve: it refuses graphs of over 20 vertices
     results = {mode: solve(g, SolveConfig(k=args.k, mode=mode)).verdict
                for mode in MODES}
     results["oracle"] = "yes" if size <= args.k else "no"

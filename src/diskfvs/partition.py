@@ -8,12 +8,11 @@ it but the count, which KappaPartition reports as kappa_observed. A forest
 keeps at most two vertices of a clique (local_selections), so every
 feedback vertex set deletes at least sum(max(0, |q| - 2)) over the cover
 cliques q (packing_bound), certified by those of more than two vertices.
-packing_completion deletes the rest of each such clique and then greedily
-breaks the cycles left: a feedback vertex set, so an upper bound on the
-minimum, and a minimum whenever it has at most max(bound, 1) vertices.
-Above that size it puts back every deleted vertex that closes no cycle,
-lowest degree first, so the set it returns is inclusion-minimal; at or
-below it the set is already a minimum and the pass is skipped.
+packing_completion deletes the rest of each such clique, greedily breaks
+the cycles left, and then puts back every deleted vertex that closes no
+cycle, lowest degree first: an inclusion-minimal feedback vertex set, so
+an upper bound on the minimum, and a minimum whenever it has at most
+max(bound, 1) vertices.
 packing_search_refutes closes a small gap between the two: it proves that
 no feedback vertex set has at most the bound plus a few vertices by
 choosing a kept subset per cover clique.
@@ -28,9 +27,6 @@ every member already in the class. Every class is therefore a clique around
 its seed and its own cover (kappa = 1), and kappa needs no audit. The
 greedy rule does not bound the contraction degree: the friendship graph of
 t triangles on one shared vertex contracts to a star of degree t - 1.
-A clique lies inside one component, so one greedy_partition of a graph
-serves all its components: restrict_partition renumbers the classes inside
-a component into its induced subgraph's ids.
 """
 
 from __future__ import annotations
@@ -114,23 +110,6 @@ def greedy_partition(g: Graph) -> KappaPartition:
     return KappaPartition(
         classes=tuple(classes), clique_cover=tuple((cls,) for cls in classes)
     )
-
-
-def restrict_partition(p: KappaPartition, class_ids, new_of_old) -> KappaPartition:
-    """The classes class_ids of p, renumbered through new_of_old.
-
-    With class_ids the classes inside one component of p's graph, in p's
-    order, and new_of_old the component's induced_subgraph renumbering,
-    this is the component's partition. Renumbering keeps id order, so a
-    greedy_partition of the whole graph restricts to the greedy_partition
-    of each component.
-    """
-    classes = []
-    covers = []
-    for i in class_ids:
-        classes.append(tuple([new_of_old[v] for v in p.classes[i]]))
-        covers.append(tuple(tuple([new_of_old[v] for v in q]) for q in p.clique_cover[i]))
-    return KappaPartition(classes=tuple(classes), clique_cover=tuple(covers))
 
 
 def local_selections(cls, cover) -> list[tuple[int, ...]]:
@@ -223,19 +202,16 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
     id) of every cover clique of more than two vertices. Then, until no
     vertex is kept, it peels the kept vertices of degree at most 1 and
     deletes the kept vertex of highest degree among the kept ones (ties to
-    the smaller id). The set is deterministic and leaves a forest, so the
-    minimum is at most its size. It is a minimum when it has at most
+    the smaller id). Then each deleted vertex, lowest degree first (ties to
+    the smaller id), is put back when its neighbours outside the set lie in
+    distinct trees of the forest they leave, one union-find over that
+    forest's edges. A vertex left deleted closes a cycle, and later
+    put-backs only join trees, so no single vertex of the result can be put
+    back. The set is deterministic and leaves a forest, so the minimum is
+    at most its size. It is a minimum when it has at most
     max(packing_bound(p), 1) vertices: a nonempty set means g has a cycle.
-    Otherwise each deleted vertex, lowest degree first (ties to the smaller
-    id), is put back when its neighbours outside the set lie in distinct
-    trees of the forest they leave, one union-find over that forest's
-    edges. A vertex left deleted closes a cycle, and later put-backs only
-    join trees, so no single vertex of the result can be put back.
-
-    Each step acts inside one component of g, and the put-back pass leaves
-    a minimum unchanged, so on a disjoint union the set restricted to each
-    component is the one a call on that component alone returns (with its
-    partition's classes inside it, renumbered in id order).
+    Each step acts inside one component of g, so the set's share of a
+    component is itself inclusion-minimal there.
     """
     adj = g.adj
     kept = [True] * g.n
@@ -281,8 +257,6 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
         deleted.append(v)
         drop(v)
         peel()
-    if len(deleted) <= max(packing_bound(p), 1):
-        return frozenset(deleted)  # a minimum: nothing can be put back
     out = [False] * g.n
     for v in deleted:
         out[v] = True

@@ -3,13 +3,13 @@
 Pipeline: peel degree <= 1 vertices, split into components, partition the
 peeled graph into cliques, contract each component to its weighted class
 graph, decompose via blowup and projection, then run the clique-constrained
-connectivity DP over the nice decomposition. The front end runs once on the
-whole peeled graph, not per component: a class is a clique, so it lies in
-one component, and the whole-graph partition restricted to a component is
-that component's own. Right after partitioning, the disjoint cover cliques
-q of the classes give a proven lower bound, sum(max(0, |q| - 2))
-(partition.packing_bound), split by component. When that exceeds k the
-answer is "no" with the cliques as a certificate anyone can check.
+connectivity DP over the nice decomposition. One greedy_partition of the
+whole peeled graph gives the bounds and the completion, and a component
+that reaches the search or the DP is partitioned on its own subgraph.
+Right after partitioning, the disjoint cover cliques q of the classes give
+a proven lower bound, sum(max(0, |q| - 2)) (partition.packing_bound),
+split by component. When that exceeds k the answer is "no" with the
+cliques as a certificate anyone can check.
 partition.packing_completion, also run once, gives every component a
 feedback vertex set from above: it deletes all but the two lowest-degree
 vertices of each clique of more than two vertices, then breaks the cycles
@@ -92,7 +92,6 @@ from .partition import (
     packing_cliques,
     packing_completion,
     packing_search_refutes,
-    restrict_partition,
 )
 from .reduction import Kept, Partition, RepresentativeTable, bits_of, rank_reduce
 
@@ -416,47 +415,22 @@ def build_pipeline(gc: Graph, part: KappaPartition) -> Pipeline:
     return Pipeline(partition=part, contracted=cg, nice=nd, weighted_width=w)
 
 
-def _partition_components(gp: Graph):
-    """Split the peeled graph gp into its components, partitioned once.
-
-    Returns (comps, comp_of, part, class_ids): the connected_components of
-    gp, each vertex's component index, the greedy_partition of all of gp
-    (None when gp is empty) and the ids of the classes inside each
-    component, in part's order. Classes are cliques, so none spans two
-    components, and restrict_partition(part, class_ids[i], new_of_old)
-    equals greedy_partition of component i's induced_subgraph.
-    """
-    comps = connected_components(gp)
-    comp_of = [0] * gp.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    class_ids: list[list[int]] = [[] for _ in comps]
-    part = None
-    if comps:
-        part = greedy_partition(gp)
-        for i, cls in enumerate(part.classes):
-            class_ids[comp_of[cls[0]]].append(i)
-    return comps, comp_of, part, class_ids
-
-
 def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     """Peel g and build the pipeline of each component left.
 
     Returns (subgraph, pipeline) pairs in connected_components order, for
     validate, which reports from them and checks nothing again: building a
-    pipeline checked its partition and its decomposition. The front end is
-    solve's: one greedy_partition of the peeled graph, restricted to each
-    component. Every component is decomposed, also those whose packing
-    completion lets solve skip the decomposition, so validate covers every
-    decomposition the DP could face on the instance.
+    pipeline checked its partition and its decomposition. Each component is
+    partitioned on its own subgraph, as in solve. Every component is
+    decomposed, also those whose packing completion lets solve skip the
+    decomposition, so validate covers every decomposition the DP could face
+    on the instance.
     """
     peeled = peel_degree_one(g).reduced
-    comps, _, part, class_ids = _partition_components(peeled)
     pipes = []
-    for comp, ids in zip(comps, class_ids):
-        sub, _, new_of_old = induced_subgraph(peeled, comp)
-        pipes.append((sub, build_pipeline(sub, restrict_partition(part, ids, new_of_old))))
+    for comp in connected_components(peeled):
+        sub = induced_subgraph(peeled, comp)[0]
+        pipes.append((sub, build_pipeline(sub, greedy_partition(sub))))
     return pipes
 
 
@@ -474,12 +448,10 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     width exceeds WIDTH_SAFETY_CAP, or whose DP exceeds cfg.state_budget,
     raises ResourceError, whatever its size.
 
-    The front end runs once on the whole peeled graph: one
-    greedy_partition, whose cover cliques give each component its bound,
-    and, unless the bounds already exceed k, one packing_completion, whose
-    set is split by component (on each it is the set a call on that
-    component alone gives). Only a component left to the DP gets its
-    induced_subgraph and its classes renumbered into it.
+    The whole peeled graph's partition gives the bounds and, unless they
+    already exceed k, one packing_completion, both split by component; a
+    component that reaches the search or the DP is partitioned on its own
+    subgraph.
 
     Components are solved smallest first, each with a budget: the
     deletions left once the solved components' minima and the other
@@ -513,12 +485,17 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     timings["peel"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    comps, comp_of, part, class_ids = _partition_components(gp)
-    cliques = packing_cliques(part) if part is not None else []
+    comps = connected_components(gp)
+    comp_of = [0] * gp.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    part = greedy_partition(gp) if comps else KappaPartition(classes=(), clique_cover=())
+    cliques = packing_cliques(part)
     bounds = [0] * len(comps)
     for q in cliques:
         bounds[comp_of[q[0]]] += len(q) - KEEP_PER_CLIQUE
-    stats["class_count"] = sum(map(len, class_ids))
+    stats["class_count"] = len(part.classes)
     stats["weighted_width"] = 0
     stats["pruned_rows"] = 0
     stats["bound_solved"] = 0
@@ -535,7 +512,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
                 raise InternalError(f"clique-packing certificate: {c} is not a clique")
         stats["cliques"] = cliques
-    elif comps:
+    else:
         for v in packing_completion(gp, part):
             greedy_of[comp_of[v]].append(v)
 
@@ -556,11 +533,11 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             deleted_reduced.update(greedy)
             stats["bound_solved"] += 1
             continue
-        sub, old_of_new, new_of_old = induced_subgraph(gp, comps[i])
-        sub_part = restrict_partition(part, class_ids[i], new_of_old)
+        sub, old_of_new, _ = induced_subgraph(gp, comps[i])
+        sub_part = greedy_partition(sub)
         # max_deletions = ub - 1 would leave the DP a slack of at most 1: a
         # clique-choice search refutes that small a set more cheaply
-        extra = ub - 1 - bound
+        extra = ub - 1 - packing_bound(sub_part)
         if ub <= budget and extra <= 1 and packing_search_refutes(sub, sub_part, extra):
             root = None
             stats["search_proven"] += 1

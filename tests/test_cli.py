@@ -28,6 +28,10 @@ def write_graph(tmp_path: Path, g, name="g.graph") -> str:
     return str(path)
 
 
+def refuse_call(*args, **kwargs):
+    raise AssertionError("called after the arguments should have been refused")
+
+
 class TestGen:
     def test_udg_deterministic_files(self, tmp_path):
         out1 = tmp_path / "a"
@@ -54,6 +58,16 @@ class TestGen:
 
     def test_requires_exactly_one_kind(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("prefix", [".", "", "/"])
+    def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
+        # refused before any instance is generated, and no file is written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("diskfvs.cli.random_udg", refuse_call)
+        assert main(["gen", "--udg", "-n", "5", "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSolveCommand:
@@ -252,6 +266,12 @@ class TestCompareCommand:
         path = write_graph(tmp_path, cycle_graph(24))
         assert main(["compare", path, "--k", "1"]) == 2
 
+    def test_negative_k_exit_two_before_the_oracle(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path, cycle_graph(5))
+        monkeypatch.setattr("diskfvs.cli.min_fvs_bruteforce", refuse_call)
+        assert main(["compare", path, "--k", "-1"]) == 2
+        assert capsys.readouterr().err == "error: k must be >= 0, got -1\n"
+
 
 class TestBenchCommand:
     def test_deterministic_csv(self, tmp_path):
@@ -289,6 +309,17 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("prefix", [".", "", "/"])
+    def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
+        # refused before the sweep runs, and no file is written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(bench, "run_sweep", refuse_call)
+        args = ["bench", "--n-list", "5", "--density-list", "1.0", "--seeds", "1"]
+        assert main(args + ["--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_forest_sweep(self, tmp_path):
         out = tmp_path / "f"

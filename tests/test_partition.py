@@ -23,7 +23,6 @@ from diskfvs.partition import (
     packing_bound,
     packing_cliques,
     packing_completion,
-    restrict_partition,
 )
 
 from conftest import complete_graph, cycle_graph, path_graph
@@ -277,13 +276,13 @@ def shuffled_union(graphs, rng):
 
 
 def per_component(g, p):
-    """Yield (component, old_of_new, new_of_old, class ids inside it) for each
-    component of g, the class ids in p's order."""
+    """Yield (component, old_of_new, class ids inside it) for each component
+    of g, the class ids in p's order."""
     for comp in connected_components(g):
-        sub, old_of_new, new_of_old = induced_subgraph(g, comp)
+        sub, old_of_new, _ = induced_subgraph(g, comp)
         inside = set(comp)
         ids = [i for i, cls in enumerate(p.classes) if cls[0] in inside]
-        yield sub, old_of_new, new_of_old, ids
+        yield sub, old_of_new, ids
 
 
 # the prism of test_prism_puts_back_a_vertex: its completion needs a put-back
@@ -293,7 +292,8 @@ PRISM_EDGES = [(0, 1), (0, 3), (0, 5), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (
 class TestWholeGraphFrontEnd:
     """One greedy_partition and one packing_completion of a disjoint union,
     restricted to each component, are the calls on each component alone:
-    solve and validate run them once on the whole peeled graph."""
+    solve splits the whole peeled graph's bounds and completion by
+    component."""
 
     def unions(self):
         rng = random.Random(21)
@@ -314,9 +314,8 @@ class TestWholeGraphFrontEnd:
         for g in self.unions():
             p = greedy_partition(g)
             seen = 0
-            for sub, old_of_new, new_of_old, ids in per_component(g, p):
+            for sub, old_of_new, ids in per_component(g, p):
                 own = greedy_partition(sub)
-                assert restrict_partition(p, ids, new_of_old) == own
                 assert [p.classes[i] for i in ids] == [
                     tuple(old_of_new[v] for v in cls) for cls in own.classes
                 ]
@@ -328,7 +327,7 @@ class TestWholeGraphFrontEnd:
         for g in self.unions():
             p = greedy_partition(g)
             whole = packing_completion(g, p)
-            for sub, old_of_new, _, _ in per_component(g, p):
+            for sub, old_of_new, _ in per_component(g, p):
                 own_p = greedy_partition(sub)
                 own = packing_completion(sub, own_p)
                 assert whole & set(old_of_new) == {old_of_new[v] for v in own}
@@ -345,30 +344,13 @@ class TestWholeGraphFrontEnd:
         assert packing_bound(p) == 4
         whole = packing_completion(g, p)
         sizes = {}
-        for sub, old_of_new, _, _ in per_component(g, p):
+        for sub, old_of_new, _ in per_component(g, p):
             own_p = greedy_partition(sub)
             own = packing_completion(sub, own_p)
             assert whole & set(old_of_new) == {old_of_new[v] for v in own}
             sizes[sub.n] = (len(own), packing_bound(own_p))
         assert sizes == {6: (2, 2), 4: (2, 2)}
         assert len(whole) == 4
-
-    def test_restrict_keeps_multi_clique_covers(self):
-        # two copies of the path 0-1-2-3 covered by (0, 1) and (2, 3) in one
-        # class, beside a triangle, ids interleaved
-        g = from_edge_list(7, [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (1, 5)])
-        p = KappaPartition(
-            classes=((0, 2, 4, 6), (1, 3, 5)),
-            clique_cover=(((0, 2), (4, 6)), ((1, 3, 5),)),
-        )
-        comps = list(per_component(g, p))
-        assert [ids for *_, ids in comps] == [[0], [1]]
-        sub, _, new_of_old, ids = comps[0]
-        q = restrict_partition(p, ids, new_of_old)
-        assert q == KappaPartition(
-            classes=((0, 1, 2, 3),), clique_cover=(((0, 1), (2, 3)),)
-        )
-        contract(sub, q)
 
 
 class TestValidatePartition:
