@@ -44,26 +44,25 @@ def _list_arg(text: str, kind) -> list:
     return values
 
 
-def _out_prefix(text: str) -> Path:
-    """An --out path prefix, refused when it names no file to suffix."""
+def _out_paths(text: str, *suffixes: str) -> list[Path]:
+    """The files an --out prefix names, each suffix appended to its name;
+    refused when the prefix names no file (its last component is "." or "..")."""
     out = Path(text)
-    if not out.name:
+    if out.name in ("", ".."):
         raise InputError(f"--out {text!r} names no file")
-    return out
+    return [out.with_name(out.name + suffix) for suffix in suffixes]
 
 
 def _cmd_gen(args) -> int:
     if args.udg == args.planted:
         raise InputError("choose exactly one of --udg / --planted")
-    out = _out_prefix(args.out)
+    points_path, graph_path = _out_paths(args.out, ".points", ".graph")
     if args.udg:
         objs = random_udg(args.n, args.density, args.seed)
     else:
         objs, _ = planted_yes_instance(args.k, args.path_len, args.seed)
     g = build_intersection_graph(objs)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    points_path = out.with_suffix(".points")
-    graph_path = out.with_suffix(".graph")
+    points_path.parent.mkdir(parents=True, exist_ok=True)
     points_path.write_text(serialize_objects(objs))
     graph_path.write_text(serialize_graph(g))
     print(points_path)
@@ -142,18 +141,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    out = _out_prefix(args.out)
+    csv_path, json_path = _out_paths(args.out, ".csv", ".json")
     report = bench_mod.run_sweep(
         n_values=_list_arg(args.n_list, int),
         densities=_list_arg(args.density_list, float),
         seeds=args.seeds,
     )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.with_suffix(".csv").write_text(bench_mod.report_to_csv(report))
-    out.with_suffix(".json").write_text(bench_mod.report_to_json(report))
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    csv_path.write_text(bench_mod.report_to_csv(report))
+    json_path.write_text(bench_mod.report_to_json(report))
     print(f"rows={len(report.rows)}")
-    print(out.with_suffix(".csv"))
-    print(out.with_suffix(".json"))
+    print(csv_path)
+    print(json_path)
     return 0
 
 

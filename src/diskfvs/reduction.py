@@ -1,32 +1,32 @@
 """Representative reduction of forest-connectivity state tables.
 
-A DP row is (kept, partition, value): kept is the bitmask of the vertex
-ids the partial forest keeps in the current bag, and the partition, a
-sorted tuple of disjoint block masks covering kept, records which of them
-are already connected. Rows with the same kept mask compete: row p can be
-dropped when, for every way q the future could connect the kept vertices,
-some retained row matches p's acyclic-compatibility with q at equal or
-better value.
+A DP row is (kept, partition, forest): kept is the bitmask of the vertex
+ids the partial forest keeps in the current bag, the partition, a sorted
+tuple of disjoint block masks covering kept, records which of them are
+already connected, and the forest mask's popcount is the row's value.
+Rows with the same kept mask compete: row p can be dropped when, for every
+way q the future could connect the kept vertices, some retained row
+matches p's acyclic-compatibility with q at equal or better value.
 
-The reduction works over GF(2) on positional labels: position i is the
-i-th kept vertex by id, and block labels are numbered by first appearance
-(block_labels). Each labelled partition p maps to a bit vector indexed by
-subsets A of the kept positions:
+The reduction works over GF(2), with the kept vertices as ground set: the
+position of a kept vertex v is the number of kept vertices below it. Each
+partition p maps to a bit vector indexed by subsets A of the positions:
 
     vec(p)[A] = 1  iff  A picks at most one element from every block of p.
 
 Such an A-column equals the acyclic-compatibility column of the partition
 {A} + singletons, so the vector space of these columns sits inside the
 compatibility matrix's column space; their span covers it (the matrix has
-GF(2) rank exactly 2^(s-1)). Rows are scanned best-value first and kept
-exactly when their vector is linearly independent of the vectors kept so
-far, which bounds the surviving rows of each kept mask by 2^(s-1).
+GF(2) rank exactly 2^(s-1)). Rows are scanned best value first, equal
+values in the group's order, and kept exactly when their vector is
+linearly independent of the vectors kept so far, which bounds the
+surviving rows of each kept mask by 2^(s-1). Survivors keep the group's
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 # ground-set sizes for which the factorization has been verified; larger
 # tables are left unreduced (correct, merely unpruned)
@@ -39,7 +39,6 @@ REDUCE_MIN_ROWS = 4
 
 Kept = int  # bitmask over the component's vertex ids
 Partition = tuple[int, ...]  # sorted disjoint block masks whose union is kept
-Labels = tuple[int, ...]  # block label per kept position, by first appearance
 
 
 def bits_of(mask: int):
@@ -50,31 +49,13 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def block_labels(part: Partition, kept: Kept) -> Labels:
-    """part as positional labels: the block of each kept vertex in id
-    order, blocks numbered by first appearance."""
-    label: dict[int, int] = {}
-    out = []
-    while kept:
-        low = kept & -kept
-        kept ^= low
-        for block in part:
-            if block & low:
-                out.append(label.setdefault(block, len(label)))
-                break
-    return tuple(out)
-
-
-def transversal_vector(part: Labels) -> int:
+def transversal_vector(part: Partition, kept: Kept) -> int:
     """Bit A set iff A takes at most one position from every block."""
-    blocks: dict[int, list[int]] = {}
-    for pos, b in enumerate(part):
-        blocks.setdefault(b, []).append(pos)
     acc = 1
-    for members in blocks.values():
+    for block in part:
         cur = acc
-        for pos in members:
-            acc |= cur << (1 << pos)
+        for v in bits_of(block):
+            acc |= cur << (1 << (kept & ((1 << v) - 1)).bit_count())
     return acc
 
 
@@ -89,47 +70,39 @@ class RepresentativeTable:
         return sum(len(group) for group in self.rows.values())
 
 
-def reduce_rows(
-    group: dict[Labels, tuple[int, Any]], ground_size: int
-) -> dict[Labels, tuple[int, Any]]:
-    """Keep a representative, value-optimal subset of one kept set's rows."""
-    if len(group) <= 1 or ground_size > REDUCE_MAX_GROUND:
+def reduce_rows(group: dict[Partition, int], kept: Kept) -> dict[Partition, int]:
+    """Keep a representative, value-optimal subset of one kept mask's rows,
+    in the group's order; a group that cannot shrink comes back as itself."""
+    if kept.bit_count() > REDUCE_MAX_GROUND:
         return group
-    order = sorted(group.items(), key=lambda item: (-item[1][0], item[0]))
     basis: list[int] = []
-    kept: dict[Labels, tuple[int, Any]] = {}
-    for part, payload in order:
-        vec = transversal_vector(part)
+    dropped = set()
+    # sorted is stable: equal values stay in group order, the first found wins
+    for part in sorted(group, key=lambda part: -group[part].bit_count()):
+        vec = transversal_vector(part, kept)
         for b in basis:
             vec = min(vec, vec ^ b)
         if vec:
             basis.append(vec)
             basis.sort(reverse=True)
-            kept[part] = payload
-    return kept
+        else:
+            dropped.add(part)
+    if not dropped:
+        return group
+    return {part: forest for part, forest in group.items() if part not in dropped}
 
 
 def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
-    """Reduce the rows of every kept mask, with its vertices as ground set.
-
-    Only a group reduce_rows can shrink (at least REDUCE_MIN_ROWS rows, at
-    most REDUCE_MAX_GROUND kept vertices) is relabelled; it is scanned in
-    reduce_rows' order, best value first and ties by labels. Every other
-    group keeps its rows in their order, and when no group can shrink,
-    table itself is returned.
-    """
+    """Reduce the rows of every kept mask of at least REDUCE_MIN_ROWS rows,
+    with its vertices as ground set. When no group can shrink (none has
+    REDUCE_MIN_ROWS rows within REDUCE_MAX_GROUND kept vertices), table
+    itself is returned."""
     if not any(
         len(group) >= REDUCE_MIN_ROWS and kept.bit_count() <= REDUCE_MAX_GROUND
         for kept, group in table.rows.items()
     ):
         return table
-    out: dict[Kept, dict[Partition, int]] = {}
-    for kept, group in table.rows.items():
-        if len(group) >= REDUCE_MIN_ROWS and kept.bit_count() <= REDUCE_MAX_GROUND:
-            labelled = {
-                block_labels(part, kept): (row.bit_count(), part) for part, row in group.items()
-            }
-            reduced = reduce_rows(labelled, kept.bit_count())
-            group = {part: group[part] for _, part in reduced.values()}
-        out[kept] = group
-    return RepresentativeTable(rows=out)
+    return RepresentativeTable(rows={
+        kept: reduce_rows(group, kept) if len(group) >= REDUCE_MIN_ROWS else group
+        for kept, group in table.rows.items()
+    })

@@ -184,12 +184,14 @@ def merge_blocks_acyclic(p_blocks, q_blocks, ground: tuple[int, ...]) -> bool:
     return blocks == len(p_blocks) + len(q_blocks) - len(ground)
 
 
+def block_masks(blocks) -> tuple[int, ...]:
+    """Blocks over positions -> sorted block masks, position i as bit i."""
+    return tuple(sorted(sum(1 << x for x in blk) for blk in blocks))
+
+
 def blocks_of(part: tuple[int, ...]):
-    """Canonical partition tuple -> tuple of position blocks."""
-    out: dict[int, list[int]] = {}
-    for pos, b in enumerate(part):
-        out.setdefault(b, []).append(pos)
-    return tuple(tuple(v) for v in out.values())
+    """Block masks -> tuple of position blocks."""
+    return tuple(tuple(x for x in range(b.bit_length()) if b >> x & 1) for b in part)
 
 
 def graft_leaf_bags(td, rng):

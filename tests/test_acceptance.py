@@ -41,6 +41,7 @@ from diskfvs.reduction import reduce_rows
 
 from conftest import (
     all_partitions,
+    block_masks,
     blocks_of,
     complete_graph,
     cycle_graph,
@@ -244,32 +245,24 @@ def test_criterion_5_high_degree_bound():
 
 @criterion(6, "rank reduction is representative and small")
 def test_criterion_6_rank_reduction():
-    def canonical(blocks):
-        size = sum(len(b) for b in blocks)
-        label = [0] * size
-        for i, blk in enumerate(blocks):
-            for x in blk:
-                label[x] = i
-        remap: dict[int, int] = {}
-        return tuple(remap.setdefault(x, len(remap)) for x in label)
-
     rng = random.Random(777)
     for trial in range(1000):
         s = rng.randint(1, 6)
         ground = tuple(range(s))
-        parts = [canonical(p) for p in all_partitions(ground)]
+        parts = [block_masks(p) for p in all_partitions(ground)]
         chosen = rng.sample(parts, rng.randint(1, min(len(parts), 30)))
-        rows = {p: (rng.randint(0, 50), None) for p in chosen}
-        kept = reduce_rows(dict(rows), s)
+        # a row of value v is the forest of vertices 0..v-1
+        rows = {p: (1 << rng.randint(0, 50)) - 1 for p in chosen}
+        kept = reduce_rows(dict(rows), (1 << s) - 1)
         assert len(kept) <= 1 << max(s - 1, 0), (trial, s, len(kept))
         for q in all_partitions(ground):
             best_full = max(
-                (v for p, (v, _) in rows.items()
+                (f.bit_count() for p, f in rows.items()
                  if merge_blocks_acyclic(blocks_of(p), q, ground)),
                 default=None,
             )
             best_kept = max(
-                (v for p, (v, _) in kept.items()
+                (f.bit_count() for p, f in kept.items()
                  if merge_blocks_acyclic(blocks_of(p), q, ground)),
                 default=None,
             )

@@ -59,7 +59,18 @@ class TestGen:
     def test_requires_exactly_one_kind(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("prefix", [".", "", "/"])
+    def test_suffix_appended_to_dotted_prefix(self, tmp_path, capsys):
+        # run.1 and run.2 are two prefixes: neither overwrites the other
+        for out in ("run.1", "run.2"):
+            assert main(["gen", "--udg", "-n", "5", "--out", str(tmp_path / out)]) == 0
+            assert capsys.readouterr().out.split() == [
+                str(tmp_path / f"{out}.points"), str(tmp_path / f"{out}.graph")
+            ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.1.graph", "run.1.points", "run.2.graph", "run.2.points"
+        ]
+
+    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/.."])
     def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
         # refused before any instance is generated, and no file is written
         monkeypatch.chdir(tmp_path)
@@ -310,7 +321,15 @@ class TestBenchCommand:
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
         assert not (tmp_path / "b.csv").exists()
 
-    @pytest.mark.parametrize("prefix", [".", "", "/"])
+    def test_suffix_appended_to_dotted_prefix(self, tmp_path, capsys):
+        args = ["bench", "--n-list", "5", "--density-list", "1.0", "--seeds", "1"]
+        assert main(args + ["--out", str(tmp_path / "res.v2")]) == 0
+        assert capsys.readouterr().out.split()[1:] == [
+            str(tmp_path / "res.v2.csv"), str(tmp_path / "res.v2.json")
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res.v2.csv", "res.v2.json"]
+
+    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/.."])
     def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
         # refused before the sweep runs, and no file is written
         monkeypatch.chdir(tmp_path)

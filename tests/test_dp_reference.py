@@ -5,7 +5,8 @@ set was the sorted tuple of its vertices, a partition a tuple of block
 labels by position, and introduce and join ran a list-based union-find.
 The state budget is left out. The reference takes the same floor, the
 conflict pairs outside each subtree included, and reduces only groups of
-at least REDUCE_MIN_ROWS rows. Both versions must agree on the root value,
+at least REDUCE_MIN_ROWS rows, with its own label-coded copy of the rank
+reduction (reference_reduce). Both versions must agree on the root value,
 the pruned rows, every table's rows (forests and order) and the
 reconstructed witness. A reference row keeps its (value, backref) form:
 its forest is read off its backrefs, bottom-up (reference_forests), and
@@ -38,7 +39,7 @@ from diskfvs import (
 from diskfvs.decomposition import FORGET, INTRODUCE, JOIN, LEAF
 from diskfvs.graph import uf_find
 from diskfvs.partition import conflict_pairs, packing_bound
-from diskfvs.reduction import REDUCE_MIN_ROWS, reduce_rows
+from diskfvs.reduction import REDUCE_MAX_GROUND, REDUCE_MIN_ROWS
 
 from conftest import class_of, graft_leaf_bags, subtree_classes
 
@@ -50,6 +51,37 @@ def canonicalize(labels):
 
 def block_count(part):
     return max(part) + 1 if part else 0
+
+
+def reference_vector(part):
+    """Bit A set iff the positions A take at most one from every block."""
+    blocks = {}
+    for pos, label in enumerate(part):
+        blocks.setdefault(label, []).append(pos)
+    acc = 1
+    for members in blocks.values():
+        cur = acc
+        for pos in members:
+            acc |= cur << (1 << pos)
+    return acc
+
+
+def reference_reduce(group):
+    """The rows of one kept set that rank reduction keeps. They are scanned
+    best value first, equal values in group order, and a row stays when its
+    vector is independent of those kept before it. Survivors keep the
+    group's order."""
+    pivots = {}  # leading bit -> basis vector
+    dropped = set()
+    for part in sorted(group, key=lambda part: -group[part][0]):
+        vec = reference_vector(part)
+        while vec and vec.bit_length() in pivots:
+            vec ^= pivots[vec.bit_length()]
+        if vec:
+            pivots[vec.bit_length()] = vec
+        else:
+            dropped.add(part)
+    return {part: row for part, row in group.items() if part not in dropped}
 
 
 def reference_dp_run(nd, g, p, mode, max_deletions=None):
@@ -168,7 +200,8 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
                         put(table, kept, part_n, val_l + val_r - s, (part_l, part_r))
         if mode == "dp-rank":
             table = {
-                kept: reduce_rows(group, len(kept)) if len(group) >= REDUCE_MIN_ROWS else group
+                kept: reference_reduce(group)
+                if len(group) >= REDUCE_MIN_ROWS and len(kept) <= REDUCE_MAX_GROUND else group
                 for kept, group in table.items()
             }
         tables[node] = table

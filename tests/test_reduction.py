@@ -2,77 +2,63 @@ import itertools
 import random
 
 from diskfvs import RepresentativeTable, rank_reduce
-from diskfvs.reduction import (
-    REDUCE_MIN_ROWS,
-    bits_of,
-    block_labels,
-    reduce_rows,
-    transversal_vector,
-)
+from diskfvs.reduction import REDUCE_MIN_ROWS, reduce_rows, transversal_vector
 
-from conftest import all_partitions, blocks_of, merge_blocks_acyclic
-
-
-def canonical(blocks) -> tuple[int, ...]:
-    """Blocks over positions -> canonical label tuple."""
-    size = sum(len(b) for b in blocks)
-    label = [0] * size
-    for i, blk in enumerate(blocks):
-        for x in blk:
-            label[x] = i
-    remap = {}
-    out = []
-    for x in label:
-        if x not in remap:
-            remap[x] = len(remap)
-        out.append(remap[x])
-    return tuple(out)
+from conftest import all_partitions, block_masks, blocks_of, merge_blocks_acyclic
 
 
 def optimum(rows, q_blocks, ground):
     """Best value among rows whose merge with q stays acyclic (maximizing)."""
     best = None
-    for part, (value, _) in rows.items():
+    for part, forest in rows.items():
         if merge_blocks_acyclic(blocks_of(part), q_blocks, ground):
-            if best is None or value > best:
-                best = value
+            if best is None or forest.bit_count() > best:
+                best = forest.bit_count()
     return best
 
 
 class TestTransversalVector:
     def test_singletons_accept_everything(self):
-        part = (0, 1, 2)
-        vec = transversal_vector(part)
+        part = (0b1, 0b10, 0b100)
+        vec = transversal_vector(part, 0b111)
         assert vec == (1 << 8) - 1  # all 2^3 subsets are transversals
 
     def test_one_block_rejects_pairs_inside(self):
-        part = (0, 0)
-        vec = transversal_vector(part)
+        part = (0b11,)
+        vec = transversal_vector(part, 0b11)
         # subsets {}, {0}, {1} ok; {0,1} hits the block twice
         assert vec == 0b0111
+
+    def test_positions_follow_kept_ids(self):
+        # kept {1, 4, 6}: blocks {4} and {1, 6} put positions 0 and 2 in one
+        # block, as blocks {1} and {0, 2} do over kept {0, 1, 2}
+        assert transversal_vector((0b0010000, 0b1000010), 0b1010010) == transversal_vector(
+            (0b010, 0b101), 0b111
+        )
 
 
 class TestReduceRows:
     def test_single_row_unchanged(self):
-        rows = {(0, 0): (5, None)}
-        assert reduce_rows(rows, 2) == rows
+        rows = {(0b11,): 0b11111}
+        assert reduce_rows(rows, 0b11) == rows
 
     def test_duplicate_partition_keeps_better(self):
         # dedup happens upstream at insertion; at reduce level two distinct
         # partitions with one dominating value: the better one survives
-        rows = {(0, 0): (3, "worse"), (0, 1): (5, "better")}
-        kept = reduce_rows(rows, 2)
-        assert (0, 1) in kept
+        rows = {(0b11,): 0b111, (0b1, 0b10): 0b11111}
+        kept = reduce_rows(rows, 0b11)
+        assert (0b1, 0b10) in kept
 
     def test_representative_on_random_tables(self):
         rng = random.Random(99)
         for trial in range(300):
             s = rng.randint(1, 6)
             ground = tuple(range(s))
-            parts = [canonical(p) for p in all_partitions(ground)]
+            parts = [block_masks(p) for p in all_partitions(ground)]
             chosen = rng.sample(parts, rng.randint(1, min(len(parts), 25)))
-            rows = {p: (rng.randint(0, 40), None) for p in chosen}
-            kept = reduce_rows(dict(rows), s)
+            # a row of value v is the forest of vertices 0..v-1
+            rows = {p: (1 << rng.randint(0, 40)) - 1 for p in chosen}
+            kept = reduce_rows(dict(rows), (1 << s) - 1)
             assert len(kept) <= 1 << max(s - 1, 0)
             for q in all_partitions(ground):
                 assert optimum(rows, q, ground) == optimum(kept, q, ground), (
@@ -83,25 +69,30 @@ class TestReduceRows:
                 )
 
 
-def block_masks(blocks) -> tuple[int, ...]:
-    """Blocks over positions -> sorted block masks, position i as bit i."""
-    return tuple(sorted(sum(1 << x for x in blk) for blk in blocks))
+class TestRowOrder:
+    """The five partitions of {0, 1, 2}; the four that are not all
+    singletons have vectors summing to zero, and any other four are
+    independent."""
 
+    ONE, SINGLETONS = (0b111,), (0b1, 0b10, 0b100)
+    PAIRS = ((0b1, 0b110), (0b11, 0b100), (0b10, 0b101))
 
-def mask_blocks(part) -> tuple[tuple[int, ...], ...]:
-    """Block masks -> tuple of position blocks."""
-    return tuple(tuple(bits_of(b)) for b in part)
+    def test_unshrinkable_group_is_returned_as_is(self):
+        vecs = [transversal_vector(part, 0b111) for part in (self.ONE, *self.PAIRS)]
+        assert vecs[0] ^ vecs[1] ^ vecs[2] ^ vecs[3] == 0
+        group = {part: (1 << i) - 1 for i, part in enumerate((*self.PAIRS, self.SINGLETONS))}
+        assert reduce_rows(group, 0b111) is group
 
-
-class TestBlockLabels:
-    def test_labels_match_canonical_on_every_partition(self):
-        for s in range(1, 6):
-            for blocks in all_partitions(tuple(range(s))):
-                assert block_labels(block_masks(blocks), (1 << s) - 1) == canonical(blocks)
-
-    def test_positions_follow_kept_ids(self):
-        # kept {1, 4, 6}: blocks {4} and {1, 6} -> positions 0 and 2 share label 0
-        assert block_labels((0b0010000, 0b1000010), 0b1010010) == (0, 1, 0)
+    def test_survivors_keep_group_order(self):
+        # worst first: the scan starts at the singletons, so the four best
+        # are independent and the worst row, {0, 1, 2}, is dropped
+        parts = [self.ONE, *self.PAIRS, self.SINGLETONS]
+        group = {part: (1 << i) - 1 for i, part in enumerate(parts)}
+        assert list(reduce_rows(group, 0b111).items()) == list(group.items())[1:]
+        # equal values are scanned in group order and the first found wins:
+        # the fourth row closes the relation and is dropped
+        group = {part: 0b111 for part in parts}
+        assert list(reduce_rows(group, 0b111)) == parts[:3] + parts[4:]
 
 
 class TestRankReduce:
@@ -129,7 +120,7 @@ class TestRankReduce:
             for q in all_partitions(ground):
                 best = [
                     max((f.bit_count() for p, f in group.items()
-                         if merge_blocks_acyclic(mask_blocks(p), q, ground)), default=None)
+                         if merge_blocks_acyclic(blocks_of(p), q, ground)), default=None)
                     for group in (rows, out.rows[kept])
                 ]
                 assert best[0] == best[1], (s, q)
@@ -141,17 +132,17 @@ class TestSmallGroups:
 
     def test_up_to_three_partitions_are_kept(self):
         for s in range(1, 7):
-            parts = [canonical(p) for p in all_partitions(tuple(range(s)))]
+            parts = [block_masks(p) for p in all_partitions(tuple(range(s)))]
             # every set of up to three (of up to two at s = 6, where the
             # triples number 1.4 million)
             for r in range(1, 3 if s == 6 else 4):
                 for combo in itertools.combinations(parts, r):
-                    rows = {part: (i, None) for i, part in enumerate(combo)}
-                    assert reduce_rows(rows, s).keys() == rows.keys(), combo
+                    rows = {part: (1 << i) - 1 for i, part in enumerate(combo)}
+                    assert reduce_rows(rows, (1 << s) - 1).keys() == rows.keys(), combo
             # three vectors are dependent only when one is the sum of the
             # other two, which a transversal vector never is: each has bit
             # A = {} set, so a sum of two has it clear
-            vecs = {transversal_vector(part) for part in parts}
+            vecs = {transversal_vector(part, (1 << s) - 1) for part in parts}
             assert len(vecs) == len(parts)
             assert all(a ^ b not in vecs for a, b in itertools.combinations(vecs, 2))
 
