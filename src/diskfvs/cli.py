@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ SCHEMA_VERSION = 1
 def _load_instance(path: str) -> Graph:
     """Read a graph file, or a points file as its intersection graph."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_instance(text)
@@ -46,9 +47,10 @@ def _list_arg(text: str, kind) -> list:
 
 def _out_paths(text: str, *suffixes: str) -> list[Path]:
     """The files an --out prefix names, each suffix appended to its name;
-    refused when the prefix names no file (its last component is "." or "..")."""
+    refused when the prefix names no file: its last component is "." or
+    "..", or it ends in a path separator, which Path would drop."""
     out = Path(text)
-    if out.name in ("", ".."):
+    if out.name in ("", "..") or text.endswith((os.sep, "/")):
         raise InputError(f"--out {text!r} names no file")
     return [out.with_name(out.name + suffix) for suffix in suffixes]
 

@@ -183,7 +183,6 @@ def _snake_path(path_len: int) -> tuple[list[tuple[float, float]], list[int]]:
     centers: list[tuple[float, float]] = []
     rows: list[int] = []
     row = 0
-    pos = 0
     while len(centers) < path_len:
         xs = range(row_len) if row % 2 == 0 else range(row_len - 1, -1, -1)
         for j in xs:
@@ -191,7 +190,6 @@ def _snake_path(path_len: int) -> tuple[list[tuple[float, float]], list[int]]:
                 break
             centers.append((_STEP * j, _ROW_GAP * row))
             rows.append(row)
-            pos += 1
         if len(centers) < path_len:
             # one intermediate disk climbing to the next row
             x_end = centers[-1][0]

@@ -17,11 +17,12 @@ partition p maps to a bit vector indexed by subsets A of the positions:
 Such an A-column equals the acyclic-compatibility column of the partition
 {A} + singletons, so the vector space of these columns sits inside the
 compatibility matrix's column space; their span covers it (the matrix has
-GF(2) rank exactly 2^(s-1)). Rows are scanned best value first, equal
-values in the group's order, and kept exactly when their vector is
-linearly independent of the vectors kept so far, which bounds the
-surviving rows of each kept mask by 2^(s-1). Survivors keep the group's
-order.
+GF(2) rank exactly 2^(s-1)). Only a group of more than 2^(s-1) rows over
+at most REDUCE_MAX_GROUND kept vertices is reduced: its rows are scanned
+best value first, equal values in the group's order, and kept exactly
+when their vector is linearly independent of the vectors kept so far,
+which leaves at most 2^(s-1) rows, in the group's order. Every other
+group is left as it is.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ from dataclasses import dataclass
 # ground-set sizes for which the factorization has been verified; larger
 # tables are left unreduced (correct, merely unpruned)
 REDUCE_MAX_GROUND = 8
-# three or fewer distinct partitions are always independent, so rank_reduce
-# leaves a group of fewer rows as it is: every vector has bit A = {} set,
-# so a dependent subset has even size, and two distinct partitions differ
-# at some pair A = {i, j}
-REDUCE_MIN_ROWS = 4
 
 Kept = int  # bitmask over the component's vertex ids
 Partition = tuple[int, ...]  # sorted disjoint block masks whose union is kept
@@ -72,9 +68,7 @@ class RepresentativeTable:
 
 def reduce_rows(group: dict[Partition, int], kept: Kept) -> dict[Partition, int]:
     """Keep a representative, value-optimal subset of one kept mask's rows,
-    in the group's order; a group that cannot shrink comes back as itself."""
-    if kept.bit_count() > REDUCE_MAX_GROUND:
-        return group
+    at most 2^(s-1) of them for s kept vertices, in the group's order."""
     basis: list[int] = []
     dropped = set()
     # sorted is stable: equal values stay in group order, the first found wins
@@ -87,22 +81,22 @@ def reduce_rows(group: dict[Partition, int], kept: Kept) -> dict[Partition, int]
             basis.sort(reverse=True)
         else:
             dropped.add(part)
-    if not dropped:
-        return group
     return {part: forest for part, forest in group.items() if part not in dropped}
 
 
 def rank_reduce(table: RepresentativeTable) -> RepresentativeTable:
-    """Reduce the rows of every kept mask of at least REDUCE_MIN_ROWS rows,
-    with its vertices as ground set. When no group can shrink (none has
-    REDUCE_MIN_ROWS rows within REDUCE_MAX_GROUND kept vertices), table
-    itself is returned."""
-    if not any(
-        len(group) >= REDUCE_MIN_ROWS and kept.bit_count() <= REDUCE_MAX_GROUND
-        for kept, group in table.rows.items()
-    ):
+    """Reduce every group of more than 2^(s-1) rows over s kept vertices,
+    s at most REDUCE_MAX_GROUND; when there is none, table itself is
+    returned."""
+    # Bell(s) <= 2^(s-1) for s <= 2 and the bound is at least 4 for s >= 3,
+    # so a group over it has more than 4 rows: testing that first keeps the
+    # many small groups, the one-row empty kept set among them, cheap
+    over = {
+        kept: reduce_rows(group, kept) for kept, group in table.rows.items()
+        if len(group) > 4
+        and (s := kept.bit_count()) <= REDUCE_MAX_GROUND
+        and 2 * len(group) > 1 << s
+    }
+    if not over:
         return table
-    return RepresentativeTable(rows={
-        kept: reduce_rows(group, kept) if len(group) >= REDUCE_MIN_ROWS else group
-        for kept, group in table.rows.items()
-    })
+    return RepresentativeTable(rows={**table.rows, **over})

@@ -70,7 +70,7 @@ class TestGen:
             "run.1.graph", "run.1.points", "run.2.graph", "run.2.points"
         ]
 
-    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/.."])
+    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/..", "results/"])
     def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
         # refused before any instance is generated, and no file is written
         monkeypatch.chdir(tmp_path)
@@ -186,6 +186,24 @@ class TestInputFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "UTF-8" in err
         assert len(err.splitlines()) == 1
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # a UTF-8 file may start with a byte-order mark: the graph file and
+        # the points file solve exactly as they do without one
+        out = tmp_path / "inst"
+        main(["gen", "--udg", "-n", "30", "--density", "1.0", "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        for suffix in (".graph", ".points"):
+            plain = out.with_suffix(suffix)
+            marked = tmp_path / f"bom{suffix}"
+            marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+            payloads = []
+            for path in (plain, marked):
+                assert main(["solve", str(path), "--k", "30", "--json"]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                payload.pop("timings")
+                payloads.append(payload)
+            assert payloads[0] == payloads[1]
 
 
 class TestOracleCommand:
@@ -329,7 +347,7 @@ class TestBenchCommand:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["res.v2.csv", "res.v2.json"]
 
-    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/.."])
+    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/..", "results/"])
     def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
         # refused before the sweep runs, and no file is written
         monkeypatch.chdir(tmp_path)

@@ -4,9 +4,9 @@ The reference below is the DP as it was before rows became bitmasks: a kept
 set was the sorted tuple of its vertices, a partition a tuple of block
 labels by position, and introduce and join ran a list-based union-find.
 The state budget is left out. The reference takes the same floor, the
-conflict pairs outside each subtree included, and reduces only groups of
-at least REDUCE_MIN_ROWS rows, with its own label-coded copy of the rank
-reduction (reference_reduce). Both versions must agree on the root value,
+conflict pairs outside each subtree included, and reduces only the groups
+of more than 2^(s-1) rows over s <= REDUCE_MAX_GROUND kept vertices, with
+its own label-coded copy of the rank reduction (reference_reduce). Both versions must agree on the root value,
 the pruned rows, every table's rows (forests and order) and the
 reconstructed witness. A reference row keeps its (value, backref) form:
 its forest is read off its backrefs, bottom-up (reference_forests), and
@@ -39,7 +39,7 @@ from diskfvs import (
 from diskfvs.decomposition import FORGET, INTRODUCE, JOIN, LEAF
 from diskfvs.graph import uf_find
 from diskfvs.partition import conflict_pairs, packing_bound
-from diskfvs.reduction import REDUCE_MAX_GROUND, REDUCE_MIN_ROWS
+from diskfvs.reduction import REDUCE_MAX_GROUND
 
 from conftest import class_of, graft_leaf_bags, subtree_classes
 
@@ -201,7 +201,8 @@ def reference_dp_run(nd, g, p, mode, max_deletions=None):
         if mode == "dp-rank":
             table = {
                 kept: reference_reduce(group)
-                if len(group) >= REDUCE_MIN_ROWS and len(kept) <= REDUCE_MAX_GROUND else group
+                if len(kept) <= REDUCE_MAX_GROUND and len(group) > 1 << max(len(kept) - 1, 0)
+                else group
                 for kept, group in table.items()
             }
         tables[node] = table

@@ -2,7 +2,7 @@ import itertools
 import random
 
 from diskfvs import RepresentativeTable, rank_reduce
-from diskfvs.reduction import REDUCE_MIN_ROWS, reduce_rows, transversal_vector
+from diskfvs.reduction import REDUCE_MAX_GROUND, reduce_rows, transversal_vector
 
 from conftest import all_partitions, block_masks, blocks_of, merge_blocks_acyclic
 
@@ -81,7 +81,7 @@ class TestRowOrder:
         vecs = [transversal_vector(part, 0b111) for part in (self.ONE, *self.PAIRS)]
         assert vecs[0] ^ vecs[1] ^ vecs[2] ^ vecs[3] == 0
         group = {part: (1 << i) - 1 for i, part in enumerate((*self.PAIRS, self.SINGLETONS))}
-        assert reduce_rows(group, 0b111) is group
+        assert list(reduce_rows(group, 0b111).items()) == list(group.items())
 
     def test_survivors_keep_group_order(self):
         # worst first: the scan starts at the singletons, so the four best
@@ -127,8 +127,8 @@ class TestRankReduce:
 
 
 class TestSmallGroups:
-    """Up to three distinct partitions are independent, so rank_reduce
-    leaves a group of fewer than REDUCE_MIN_ROWS rows as it is."""
+    """rank_reduce leaves a group of at most 2^(s-1) rows over s kept
+    vertices as it is, and cuts a larger one to at most 2^(s-1) rows."""
 
     def test_up_to_three_partitions_are_kept(self):
         for s in range(1, 7):
@@ -146,6 +146,50 @@ class TestSmallGroups:
             assert len(vecs) == len(parts)
             assert all(a ^ b not in vecs for a, b in itertools.combinations(vecs, 2))
 
+    def test_dependent_group_within_bound_is_kept(self):
+        # the four partitions of {0, 1, 2} other than all singletons are
+        # dependent, and stay so with vertex 3 added as a singleton; a group
+        # of exactly 2^(s - 1) rows holding them is left as it is
+        four = [TestRowOrder.ONE, *TestRowOrder.PAIRS]
+        eight = [part + (0b1000,) for part in four]
+        eight += [p for p in map(block_masks, all_partitions(range(4))) if p not in eight][:4]
+        for s, parts in ((3, four), (4, eight)):
+            kept = (1 << s) - 1
+            group = {part: (1 << i) - 1 for i, part in enumerate(parts)}
+            assert len(group) == 1 << (s - 1) and len(reduce_rows(group, kept)) < len(group)
+            table = RepresentativeTable(rows={kept: dict(group)})
+            out = rank_reduce(table)
+            assert out is table
+            assert list(out.rows[kept].items()) == list(group.items())
+
+    def test_only_kept_sets_up_to_max_ground_are_reduced(self):
+        # a group one row over its bound is cut to the bound at
+        # s = REDUCE_MAX_GROUND and left as it is at one more kept vertex
+        def one_over(s):
+            kept = (1 << s) - 1
+            parts = itertools.islice(map(block_masks, all_partitions(range(s))), (1 << (s - 1)) + 1)
+            group = {part: (1 << i) - 1 for i, part in enumerate(parts)}
+            return group, rank_reduce(RepresentativeTable(rows={kept: dict(group)})).rows[kept]
+
+        _, out = one_over(REDUCE_MAX_GROUND)
+        assert len(out) <= 1 << (REDUCE_MAX_GROUND - 1)
+        group, out = one_over(REDUCE_MAX_GROUND + 1)
+        assert out == group
+
+    def test_one_row_over_bound_is_cut_to_bound(self):
+        rng = random.Random(5)
+        for s in range(3, 7):
+            ground = tuple(range(s))
+            parts = [block_masks(p) for p in all_partitions(ground)]
+            for _ in range(5):
+                chosen = rng.sample(parts, (1 << (s - 1)) + 1)
+                rows = {p: (1 << rng.randint(0, 9)) - 1 for p in chosen}
+                kept = (1 << s) - 1
+                out = rank_reduce(RepresentativeTable(rows={kept: rows})).rows[kept]
+                assert len(out) <= 1 << (s - 1)
+                for q in all_partitions(ground):
+                    assert optimum(rows, q, ground) == optimum(out, q, ground), (s, q)
+
     def test_small_groups_keep_their_order(self):
         # kept {0, 1, 2}: three rows, worst first; kept {3, 4, 5}: all five
         # partitions, one more than the rank bound 2^(3 - 1)
@@ -154,11 +198,11 @@ class TestSmallGroups:
             block_masks(tuple(tuple(x + 3 for x in blk) for blk in blocks)): (1 << 9) - 1
             for blocks in all_partitions((0, 1, 2))
         }
-        assert len(three) < REDUCE_MIN_ROWS <= len(five)
+        assert len(three) <= 1 << (3 - 1) < len(five)
         table = RepresentativeTable(rows={0b111: dict(three), 0b111000: dict(five)})
         out = rank_reduce(table)
         assert list(out.rows[0b111].items()) == list(three.items())
         assert len(out.rows[0b111000]) < len(five)
-        # with no group of REDUCE_MIN_ROWS rows the table comes back as it is
+        # with no group over its bound the table comes back as it is
         table = RepresentativeTable(rows={0b111: dict(three)})
         assert rank_reduce(table) is table

@@ -186,8 +186,8 @@ class TestDpRun:
         assert tables[4][0b100111][(0b100111,)] == 0b101111
 
     @pytest.mark.parametrize("n, density, components, digest", [
-        (60, 2.0, 1, "b0aea3e9c9d0b8b6369e76e8cac691cea138b665d69ec8fee813fcf91c984a0d"),
-        (150, 1.5, 7, "9460eb080a076f000b6bf142e3aff33bd77d3594d962953b37c3d2d2c1e6afa6"),
+        (60, 2.0, 1, "696ee0ba8c36f63a134880a4dffcd05fdcadcaf29eb381f066735d715a74a800"),
+        (150, 1.5, 7, "c8bccd2b6a191676190559914f5530c0645071f6f216fd8eeda63522ba662287"),
     ], ids=["60-2.0-1", "150-1.5-1"])
     def test_tables_pinned(self, n, density, components, digest):
         # every component's DP tables (kept masks, partitions, forests and
@@ -210,7 +210,7 @@ class TestDpRun:
     def test_rank_reduction_keeps_row_order(self):
         # where rank reduction drops no row, dp-rank's tables are dp-naive's
         # in the same order: survivors keep their group's order, and a group
-        # that cannot shrink is left as it is
+        # within its bound is left as it is
         from diskfvs import component_pipelines, dp_run
 
         def rows(tables):
@@ -229,6 +229,32 @@ class TestDpRun:
                     assert rank == naive, (seed, sub.n)
         # it drops no row on any of these 155 components
         assert compared == 155
+
+    def test_rank_reduction_caps_every_kept_set(self):
+        # on this instance dp-naive has kept sets over the 2^(s-1) bound, so
+        # dp-rank drops rows; every kept set of at most REDUCE_MAX_GROUND
+        # vertices is then within its bound, and the minimum is dp-naive's
+        from diskfvs import component_pipelines, dp_run
+        from diskfvs.reduction import REDUCE_MAX_GROUND
+
+        def over_bound(tables):
+            return [
+                (kept, len(group)) for t in tables for kept, group in t.items()
+                if kept.bit_count() <= REDUCE_MAX_GROUND
+                and len(group) > 1 << max(kept.bit_count() - 1, 0)
+            ]
+
+        def row_total(tables):
+            return sum(len(group) for t in tables for group in t.values())
+
+        [(sub, pipe)] = component_pipelines(build_intersection_graph(random_udg(60, 2.0, 1)))
+        (rank_root, rank), (naive_root, naive) = (
+            dp_run(pipe.nice, sub, pipe.partition, mode, sub.n) for mode in ("dp-rank", "dp-naive")
+        )
+        assert over_bound(naive)
+        assert over_bound(rank) == []
+        assert row_total(rank) < row_total(naive)
+        assert rank_root.bit_count() == naive_root.bit_count()
 
 
 class TestSolveBasics:
@@ -913,7 +939,7 @@ class TestThresholds:
     @pytest.mark.parametrize("n,density,seed,budget,work", [
         (16, 1.0, 10, 10, 11),
         (60, 2.0, 1, 2_000, 2_001),
-        (60, 2.0, 1, 15_142, 15_143),
+        (60, 2.0, 1, 15_142, 15_144),
     ], ids=["16-1.0-10-budget-10", "60-2.0-1-budget-2000", "60-2.0-1-budget-15142"])
     def test_state_budget_trips_at_a_fixed_point(self, n, density, seed, budget, work):
         # the budget is charged per selection of an introduced class, per
