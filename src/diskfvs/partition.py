@@ -15,7 +15,9 @@ an upper bound on the minimum, and a minimum whenever it has at most
 max(bound, 1) vertices.
 packing_search_refutes closes a small gap between the two: it proves that
 no feedback vertex set has at most the bound plus a few vertices by
-choosing a kept subset per cover clique.
+choosing a kept subset per cover clique. Its forest is a list of tree
+masks, and each vertex it keeps is tested by the DP's cycle rule
+(reduction.attach).
 conflict_pairs finds disjoint pairs of classes that no forest keeps in
 full, each worth one deletion beyond the bound; the DP's floor counts
 those its subtree has not reached.
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .graph import Graph, connected_components, induced_subgraph, uf_find
+from .reduction import attach
 
 # a forest keeps at most two vertices of any clique
 KEEP_PER_CLIQUE = 2
@@ -286,12 +289,11 @@ def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
     at most extra. The search assigns the cliques one at a time, each time
     branching on the unassigned clique with the fewest feasible subsets
     (the first such clique; subsets of least shortfall first). A subset is
-    feasible when its shortfall fits what is left of extra and keeping it
-    closes no cycle: its vertices' kept neighbours lie in distinct trees of
-    the forest kept so far, and for a pair, which is an edge, the two
-    vertices touch no tree in common. A subset infeasible at a node stays
-    infeasible below it, since the kept set only grows and the shortfall
-    left only falls. So a node where some clique has no feasible subset has
+    feasible when its shortfall fits what is left of extra and keeping its
+    vertices one at a time closes no cycle in the forest kept so far
+    (reduction.attach). A subset infeasible at a node stays infeasible
+    below it, since the kept set only grows and the shortfall left only
+    falls. So a node where some clique has no feasible subset has
     no set below it, and only a subset whose vertices border the tree the
     last choice made, or whose shortfall no longer fits, needs a new test.
     A search that ends without a set has tried every set, so it refutes;
@@ -319,22 +321,13 @@ def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
     nodes = 0
 
     def tree_of(sel, trees: list[int]) -> int:
-        """The tree that keeping sel (at most two vertices, an edge when two)
-        makes with the trees it touches, or -1 when it closes a cycle."""
-        tree = 0
-        for v in sel:
-            touched = 0
-            around = nbr[v]
-            for t in trees:
-                m = around & t
-                if m:
-                    if m & (m - 1):  # two neighbours in one tree
-                        return -1
-                    touched |= t
-            if touched & tree:  # a pair's two vertices reach one tree
+        """The tree that keeping sel, a clique's subset, makes with the trees
+        it touches (0 when sel is empty), or -1 when it closes a cycle."""
+        for v in sel:  # a pair's second vertex sees the first through their edge
+            trees = attach(trees, 1 << v, nbr[v])
+            if trees is None:
                 return -1
-            tree |= touched | 1 << v
-        return tree
+        return trees[-1] if sel else 0
 
     def search(trees: list[int], options: dict, left: int) -> bool:
         """True when the choices so far extend to a set within the bound.

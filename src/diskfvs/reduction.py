@@ -1,9 +1,17 @@
-"""Representative reduction of forest-connectivity state tables.
+"""Forest-connectivity states: the cycle rule and representative reduction.
 
 A DP row is (kept, partition, forest): kept is the bitmask of the vertex
 ids the partial forest keeps in the current bag, the partition, a sorted
 tuple of disjoint block masks covering kept, records which of them are
 already connected, and the forest mask's popcount is the row's value.
+
+The cycle rule (attach): keeping one more vertex next to a forest whose
+trees are disjoint block masks closes a cycle exactly when two of its
+neighbours lie in one block; otherwise the blocks it meets and the vertex
+become one block. The DP's introduce step and the clique-choice search
+(partition.packing_search_refutes) both keep their forests this way and
+test every vertex they keep with attach alone.
+
 Rows with the same kept mask compete: row p can be dropped when, for every
 way q the future could connect the kept vertices, some retained row
 matches p's acyclic-compatibility with q at equal or better value.
@@ -43,6 +51,24 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def attach(blocks, bit: int, nbrs: int) -> list[int] | None:
+    """blocks, disjoint masks of a forest's trees, with the vertex bit kept
+    next to its neighbours nbrs: every block that meets nbrs merged with bit
+    into one, placed last. None when one block holds two of the neighbours,
+    so that keeping the vertex closes a cycle."""
+    out = []
+    for b in blocks:
+        m = b & nbrs
+        if not m:
+            out.append(b)
+        elif m & (m - 1):
+            return None
+        else:
+            bit |= b
+    out.append(bit)
+    return out
 
 
 def transversal_vector(part: Partition, kept: Kept) -> int:

@@ -11,29 +11,9 @@ a proven lower bound, sum(max(0, |q| - 2)) (partition.packing_bound),
 split by component. When that exceeds k the answer is "no" with the
 cliques as a certificate anyone can check.
 partition.packing_completion, also run once, gives every component a
-feedback vertex set from above: it deletes all but the two lowest-degree
-vertices of each clique of more than two vertices, then breaks the cycles
-left greedily, then puts back every deleted vertex that closes no cycle,
-so no vertex of the set is redundant. When a component's share of that set
-has ub <= max(LB, 1) vertices, LB the component's bound, it is a minimum
-(a peeled component holds a cycle), and when it also fits the component's
-share of k the component needs no subgraph, no decomposition and no DP.
-When ub fits that share and ub - 1 - LB <= 1, so a smaller set would be at
-most one vertex above the bound, partition.packing_search_refutes asks the
-DP's question first, with no decomposition: is there a set of at most
-ub - 1 vertices, one kept subset per cover clique? When it proves there is
-none, the greedy set is a minimum and the component is not decomposed. When
-it finds such a set, or gives up, the DP below runs as it would without the
-search, so the search changes no answer.
-
-The two bounds prune every DP. A component C has budget = k - done - rest,
-where done sums the exact minima of the components already solved and rest
-the bounds of those still to come, and is solved with max_deletions =
-min(budget, ub - 1): the DP looks only for a set smaller than the greedy
-one, and drops every row that cannot end within max_deletions (dp_run's
-docstring gives the floor and its proof). An empty root proves C's minimum
-exceeds max_deletions: the greedy set is then a minimum when ub <= budget,
-and otherwise C's minimum exceeds its share of k.
+feedback vertex set from above. solve's docstring gives the rules by which
+the two bounds and the clique-choice search settle a component before the
+DP; dp_run's gives how they prune the DP.
 
 DP state at a nice-decomposition node: the vertices kept in the bag's
 classes (at most two per cover clique: local_selections) as a bitmask over
@@ -42,9 +22,8 @@ connected pieces of the partial forest as the sorted tuple of its block
 masks. Each state's row is its forest: the bitmask of every vertex the
 partial forest keeps in the node's subtree, whose popcount, the row's
 value, is maximized. The root row is the witness. Edges are committed
-when the later of their two classes is introduced: each new vertex closes
-a cycle when two of its kept neighbours share a block, and otherwise
-merges the blocks it touches. At join nodes both branches have committed
+when the later of their two classes is introduced, each new vertex by the
+cycle rule (reduction.attach). At join nodes both branches have committed
 the edges induced inside the kept set, so the union of the two partitions
 stays acyclic exactly when it merges |kept| - shared_edges pairs of blocks.
 """
@@ -93,7 +72,7 @@ from .partition import (
     packing_completion,
     packing_search_refutes,
 )
-from .reduction import Kept, Partition, RepresentativeTable, bits_of, rank_reduce
+from .reduction import Kept, Partition, RepresentativeTable, attach, bits_of, rank_reduce
 
 MODES = ("dp-naive", "dp-rank")
 
@@ -251,37 +230,21 @@ def dp_run(
                     kept_n = kept_c | sel_mask
                     out = table.get(kept_n)
                     # each new vertex with its neighbours kept before it (the
-                    # edges the new class is responsible for) and their number
-                    plan = [
-                        (bit, (nbrs := around & kept_c | earlier), nbrs.bit_count())
-                        for bit, around, earlier in steps
-                    ]
+                    # edges the new class is responsible for)
+                    plan = [(bit, around & kept_c | earlier) for bit, around, earlier in steps]
                     for part_c, forest in group.items():
                         if forest.bit_count() < need:
                             pruned += 1
                             continue
-                        blocks = list(part_c)
-                        for bit, nbrs, count in plan:
-                            if not count:
-                                blocks.append(bit)
-                            elif count == 1:  # joins the one block holding it
-                                for i, b in enumerate(blocks):
-                                    if b & nbrs:
-                                        blocks[i] = b | bit
-                                        break
-                            else:
-                                # the neighbours lie in distinct blocks, or
-                                # the vertex closes a cycle
-                                touched = [b for b in blocks if b & nbrs]
-                                if len(touched) != count:
-                                    break
-                                blocks = [b for b in blocks if not b & nbrs]
-                                blocks.append(bit + sum(touched))  # disjoint: sum is union
+                        blocks = part_c
+                        for bit, nbrs in plan:
+                            blocks = attach(blocks, bit, nbrs)
+                            if blocks is None:
+                                break
                         else:  # no vertex closed a cycle
                             if out is None:
                                 out = table[kept_n] = {}
-                            blocks.sort()
-                            part_n = tuple(blocks)
+                            part_n = tuple(sorted(blocks))
                             forest_n = forest | sel_mask
                             old = out.get(part_n)
                             if old is None or forest_n.bit_count() > old.bit_count():

@@ -1,8 +1,9 @@
 import itertools
 import random
 
-from diskfvs import RepresentativeTable, rank_reduce
-from diskfvs.reduction import REDUCE_MAX_GROUND, reduce_rows, transversal_vector
+from diskfvs import RepresentativeTable, from_edge_list, rank_reduce
+from diskfvs.graph import connected_components, induced_subgraph, is_forest
+from diskfvs.reduction import REDUCE_MAX_GROUND, attach, reduce_rows, transversal_vector
 
 from conftest import all_partitions, block_masks, blocks_of, merge_blocks_acyclic
 
@@ -15,6 +16,54 @@ def optimum(rows, q_blocks, ground):
             if best is None or forest.bit_count() > best:
                 best = forest.bit_count()
     return best
+
+
+def component_masks(g, kept):
+    """The components of the subgraph kept induces, as vertex masks."""
+    sub, old_of_new, _ = induced_subgraph(g, kept)
+    return {sum(1 << old_of_new[i] for i in comp) for comp in connected_components(sub)}
+
+
+class TestAttach:
+    def test_against_is_forest(self):
+        """On random graphs and kept forests, attach refuses exactly the
+        vertices whose keeping closes a cycle, and otherwise returns the
+        new forest's components with the vertex's own last."""
+        rng = random.Random(34)
+        seen = {"empty blocks": 0, "no kept neighbour": 0, "cycle": 0, "merge": 0}
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            p = rng.random()
+            g = from_edge_list(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+            v = rng.randrange(n)
+            kept = set()
+            for u in rng.sample([u for u in range(n) if u != v], rng.randint(0, n - 1)):
+                if is_forest(g, set(range(n)) - kept - {u}):
+                    kept.add(u)
+            blocks = sorted(component_masks(g, kept)) if kept else []
+            rng.shuffle(blocks)
+            nbrs = sum(1 << w for w in g.adj[v])  # unkept neighbours lie in no block
+            out = attach(blocks, 1 << v, nbrs)
+            acyclic = is_forest(g, set(range(n)) - kept - {v})
+            seen["empty blocks"] += not blocks
+            seen["no kept neighbour"] += not any(w in kept for w in g.adj[v])
+            seen["cycle"] += not acyclic
+            seen["merge"] += sum(1 for b in blocks if b & nbrs) > 1
+            assert (out is None) == (not acyclic), (g.adj, kept, v)
+            if out is not None:
+                assert out[-1] >> v & 1
+                assert len(out) == len(set(out))
+                assert set(out) == component_masks(g, kept | {v}), (g.adj, kept, v)
+        assert min(seen.values()) > 50, seen
+
+    def test_empty_blocks_and_no_kept_neighbour(self):
+        assert attach([], 0b1, 0b110) == [0b1]
+        assert attach((0b10, 0b100), 0b1, 0b1000) == [0b10, 0b100, 0b1]
+        # merged blocks go last, the others keep their order
+        assert attach((0b10, 0b1000, 0b100), 0b1, 0b110) == [0b1000, 0b111]
+        assert attach((0b110,), 0b1, 0b110) is None
 
 
 class TestTransversalVector:
