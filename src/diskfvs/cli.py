@@ -47,12 +47,13 @@ def _list_arg(text: str, kind) -> list:
 
 def _out_paths(text: str, *suffixes: str) -> list[Path]:
     """The files an --out prefix names, each suffix appended to its name;
-    refused when the prefix names no file: its last component is "." or
-    "..", or it ends in a path separator, which Path would drop."""
-    out = Path(text)
-    if out.name in ("", "..") or text.endswith((os.sep, "/")):
+    refused when the prefix names no file: the text after its last path
+    separator is empty, "." or "..". That text is read off the prefix
+    itself, since Path drops a trailing separator or "."."""
+    name = text.replace(os.sep, "/").rsplit("/", 1)[-1]
+    if name in ("", ".", ".."):
         raise InputError(f"--out {text!r} names no file")
-    return [out.with_name(out.name + suffix) for suffix in suffixes]
+    return [Path(text).with_name(name + suffix) for suffix in suffixes]
 
 
 def _cmd_gen(args) -> int:

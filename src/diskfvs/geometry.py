@@ -165,84 +165,32 @@ def random_udg(n: int, density: float, seed: int) -> ObjectSet:
     return ObjectSet(objects=disks, alpha=1.0, gamma=1.0)
 
 
-# snake layout constants: consecutive path centers sit 0.9 apart, rows are
-# 1.8 apart (one intermediate turn disk), hubs float 0.4 off their anchor
+# straight-path layout: path centers sit 0.9 apart on the x axis, so only
+# consecutive unit disks meet; a hub 0.4 above its anchor meets the anchor
+# and its two path neighbors (0.985 away) and nothing else; anchors 5 apart
+# keep the hub gadgets vertex-disjoint
 _STEP = 0.9
-_ROW_GAP = 1.8
 _HUB_OFF = 0.4
 _ANCHOR_GAP = 5
 
 
-def _snake_path(path_len: int) -> tuple[list[tuple[float, float]], list[int]]:
-    """Centers of a serpentine path plus the indices eligible as anchors.
-
-    Eligible indices lie in a row interior: the two previous and two next
-    path disks exist and share the row, keeping the hub clear of turns.
-    """
-    row_len = max(5, math.ceil(math.sqrt(path_len)))
-    centers: list[tuple[float, float]] = []
-    rows: list[int] = []
-    row = 0
-    while len(centers) < path_len:
-        xs = range(row_len) if row % 2 == 0 else range(row_len - 1, -1, -1)
-        for j in xs:
-            if len(centers) >= path_len:
-                break
-            centers.append((_STEP * j, _ROW_GAP * row))
-            rows.append(row)
-        if len(centers) < path_len:
-            # one intermediate disk climbing to the next row
-            x_end = centers[-1][0]
-            centers.append((x_end, _ROW_GAP * row + _STEP))
-            rows.append(-1)  # turn disk, never an anchor
-            row += 1
-    eligible = [
-        i
-        for i in range(2, len(centers) - 2)
-        if rows[i] >= 0 and all(rows[i + d] == rows[i] for d in (-2, -1, 1, 2))
-    ]
-    return centers, eligible
-
-
 def planted_yes_instance(k: int, path_len: int, seed: int) -> tuple[ObjectSet, int]:
-    """A snake of unit disks plus k hub disks, each closing local cycles.
+    """A straight path of unit disks plus k hub disks, each closing local cycles.
 
-    Every hub overlaps exactly its anchor and the anchor's two path
-    neighbors; deleting the k hubs leaves the bare path, so the minimum
-    feedback vertex set has size at most k. Anchors are kept at least
-    five path positions apart, which makes the k hub gadgets
-    vertex-disjoint.
+    Path disk i sits at (0.9 i, 0). Every hub sits 0.4 above its anchor and
+    overlaps exactly the anchor and the anchor's two path neighbors;
+    deleting the k hubs leaves the bare path, so the minimum feedback
+    vertex set has size at most k. The path has max(path_len, 6k + 12)
+    disks (path_len when k = 0), and the anchors are k distinct slots of
+    range(2, n_path - 2, 5) drawn with `seed`: five path positions apart,
+    which makes the k hub gadgets vertex-disjoint.
     """
     if k < 0:
         raise InputError(f"need k >= 0, got {k}")
     if path_len < 2:
         raise InputError(f"need path_len >= 2, got {path_len}")
-
-    def pick(candidates) -> list[int]:
-        out: list[int] = []
-        for cand in candidates:
-            if len(out) == k:
-                break
-            if all(abs(cand - a) >= _ANCHOR_GAP for a in out):
-                out.append(cand)
-        return out
-
-    # grow the path until the evenly spaced pick can host all k hubs
-    effective_len = max(path_len, 6 * k + 12) if k > 0 else path_len
-    while True:
-        centers, eligible = _snake_path(effective_len)
-        if len(pick(sorted(eligible))) >= k:
-            break
-        effective_len = max(effective_len + 5, int(effective_len * 13 // 10))
-
-    rng = random.Random(seed)
-    shuffled = list(eligible)
-    rng.shuffle(shuffled)
-    anchors = pick(shuffled)
-    if len(anchors) < k:
-        anchors = pick(sorted(eligible))
-    disks = [_unit_disk(x, y) for (x, y) in centers]
-    for a in sorted(anchors):
-        x, y = centers[a]
-        disks.append(_unit_disk(x, y + _HUB_OFF))
+    n_path = max(path_len, 6 * k + 12) if k > 0 else path_len
+    anchors = random.Random(seed).sample(range(2, n_path - 2, _ANCHOR_GAP), k)
+    disks = [_unit_disk(_STEP * i, 0.0) for i in range(n_path)]
+    disks += [_unit_disk(_STEP * a, _HUB_OFF) for a in sorted(anchors)]
     return ObjectSet(objects=tuple(disks), alpha=1.0, gamma=1.0), k

@@ -70,7 +70,7 @@ class TestGen:
             "run.1.graph", "run.1.points", "run.2.graph", "run.2.points"
         ]
 
-    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/..", "results/"])
+    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/..", "results/", "a/."])
     def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
         # refused before any instance is generated, and no file is written
         monkeypatch.chdir(tmp_path)
@@ -347,7 +347,7 @@ class TestBenchCommand:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["res.v2.csv", "res.v2.json"]
 
-    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/..", "results/"])
+    @pytest.mark.parametrize("prefix", [".", "", "/", "..", "sub/..", "results/", "a/."])
     def test_out_without_file_name_exit_two(self, tmp_path, capsys, monkeypatch, prefix):
         # refused before the sweep runs, and no file is written
         monkeypatch.chdir(tmp_path)

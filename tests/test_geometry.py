@@ -229,3 +229,20 @@ class TestPlanted:
         g = build_intersection_graph(objs)
         size, _ = min_fvs_bruteforce(g, max_n=30)
         assert size == 2
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 9, 16, 25, 36])
+    def test_family_graph(self, k):
+        """A path plus k disjoint hubs, each on three consecutive path disks."""
+        for path_len in (2, 10, 40, 300):
+            for seed in range(3):
+                objs, k_planted = planted_yes_instance(k, path_len, seed)
+                g = build_intersection_graph(objs)
+                n_path = g.n - k
+                assert k_planted == k and n_path >= path_len
+                assert all(g.has_edge(i, i + 1) for i in range(n_path - 1))
+                for hub in range(n_path, g.n):
+                    a = g.adj[hub][1]
+                    assert g.adj[hub] == (a - 1, a, a + 1) and a + 1 < n_path
+                assert g.m == n_path - 1 + 3 * k
+                sol = solve(g, SolveConfig(k=k))
+                assert sol.verdict == "yes" and sol.stats["min_fvs"] == k
