@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import Graph, from_edge_list
+from .graph import Graph
 
 DISK = "disk"
 SQUARE = "square"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FatObject:
     """One object: a disk (inner == outer) or an axis-aligned square.
 
@@ -117,40 +117,75 @@ def objects_intersect(a: FatObject, b: FatObject) -> bool:
 def build_intersection_graph(objs: ObjectSet) -> Graph:
     """Graph on the objects; edge iff the two objects intersect.
 
-    Near-linear construction: centers are bucketed on a grid whose cell
-    side equals the largest diameter, so only the 3x3 neighborhood of a
-    bucket can contain intersecting partners.
+    Near-linear construction. Centers are bucketed on a grid whose cell
+    side equals the largest diameter, cell (floor(x/side), floor(y/side)),
+    so only objects in 3x3-adjacent cells can intersect. Each column of
+    cells is sorted by row; an object is paired with the objects after it
+    in its own column and with those of the next column, in both cases
+    only within one row of its own. That visits every candidate pair
+    exactly once, with one objects_intersect call each, and the sorted
+    adjacency lists go straight into the Graph.
     """
-    n = len(objs.objects)
+    objects = objs.objects
+    n = len(objects)
     if n == 0:
-        return from_edge_list(0, [])
-    cell = max(o.diameter for o in objs.objects)
+        return Graph(n=0, adj=(), m=0)
+    cell = max(o.diameter for o in objects)
     if not math.isfinite(cell):
         raise InputError(f"largest diameter must be finite, got {cell}")
-    buckets: dict[tuple[int, int], list[int]] = {}
-    coords = []
-    for i, o in enumerate(objs.objects):
+    floor = math.floor
+    # column -> its (row, id) pairs, sorted by row below
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for i, o in enumerate(objects):
         try:
-            key = (math.floor(o.x / cell), math.floor(o.y / cell))
+            cx, cy = floor(o.x / cell), floor(o.y / cell)
         except (ValueError, OverflowError) as exc:
             raise InputError(
                 f"object {i}: center ({o.x}, {o.y}) over cell side {cell} is not finite"
             ) from exc
-        buckets.setdefault(key, []).append(i)
-        coords.append(key)
-    edges = []
-    for i, o in enumerate(objs.objects):
-        cx, cy = coords[i]
-        for px in (cx - 1, cx, cx + 1):
-            for py in (cy - 1, cy, cy + 1):
-                for j in buckets.get((px, py), ()):
-                    if j > i and objects_intersect(o, objs.objects[j]):
-                        edges.append((i, j))
-    return from_edge_list(n, edges)
+        columns.setdefault(cx, []).append((cy, i))
+    for col in columns.values():
+        col.sort()
+    intersect = objects_intersect
+    adj: list[list[int]] = [[] for _ in range(n)]
+    m = 0
+    for cx, col in columns.items():
+        nxt = columns.get(cx + 1, ())
+        size, nsize = len(col), len(nxt)
+        lo = 0
+        for p, (cy, i) in enumerate(col):
+            a = objects[i]
+            top = cy + 1
+            q = p + 1
+            while q < size:
+                row, j = col[q]
+                if row > top:
+                    break
+                if intersect(a, objects[j]):
+                    adj[i].append(j)
+                    adj[j].append(i)
+                    m += 1
+                q += 1
+            # the next column's window starts at row cy - 1, and cy only grows
+            while lo < nsize and nxt[lo][0] < cy - 1:
+                lo += 1
+            q = lo
+            while q < nsize:
+                row, j = nxt[q]
+                if row > top:
+                    break
+                if intersect(a, objects[j]):
+                    adj[i].append(j)
+                    adj[j].append(i)
+                    m += 1
+                q += 1
+    for nbrs in adj:
+        nbrs.sort()
+    return Graph(n=n, adj=tuple(map(tuple, adj)), m=m)
 
 
 def _unit_disk(x: float, y: float) -> FatObject:
-    return FatObject(x=x, y=y, inner_radius=0.5, outer_radius=0.5, shape_tag=DISK)
+    return FatObject(x, y, 0.5, 0.5, DISK)
 
 
 def random_udg(n: int, density: float, seed: int) -> ObjectSet:

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
 import math
+import pickle
+import random
 
 import pytest
 
@@ -8,6 +12,7 @@ from diskfvs import (
     ObjectSet,
     SolveConfig,
     build_intersection_graph,
+    from_edge_list,
     induced_subgraph,
     is_forest,
     min_fvs_bruteforce,
@@ -15,6 +20,7 @@ from diskfvs import (
     random_udg,
     solve,
 )
+from diskfvs.fileio import serialize_objects
 from diskfvs.geometry import objects_intersect, validate_object_set
 
 from conftest import cell_of, euclid, heavy_cells
@@ -96,14 +102,60 @@ class TestIntersection:
             build_intersection_graph(objs)
 
     def test_matches_all_pairs_on_generated_instances(self):
-        for seed in range(12):
-            n = [60, 120, 200][seed % 3]
-            objs = random_udg(n, [0.05, 0.2, 0.5][seed % 3], seed)
-            g = build_intersection_graph(objs)
-            assert set(g.edges()) == naive_graph(objs)
-        objs, _ = planted_yes_instance(5, 40, 0)
-        g = build_intersection_graph(objs)
-        assert set(g.edges()) == naive_graph(objs)
+        # the whole Graph, so adjacency order and m must match the reference
+        rng = random.Random(5)
+        mixture = []
+        for _ in range(150):
+            # diameter d in [1, 2]: a disk of radius d/2 or a square of diagonal d
+            d = 1.0 + rng.random()
+            x, y = rng.uniform(-12.0, -0.01), rng.uniform(-12.0, -0.01)
+            shape = disk(x, y, d / 2) if rng.random() < 0.5 else square(x, y, d / 2 ** 1.5)
+            mixture.append(shape)
+        cases = [random_udg([60, 120, 200][s % 3], [0.05, 0.2, 0.5][s % 3], s) for s in range(12)]
+        cases += [random_udg(300, 3.0, s) for s in range(3)]
+        lattices = [
+            # unit disks at spacing 1: every tangency exact, every center a cell corner
+            [disk(float(i), float(j)) for i in range(-4, 5) for j in range(-4, 5)],
+            # unit-side squares at spacing 1 x 0.5
+            [square(float(i), 0.5 * j, 0.5) for i in range(-3, 4) for j in range(-6, 7)],
+            # all centers on one vertical line, then on one horizontal line
+            [disk(2.5, 0.7 * i - 9.0) for i in range(30)],
+            [disk(0.7 * i - 9.0, -2.5) for i in range(30)],
+            [disk(-0.2, 0.3), disk(0.7, -0.1)],
+        ]
+        cases += [ObjectSet(objects=tuple(objects)) for objects in lattices]
+        cases += [
+            planted_yes_instance(5, 40, 0)[0],
+            ObjectSet(objects=tuple(mixture), alpha=1 / math.sqrt(2), gamma=2.0),
+            random_udg(1, 0.3, 0),
+        ]
+        for objs in cases:
+            n = len(objs.objects)
+            assert build_intersection_graph(objs) == from_edge_list(n, naive_graph(objs))
+
+
+class TestFatObject:
+    def test_frozen_value_object(self):
+        a = disk(1.5, -2.0)
+        assert not hasattr(a, "__dict__")  # slotted
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.x = 0.0
+        b = disk(1.5, -2.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != disk(1.5, -2.0, 0.75)
+        moved = dataclasses.replace(a, y=3.0)
+        assert (moved.x, moved.y, moved.shape_tag) == (1.5, 3.0, "disk")
+        with pytest.raises(InputError):  # replace runs __post_init__'s checks
+            dataclasses.replace(a, outer_radius=0.6)
+        s = square(0.0, 1.0, 0.5)
+        for o in (a, s):
+            back = pickle.loads(pickle.dumps(o))
+            assert back == o and hash(back) == hash(o)
+
+    def test_generator_output_pinned(self):
+        text = serialize_objects(random_udg(20000, 0.375, 1))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "27dbee5eddfa50c1014f100f7cf903ae9b5ca02dd1203b91de99a008632cadd0"
 
 
 class TestGridClassification:
