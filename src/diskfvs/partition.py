@@ -13,11 +13,11 @@ the cycles left, and then puts back every deleted vertex that closes no
 cycle, lowest degree first: an inclusion-minimal feedback vertex set, so
 an upper bound on the minimum, and a minimum whenever it has at most
 max(bound, 1) vertices.
-packing_search_refutes closes a small gap between the two: it proves that
-no feedback vertex set has at most the bound plus a few vertices by
-choosing a kept subset per cover clique. Its forest is a list of tree
-masks, and each vertex it keeps is tested by the DP's cycle rule
-(reduction.attach).
+packing_search closes a small gap between the two: choosing a kept subset
+per cover clique, it either finds a feedback vertex set of at most the
+bound plus a few vertices or proves that none exists, exhaustively below
+SEARCH_NODE_CAP nodes. Its forest is a list of tree masks, and each vertex
+it keeps is tested by the DP's cycle rule (reduction.attach).
 conflict_pairs finds disjoint pairs of classes that no forest keeps in
 full, each worth one deletion beyond the bound; the DP's floor counts
 those its subtree has not reached.
@@ -43,8 +43,8 @@ from .reduction import attach
 
 # a forest keeps at most two vertices of any clique
 KEEP_PER_CLIQUE = 2
-# packing_search_refutes gives up, refuting nothing, past this many search
-# nodes (one per clique choice tried)
+# packing_search gives up, settling nothing, past this many search nodes
+# (one per clique choice tried)
 SEARCH_NODE_CAP = 200
 
 
@@ -277,10 +277,10 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
     return frozenset(v for v in deleted if out[v])
 
 
-def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
-    """True when g has no feedback vertex set of at most packing_bound(p) +
-    extra vertices; False when it has one, or when the search gave up after
-    SEARCH_NODE_CAP nodes.
+def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
+    """The kept mask of a forest of g whose complement, a feedback vertex
+    set, has at most packing_bound(p) + extra vertices; None when g has no
+    such set; -1 when the search gave up after SEARCH_NODE_CAP nodes.
 
     p's cover cliques partition g's vertices, and a forest keeps at most
     min(2, |q|) vertices of a clique q, so a set of at most bound + extra
@@ -296,8 +296,10 @@ def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
     falls. So a node where some clique has no feasible subset has
     no set below it, and only a subset whose vertices border the tree the
     last choice made, or whose shortfall no longer fits, needs a new test.
-    A search that ends without a set has tried every set, so it refutes;
-    a set it finds, or a give-up, refutes nothing.
+    A node with every clique assigned has found a set: its trees hold
+    every kept vertex. A search that ends without one has tried every
+    choice, so no set exists; a give-up proves nothing. The set found is
+    the first in the search's order, not necessarily a smallest one.
     """
     nbr = [sum(1 << u for u in a) for a in g.adj]
     cliques = [q for cover in p.clique_cover for q in cover]
@@ -329,16 +331,19 @@ def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
                 return -1
         return trees[-1] if sel else 0
 
-    def search(trees: list[int], options: dict, left: int) -> bool:
-        """True when the choices so far extend to a set within the bound.
+    def search(trees: list[int], options: dict, left: int) -> int | None:
+        """The kept mask of a set within the bound that extends the choices
+        so far, None when there is none, or -1 on a give-up.
 
         trees are the masks of the disjoint trees of the forest kept so
         far, options each unassigned clique's feasible subsets and left
         what is left of extra."""
         nonlocal nodes
+        if not options:
+            return sum(trees)  # disjoint masks: their union
         nodes += 1
-        if nodes > SEARCH_NODE_CAP or not options:
-            return True
+        if nodes > SEARCH_NODE_CAP:
+            return -1
         i = min(options, key=lambda j: len(options[j]))
         for short, sel, tree in options[i]:
             trees_n = trees
@@ -360,11 +365,12 @@ def packing_search_refutes(g: Graph, p: KappaPartition, extra: int) -> bool:
                         break
                 options_n[j] = opts
             else:
-                if search(trees_n, options_n, left_n):
-                    return True
-        return False
+                found = search(trees_n, options_n, left_n)
+                if found is not None:
+                    return found
+        return None
 
-    return not search([], start, extra)
+    return search([], start, extra)
 
 
 def contract(g: Graph, p: KappaPartition) -> ContractedGraph:

@@ -9,7 +9,7 @@ The cycle rule (attach): keeping one more vertex next to a forest whose
 trees are disjoint block masks closes a cycle exactly when two of its
 neighbours lie in one block; otherwise the blocks it meets and the vertex
 become one block. The DP's introduce step and the clique-choice search
-(partition.packing_search_refutes) both keep their forests this way and
+(partition.packing_search) both keep their forests this way and
 test every vertex they keep with attach alone.
 
 Rows with the same kept mask compete: row p can be dropped when, for every

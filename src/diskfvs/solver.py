@@ -70,7 +70,7 @@ from .partition import (
     packing_bound,
     packing_cliques,
     packing_completion,
-    packing_search_refutes,
+    packing_search,
 )
 from .reduction import Kept, Partition, RepresentativeTable, attach, bits_of, rank_reduce
 
@@ -339,7 +339,8 @@ def _budget_error(work: int, state_budget: int) -> ResourceError:
 
 
 def reconstruct(forest: int, g: Graph) -> frozenset[int]:
-    """The vertices outside forest, the root row dp_run returns: a minimum
+    """The vertices outside forest, the root row dp_run returns or the
+    kept mask of a set packing_search found at the packing bound: a minimum
     deletion set. The set is checked to leave a forest in g."""
     deleted = frozenset(range(g.n)).difference(bits_of(forest))
     if not is_forest(g, deleted):
@@ -385,9 +386,9 @@ def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     validate, which reports from them and checks nothing again: building a
     pipeline checked its partition and its decomposition. Each component is
     partitioned on its own subgraph, as in solve. Every component is
-    decomposed, also those whose packing completion lets solve skip the
-    decomposition, so validate covers every decomposition the DP could face
-    on the instance.
+    decomposed, also those whose packing completion or search lets solve
+    skip the decomposition, so validate covers every decomposition the DP
+    could face on the instance.
     """
     peeled = peel_degree_one(g).reduced
     pipes = []
@@ -401,15 +402,16 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     """Decide whether g has a feedback vertex set of size <= cfg.k.
 
     Exact for every input graph. Every mode runs the same pipeline and
-    fills the same stats keys. A "no" comes from the DP or the
+    fills the same stats keys. A "no" comes from an exact per-component
+    computation, the DP or the clique-choice search, or from the
     clique-packing bound, whose cliques (original vertex ids) are checked
     against g and returned in stats["cliques"] (empty otherwise). A
     returned "yes" always carries a witness re-verified against the
     original graph by one is_forest pass, timed as
     stats["timings"]["verify"]. Its certificate is "dp", also when
-    packing_completion solved every component. A component whose weighted
-    width exceeds WIDTH_SAFETY_CAP, or whose DP exceeds cfg.state_budget,
-    raises ResourceError, whatever its size.
+    packing_completion or the search solved every component. A component
+    whose weighted width exceeds WIDTH_SAFETY_CAP, or whose DP exceeds
+    cfg.state_budget, raises ResourceError, whatever its size.
 
     The whole peeled graph's partition gives the bounds and, unless they
     already exceed k, one packing_completion, both split by component; a
@@ -421,25 +423,29 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     components' bounds are taken from k. The component's share of the
     greedy set, ub vertices, is taken without a decomposition or a DP when
     ub <= max(bound, 1) and ub <= budget (stats["bound_solved"] counts
-    these components). Otherwise, when ub <= budget and ub - 1 - bound <= 1,
-    packing_search_refutes may prove that no set has at most ub - 1
-    vertices, and the greedy set is taken with no decomposition
-    (stats["search_proven"] counts these components). Otherwise the DP runs
-    with max_deletions = min(budget, ub - 1) and drops the rows that cannot
-    stay within it (see dp_run). When its root comes back empty, the greedy
-    set is a minimum if ub <= budget, and the component is refuted
-    otherwise. stats["greedy_optimal"] counts the components whose greedy
-    set the search or the DP proved minimal. The search runs only when the
-    greedy set fits the budget, so every "no" still comes from the DP or the
-    clique-packing bound. The solve stops with "no" as soon as the solved
-    minima plus the bounds still to come exceed k, so stats["min_fvs"] is
-    set only when every component's minimum was computed, and
-    stats["weighted_width"] covers only the components whose pipeline was
-    built (0 when none was). stats["pruned_rows"] counts the candidate DP
-    rows the floor dropped.
+    these components). Otherwise the component looks for a set of at most
+    limit = min(budget, ub - 1) vertices: smaller than the greedy set and
+    within the budget. When limit - bound <= 1, partition.packing_search
+    looks first. If it proves that no such set exists, the greedy set is a
+    minimum when ub <= budget, and the component is refuted otherwise. If
+    it finds a set of exactly the component's packing bound, that set is a
+    minimum. Either way no decomposition is built (stats["search_proven"]
+    counts these components, and stats["timings"]["search"] sums the
+    search's seconds). The search is exhaustive below SEARCH_NODE_CAP
+    nodes; when it finds a larger set or gives up, the DP runs with
+    max_deletions = limit and drops the rows that cannot stay within it
+    (see dp_run). When its root comes back empty, the greedy set is a
+    minimum if ub <= budget, and the component is refuted otherwise.
+    stats["greedy_optimal"] counts the components whose greedy set the
+    search or the DP proved minimal. The solve stops with "no" as soon as
+    the solved minima plus the bounds still to come exceed k, so
+    stats["min_fvs"] is set only when every component's minimum was
+    computed, and stats["weighted_width"] covers only the components whose
+    pipeline was built (0 when none was). stats["pruned_rows"] counts the
+    candidate DP rows the floor dropped.
     """
     t0 = time.perf_counter()
-    timings: dict[str, float] = {}
+    timings: dict[str, float] = {"search": 0.0}
     stats: dict[str, Any] = {"cliques": []}
 
     peel = peel_degree_one(g)
@@ -498,11 +504,19 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             continue
         sub, old_of_new, _ = induced_subgraph(gp, comps[i])
         sub_part = greedy_partition(sub)
-        # max_deletions = ub - 1 would leave the DP a slack of at most 1: a
-        # clique-choice search refutes that small a set more cheaply
-        extra = ub - 1 - packing_bound(sub_part)
-        if ub <= budget and extra <= 1 and packing_search_refutes(sub, sub_part, extra):
-            root = None
+        sub_bound = packing_bound(sub_part)
+        # the loop condition gives budget >= bound, and ub - 1 >= bound here
+        # unless bound = budget = 0, so limit >= 0
+        limit = min(budget, ub - 1)
+        # a slack of at most 1 is settled more cheaply by a clique-choice
+        # search than by a DP
+        kept = -1  # as when the search gives up: the DP decides
+        if limit - sub_bound <= 1:
+            t_search = time.perf_counter()
+            kept = packing_search(sub, sub_part, limit - sub_bound)
+            timings["search"] += time.perf_counter() - t_search
+        if kept is None or kept >= 0 and sub.n - kept.bit_count() == sub_bound:
+            root = kept  # refuted, or a set at the bound: a minimum
             stats["search_proven"] += 1
         else:
             pipe = build_pipeline(sub, sub_part)
@@ -512,11 +526,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
                     f"weighted width {pipe.weighted_width} exceeds safety cap "
                     f"{WIDTH_SAFETY_CAP} on a component of {sub.n} vertices"
                 )
-            # the loop condition gives budget >= bound, and ub - 1 >= bound
-            # here unless bound = budget = 0, so max_deletions >= 0
-            root, _ = dp_run(
-                pipe.nice, sub, sub_part, cfg.mode, min(budget, ub - 1), cfg.state_budget, stats
-            )
+            root, _ = dp_run(pipe.nice, sub, sub_part, cfg.mode, limit, cfg.state_budget, stats)
         if root is not None:
             deleted_reduced.update(old_of_new[v] for v in reconstruct(root, sub))
         elif ub > budget:

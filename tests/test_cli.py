@@ -17,7 +17,7 @@ from diskfvs import (
 from diskfvs import bench
 from diskfvs.cli import main
 from diskfvs.fileio import parse_objects, serialize_graph
-from diskfvs.partition import packing_bound, packing_completion, packing_search_refutes
+from diskfvs.partition import packing_bound, packing_completion, packing_search
 
 from conftest import cycle_graph, path_graph
 
@@ -153,22 +153,25 @@ class TestSolveCommand:
 
     def test_clique_packing_certificate(self, tmp_path, capsys):
         out = tmp_path / "dense"
-        main(["gen", "--udg", "-n", "15", "--density", "3.0", "--seed", "0",
+        main(["gen", "--udg", "-n", "20", "--density", "1.5", "--seed", "6",
               "--out", str(out)])
         points = str(out.with_suffix(".points"))
         capsys.readouterr()
-        # clique-packing bound 6, minimum 8
+        # clique-packing bound 5, minimum 8: at k = 7 the component's slack
+        # over its bound is 2, beyond what the clique-choice search settles
         assert main(["solve", points, "--k", "0", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"] == "clique-packing"
-        assert sum(len(c) - 2 for c in payload["cliques"]) == 6
-        assert main(["solve", points, "--k", "6", "--json"]) == 1
+        assert sum(len(c) - 2 for c in payload["cliques"]) == 5
+        assert main(["solve", points, "--k", "5", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"] == "dp" and payload["cliques"] == []
         # the minimum minus one: the DP refutes it with rows pruned against k
         assert main(["solve", points, "--k", "7", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"] == "dp" and payload["pruned_rows"] > 0
+        assert main(["solve", points, "--k", "8", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["min_fvs"] == 8
         with pytest.raises(SystemExit) as exc:
             main(["solve", points, "--k", "0", "--thresholds"])
         assert exc.value.code == 2
@@ -264,8 +267,9 @@ class TestValidateCommand:
         main(["solve", points, "--k", "40", "--json"])
         solved = json.loads(capsys.readouterr().out)
         # solve decomposes only the components whose packing completion is
-        # above max(bound, 1) and whose search, when it runs, refutes nothing;
-        # validate lists the components in the same order
+        # above max(bound, 1) and whose search, when it runs, neither refutes
+        # a smaller set nor finds one at the bound; validate lists the
+        # components in the same order
         g = build_intersection_graph(parse_objects(Path(points).read_text()))
         peeled = peel_degree_one(g).reduced
         declined = []
@@ -275,7 +279,8 @@ class TestValidateCommand:
             ub, bound = len(packing_completion(sub, p)), packing_bound(p)
             if ub <= max(bound, 1):
                 continue  # the completion is a minimum
-            if not (ub - 1 - bound <= 1 and packing_search_refutes(sub, p, ub - 1 - bound)):
+            kept = packing_search(sub, p, ub - 1 - bound) if ub - 1 - bound <= 1 else -1
+            if not (kept is None or kept >= 0 and sub.n - kept.bit_count() == bound):
                 declined.append(report["weighted_width"])
         assert solved["search_proven"] > 0
         assert declined and len(declined) == (

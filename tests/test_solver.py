@@ -372,9 +372,9 @@ class TestPipeline:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, "validate_decomposition", counting)
-        # five components: the completion solves three, the search proves
-        # the fourth's greedy set minimal and the DP solves the fifth
-        g = build_intersection_graph(random_udg(60, 0.8, seed=17))
+        # five components: the completion solves three, the search settles
+        # the fourth and the DP solves the fifth
+        g = build_intersection_graph(random_udg(60, 0.8, seed=55))
         components = len(connected_components(peel_degree_one(g).reduced))
         assert components >= 3
         sol = solve(g, SolveConfig(k=g.n))
@@ -496,7 +496,17 @@ class TestPruning:
     """Decision solves drop the DP rows whose deletions so far plus the
     clique-packing bound of everything still to come exceed k."""
 
-    def test_every_k_desk_scale(self):
+    def test_every_k_desk_scale(self, monkeypatch):
+        from diskfvs import build_pipeline, connected_components, dp_run, greedy_partition, solver
+
+        outcomes = []  # what each clique-choice search of the sweep returned
+        search = solver.packing_search
+
+        def recording(*args):
+            outcomes.append(search(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(solver, "packing_search", recording)
         pruned = 0
         for seed in range(40):
             objs = random_udg(6 + seed % 13, [0.2, 0.5, 1.0][seed % 3], seed)
@@ -507,12 +517,28 @@ class TestPruning:
                     sol = solve(g, SolveConfig(k=k, mode=mode))
                     assert sol.verdict == ("yes" if size <= k else "no"), (seed, mode, k)
                     assert sol.stats.get("min_fvs", size) == size
-                    pruned += sol.stats["pruned_rows"]
                     if sol.verdict == "yes":
                         assert len(sol.fvs) <= k
                         keep = [v for v in range(g.n) if v not in set(sol.fvs)]
                         assert is_forest(induced_subgraph(g, keep)[0])
+            # the search settles the components whose DP the floor pruned
+            # in these solves, so the floor is checked against the oracle on
+            # each component's own DP: allowed the minimum it finds a set of
+            # that size, allowed one vertex fewer none
+            peeled = peel_degree_one(g).reduced
+            for comp in connected_components(peeled):
+                sub = induced_subgraph(peeled, comp)[0]
+                p = greedy_partition(sub)
+                nd = build_pipeline(sub, p).nice
+                minimum = min_fvs_bruteforce(sub)[0]  # >= 1: a peeled component has a cycle
+                for mode in ("dp-naive", "dp-rank"):
+                    root, _ = dp_run(nd, sub, p, mode, minimum)
+                    assert sub.n - root.bit_count() == minimum, (seed, mode)
+                    stats = {}
+                    assert dp_run(nd, sub, p, mode, minimum - 1, stats=stats)[0] is None
+                    pruned += stats["pruned_rows"]
         assert pruned > 0
+        assert outcomes.count(None) > 10, outcomes  # the sweep hit search refutations
 
     def test_dp_run_floor(self):
         from diskfvs import (
@@ -544,14 +570,17 @@ class TestPruning:
         assert refuted > 10
 
     def test_min_fvs_only_when_every_component_is_exact(self):
-        # two 5-cycles: every class has at most two vertices, so the bound is 0
-        g = from_edge_list(10, [(i, (i + 1) % 5) for i in range(5)]
-                           + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
-        sol = solve(g, SolveConfig(k=1))
+        # two cubes: every class has at most two vertices, so the bound is 0,
+        # and each cube's minimum is 3, a slack the search does not take on.
+        # At k = 5 the DP proves the first cube's greedy set minimal and
+        # refutes the second within the 2 deletions left.
+        cube = [(a, b) for a in range(8) for b in range(a + 1, 8) if (a ^ b).bit_count() == 1]
+        g = from_edge_list(16, cube + [(8 + a, 8 + b) for a, b in cube])
+        sol = solve(g, SolveConfig(k=5))
         assert (sol.verdict, sol.certificate) == ("no", "dp")
         assert "min_fvs" not in sol.stats and sol.stats["pruned_rows"] > 0
-        sol = solve(g, SolveConfig(k=2))
-        assert sol.verdict == "yes" and sol.stats["min_fvs"] == 2
+        sol = solve(g, SolveConfig(k=6))
+        assert sol.verdict == "yes" and sol.stats["min_fvs"] == 6
 
 
 class TestGreedyUpperBound:
@@ -594,7 +623,8 @@ class TestGreedyUpperBound:
         sol = solve(g, SolveConfig(k=g.n))
         timings = sol.stats["timings"]
         assert sol.verdict == "yes"
-        assert set(timings) == {"peel", "pipeline", "verify", "total"}
+        assert set(timings) == {"peel", "search", "pipeline", "verify", "total"}
+        assert 0 <= timings["search"] <= timings["pipeline"]
         assert 0 <= timings["verify"] <= timings["total"] - timings["pipeline"]
         # no witness, nothing to verify
         assert "verify" not in solve(cycle_graph(4), SolveConfig(k=0)).stats["timings"]
@@ -630,7 +660,8 @@ class TestGreedyUpperBound:
                 assert sol.certificate == "dp"
                 keep = [v for v in range(g.n) if v not in set(sol.fvs)]
                 assert is_forest(induced_subgraph(g, keep)[0])
-                # at k = n the DP either beats the greedy set or proves it minimal
+                # at k = n the search or the DP either beats the greedy set or
+                # proves it minimal
                 proven += sol.stats["greedy_optimal"]
                 smaller += components - sol.stats["bound_solved"] - sol.stats["greedy_optimal"]
         assert smaller > 0 and proven > 0
@@ -792,7 +823,7 @@ class TestConflictPairs:
         assert checked > 150, checked
 
     def test_floor_on_the_pool(self, monkeypatch):
-        # every component of pool graphs 0-119 that reaches the DP at k = n:
+        # every component of pool graphs 0-139 that reaches the DP at k = n:
         # the DP allowed its minimum finds a set of that size, and allowed
         # one vertex fewer finds none
         from diskfvs import dp_run, solver
@@ -804,7 +835,7 @@ class TestConflictPairs:
             return dp_run(nd, g, p, mode, max_deletions, *rest)
 
         monkeypatch.setattr(solver, "dp_run", capture)
-        for seed in range(120):
+        for seed in range(140):
             solve(build_intersection_graph(random_udg(100, 1.0, seed)), SolveConfig(k=100))
         monkeypatch.undo()
         for nd, g, p in reached:
@@ -818,13 +849,14 @@ class TestConflictPairs:
 
 
 class TestPackingSearch:
-    """packing_search_refutes asks whether some feedback vertex set has at
-    most bound + extra vertices, by choosing a kept subset per cover clique,
-    and refutes only when none has."""
+    """packing_search looks for a feedback vertex set of at most bound +
+    extra vertices by choosing a kept subset per cover clique. It returns the
+    kept mask of a set it finds, None when no set exists and -1 when it
+    gives up at SEARCH_NODE_CAP."""
 
     def test_exact_desk_scale(self):
         from diskfvs import connected_components, greedy_partition
-        from diskfvs.partition import packing_bound, packing_search_refutes
+        from diskfvs.partition import packing_bound, packing_search
 
         # peeled components of desk-scale UDGs with greedy and merged
         # (kappa = 2) partitions, and unpeeled random graphs
@@ -839,25 +871,35 @@ class TestPackingSearch:
         for _ in range(150):
             g = random_graph(rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6]), rng)
             cases.append((g, greedy_partition(g)))
-        refuted = [0, 0, 0]
+        refuted, found = [0, 0, 0], [0, 0, 0]
         merged = 0
         for g, p in cases:
             minimum = min_fvs_bruteforce(g)[0]
+            bound = packing_bound(p)
             for extra in (0, 1, 2):
-                # no search here reaches SEARCH_NODE_CAP, so each is decided
-                refutes = packing_search_refutes(g, p, extra)
-                assert refutes == (minimum > packing_bound(p) + extra), (g, p, extra)
-                refuted[extra] += refutes
-                merged += refutes and any(len(cover) > 1 for cover in p.clique_cover)
-        assert min(refuted) > 10 and merged > 10, (refuted, merged)
+                kept = packing_search(g, p, extra)
+                assert kept != -1  # no search here reaches SEARCH_NODE_CAP
+                # a refutation exactly when the oracle's minimum is too large
+                assert (kept is None) == (minimum > bound + extra), (g, p, extra)
+                if kept is None:
+                    refuted[extra] += 1
+                    merged += any(len(cover) > 1 for cover in p.clique_cover)
+                    continue
+                # a forest whose complement has bound + shortfall vertices
+                keep = [v for v in range(g.n) if kept >> v & 1]
+                assert kept >> g.n == 0 and is_forest(induced_subgraph(g, keep)[0])
+                assert minimum <= g.n - len(keep) <= bound + extra, (g, p, extra)
+                found[extra] += 1
+        assert min(refuted) > 10 and min(found) > 10 and merged > 10, (refuted, found, merged)
 
     def test_refutation_matches_the_dp_on_the_pool(self):
         # every peeled component of pool graphs 0-119 whose greedy set leaves
-        # the DP a slack of at most 1, as solve asks at k = n
+        # the DP a slack of at most 1, as solve asks at k = n: a refutation
+        # and a set at the bound are what the DP finds there
         from diskfvs import build_pipeline, connected_components, dp_run, greedy_partition
-        from diskfvs.partition import packing_bound, packing_completion, packing_search_refutes
+        from diskfvs.partition import packing_bound, packing_completion, packing_search
 
-        asked = refuted = 0
+        asked = refuted = at_bound = 0
         for seed in range(120):
             g = build_intersection_graph(random_udg(100, 1.0, seed))
             peeled = peel_degree_one(g).reduced
@@ -868,11 +910,19 @@ class TestPackingSearch:
                 if ub <= max(bound, 1) or ub - 1 - bound > 1:
                     continue
                 asked += 1
-                if packing_search_refutes(sub, p, ub - 1 - bound):
+                kept = packing_search(sub, p, ub - 1 - bound)
+                if kept is None:
                     refuted += 1
                     nd = build_pipeline(sub, p).nice
                     assert dp_run(nd, sub, p, "dp-naive", ub - 1)[0] is None, seed
-        assert refuted > 200 and asked > refuted, (asked, refuted)
+                elif kept >= 0 and sub.n - kept.bit_count() == bound:
+                    at_bound += 1
+                    nd = build_pipeline(sub, p).nice
+                    root, _ = dp_run(nd, sub, p, "dp-naive", sub.n)
+                    assert sub.n - root.bit_count() == bound, seed
+        assert refuted > 200 and at_bound > 5 and asked > refuted + at_bound, (
+            asked, refuted, at_bound
+        )
 
     def test_gives_up_past_the_node_cap(self, monkeypatch):
         # pool graph 106 peels to a 39-vertex component of 15 classes whose
@@ -884,7 +934,7 @@ class TestPackingSearch:
             SEARCH_NODE_CAP,
             packing_bound,
             packing_completion,
-            packing_search_refutes,
+            packing_search,
         )
 
         peeled = peel_degree_one(build_intersection_graph(random_udg(100, 1.0, 106))).reduced
@@ -893,14 +943,54 @@ class TestPackingSearch:
         p = greedy_partition(sub)
         assert (len(p.classes), packing_bound(p), len(packing_completion(sub, p))) == (15, 14, 15)
         assert SEARCH_NODE_CAP == 200
-        assert not packing_search_refutes(sub, p, 0)
+        assert packing_search(sub, p, 0) == -1
         nd = build_pipeline(sub, p).nice
         for mode in ("dp-naive", "dp-rank"):
             assert dp_run(nd, sub, p, mode, 14)[0] is None
         monkeypatch.setattr("diskfvs.partition.SEARCH_NODE_CAP", 478)
-        assert not packing_search_refutes(sub, p, 0)
+        assert packing_search(sub, p, 0) == -1
         monkeypatch.setattr("diskfvs.partition.SEARCH_NODE_CAP", 479)
-        assert packing_search_refutes(sub, p, 0)
+        assert packing_search(sub, p, 0) is None
+
+    def test_a_set_above_the_bound_goes_to_the_dp(self):
+        # pool graph 113 peels to a 17-vertex component of bound 6 whose
+        # greedy set has 8 vertices: at extra 1 the search first finds a set
+        # of 7, which proves nothing, and the DP finds the minimum, 6
+        from diskfvs import connected_components, greedy_partition
+        from diskfvs.partition import packing_bound, packing_completion, packing_search
+
+        peeled = peel_degree_one(build_intersection_graph(random_udg(100, 1.0, 113))).reduced
+        comp = next(c for c in connected_components(peeled) if len(c) == 17)
+        sub = induced_subgraph(peeled, comp)[0]
+        p = greedy_partition(sub)
+        assert (packing_bound(p), len(packing_completion(sub, p))) == (6, 8)
+        assert sub.n - packing_search(sub, p, 1).bit_count() == 7
+        sol = solve(sub, SolveConfig(k=sub.n))
+        assert sol.stats["min_fvs"] == len(sol.fvs) == 6
+        assert sol.stats["search_proven"] == 0 and sol.stats["weighted_width"] > 0
+
+    def test_solve_falls_back_to_the_dp_past_the_cap(self, monkeypatch):
+        # with the cap at 1 the search gives up on all but the smallest
+        # cases, and the DP settles the components it settled before: the
+        # same verdicts, minima and certificates, on "yes" and "no" alike
+        graphs = [build_intersection_graph(random_udg(100, 1.0, seed)) for seed in range(20)]
+        graphs += [build_intersection_graph(random_udg(20, 1.5, seed)) for seed in range(20)]
+        cases = []
+        for g in graphs:
+            size = solve(g, SolveConfig(k=g.n)).stats["min_fvs"]
+            cases += [(g, k) for k in (size - 1, size, round(0.24 * g.n), g.n)]
+        answers, settled = [], {}
+        for cap in (200, 1):
+            monkeypatch.setattr("diskfvs.partition.SEARCH_NODE_CAP", cap)
+            settled[cap] = 0
+            for i, (g, k) in enumerate(cases):
+                sol = solve(g, SolveConfig(k=k))
+                settled[cap] += sol.stats["search_proven"]
+                answer = (sol.verdict, sol.stats.get("min_fvs"), sol.certificate)
+                if cap == 200:
+                    answers.append(answer)
+                assert answer == answers[i], (i, k)
+        assert settled[1] < settled[200] // 4, settled
 
 
 class TestThresholds:
@@ -917,30 +1007,30 @@ class TestThresholds:
 
     def test_width_safety_cap_resource_error(self, monkeypatch):
         monkeypatch.setattr("diskfvs.solver.WIDTH_SAFETY_CAP", 1)
-        # the first has one 16-vertex component that the packing completion
+        # the first has one 17-vertex component that the packing completion
         # leaves to the DP: the cap raises however small the component. It
-        # is asked one below its minimum, where the greedy set does not fit
-        # and no search can prove it minimal first
-        udg = build_intersection_graph(random_udg(16, 1.0, 0))
+        # is asked one below its minimum, 8, where the greedy set does not
+        # fit and the slack over the bound of 5 is beyond the search
+        udg = build_intersection_graph(random_udg(20, 1.5, 6))
         for g, k in ((udg, min_fvs_bruteforce(udg)[0] - 1),
                      (random_graph(24, 0.5, random.Random(60)), 24)):
             with pytest.raises(ResourceError, match="safety cap"):
                 solve(g, SolveConfig(k=k, mode="dp-rank"))
 
     def test_state_budget_raises_on_a_small_component(self):
-        # one 10-vertex component whose DP, pruned against the greedy set,
+        # one 9-vertex component whose DP, pruned against the greedy set,
         # still examines more than 10 states: the trip raises, however
         # small the component
-        g = build_intersection_graph(random_udg(16, 1.0, 10))
+        g = build_intersection_graph(random_udg(20, 1.5, 14))
         size, _ = min_fvs_bruteforce(g)
         with pytest.raises(ResourceError, match="state budget"):
             solve(g, SolveConfig(k=size, mode="dp-rank", state_budget=10))
 
     @pytest.mark.parametrize("n,density,seed,budget,work", [
-        (16, 1.0, 10, 10, 11),
+        (20, 1.5, 14, 10, 11),
         (60, 2.0, 1, 2_000, 2_001),
         (60, 2.0, 1, 15_142, 15_144),
-    ], ids=["16-1.0-10-budget-10", "60-2.0-1-budget-2000", "60-2.0-1-budget-15142"])
+    ], ids=["20-1.5-14-budget-10", "60-2.0-1-budget-2000", "60-2.0-1-budget-15142"])
     def test_state_budget_trips_at_a_fixed_point(self, n, density, seed, budget, work):
         # the budget is charged per selection of an introduced class, per
         # child group at a forget and per pair of groups at a join, so the
@@ -969,8 +1059,10 @@ class TestSparseSolvePinned:
     whole-graph pass must repeat them. weighted_width and pruned_rows cover
     only the components that reach the DP, so they move with the packing
     search that settles components before it, and pruned_rows also with
-    the DP's floor. A list too long to spell out is pinned by its length
-    and a sha256 prefix of its repr."""
+    the DP's floor; on these three the search settles every component the
+    completion leaves, both at k = n and at k = min - 1, so both are 0. A
+    list too long to spell out is pinned by its length and a sha256 prefix
+    of its repr."""
 
     # seed -> (fvs at k = n, stats at k = n less timings, the stats that
     # differ at k = min - 1, cliques at k = lower_bound - 1)
@@ -980,24 +1072,21 @@ class TestSparseSolvePinned:
              "weighted_width": 0, "pruned_rows": 0, "bound_solved": 110,
              "greedy_optimal": 12, "search_proven": 12, "lower_bound": 156,
              "min_fvs": 172},
-            {"weighted_width": 6, "pruned_rows": 49, "greedy_optimal": 11,
-             "search_proven": 11},
+            {"greedy_optimal": 11},
             (126, "b611823585aaa9c0")),
         2: ((145, "3081ffa185ed8369"),
             {"cliques": [], "high_degree_count": 139, "class_count": 175,
              "weighted_width": 0, "pruned_rows": 0, "bound_solved": 116,
              "greedy_optimal": 6, "search_proven": 6, "lower_bound": 137,
              "min_fvs": 145},
-            {"weighted_width": 5, "pruned_rows": 29, "greedy_optimal": 5,
-             "search_proven": 5},
+            {"greedy_optimal": 5},
             (122, "b364ffbfb3f4d603")),
         3: ((151, "cbfd60515050c263"),
             {"cliques": [], "high_degree_count": 150, "class_count": 181,
-             "weighted_width": 6, "pruned_rows": 18, "bound_solved": 117,
-             "greedy_optimal": 4, "search_proven": 4, "lower_bound": 143,
+             "weighted_width": 0, "pruned_rows": 0, "bound_solved": 117,
+             "greedy_optimal": 4, "search_proven": 5, "lower_bound": 143,
              "min_fvs": 151},
-            {"weighted_width": 5, "pruned_rows": 11, "bound_solved": 113,
-             "greedy_optimal": 3, "search_proven": 3},
+            {"bound_solved": 113, "greedy_optimal": 3, "search_proven": 4},
             (124, "c1f240f9531cbbc6")),
     }
 
