@@ -63,7 +63,7 @@ def _cmd_gen(args) -> int:
     if args.udg:
         objs = random_udg(args.n, args.density, args.seed)
     else:
-        objs, _ = planted_yes_instance(args.k, args.path_len, args.seed)
+        objs = planted_yes_instance(args.k, args.path_len, args.seed)
     g = build_intersection_graph(objs)
     points_path.parent.mkdir(parents=True, exist_ok=True)
     points_path.write_text(serialize_objects(objs))
@@ -125,7 +125,6 @@ def _cmd_validate(args) -> int:
     pipes = [pipe for _, pipe in comps]
     payload = {
         "schema": SCHEMA_VERSION,
-        "kappa_observed": max((p.partition.kappa_observed for p in pipes), default=0),
         "max_contraction_degree": max(
             (len(a) for p in pipes for a in p.contracted.base.adj), default=0
         ),

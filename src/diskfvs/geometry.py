@@ -209,7 +209,7 @@ _HUB_OFF = 0.4
 _ANCHOR_GAP = 5
 
 
-def planted_yes_instance(k: int, path_len: int, seed: int) -> tuple[ObjectSet, int]:
+def planted_yes_instance(k: int, path_len: int, seed: int) -> ObjectSet:
     """A straight path of unit disks plus k hub disks, each closing local cycles.
 
     Path disk i sits at (0.9 i, 0). Every hub sits 0.4 above its anchor and
@@ -228,4 +228,4 @@ def planted_yes_instance(k: int, path_len: int, seed: int) -> tuple[ObjectSet, i
     anchors = random.Random(seed).sample(range(2, n_path - 2, _ANCHOR_GAP), k)
     disks = [_unit_disk(_STEP * i, 0.0) for i in range(n_path)]
     disks += [_unit_disk(_STEP * a, _HUB_OFF) for a in sorted(anchors)]
-    return ObjectSet(objects=tuple(disks), alpha=1.0, gamma=1.0), k
+    return ObjectSet(objects=tuple(disks), alpha=1.0, gamma=1.0)

@@ -2,20 +2,21 @@
 
 A kappa-partition (de Berg, Bodlaender, Kisfaludi-Bak, Marx and van der
 Zanden, SICOMP 2020) puts each vertex in exactly one connected class and
-covers each class with at most kappa cliques. contract() is the one checker
-of this contract: it raises ValidationError on the first breach of all of
-it but the count, which KappaPartition reports as kappa_observed. A forest
-keeps at most two vertices of a clique (local_selections), so every
-feedback vertex set deletes at least sum(max(0, |q| - 2)) over the cover
-cliques q (packing_bound), certified by those of more than two vertices.
-packing_completion deletes the rest of each such clique, greedily breaks
+covers each class with at most kappa cliques. Here kappa = 1: every class
+is one clique, so it is connected and is its own cover. contract() is the
+one checker of this contract: it raises ValidationError on the first
+breach. A forest keeps at most two vertices of a clique
+(local_selections), so every feedback vertex set deletes at least
+sum(max(0, |q| - 2)) over the classes q (packing_bound), certified by
+those of more than two vertices.
+packing_completion deletes the rest of each such class, greedily breaks
 the cycles left, and then puts back every deleted vertex that closes no
 cycle, lowest degree first: an inclusion-minimal feedback vertex set, so
 an upper bound on the minimum, and a minimum whenever it has at most
 max(bound, 1) vertices.
 packing_search closes a small gap between the two: choosing a kept subset
-per cover clique, it either finds a feedback vertex set of at most the
-bound plus a few vertices or proves that none exists, exhaustively below
+per class, it either finds a feedback vertex set of at most the bound
+plus a few vertices or proves that none exists, exhaustively below
 SEARCH_NODE_CAP nodes. Its forest is a list of tree masks, and each vertex
 it keeps is tested by the DP's cycle rule (reduction.attach).
 conflict_pairs finds disjoint pairs of classes that no forest keeps in
@@ -26,9 +27,9 @@ greedy_partition processes vertices in non-increasing degree order (ties by
 smaller id). An uncovered vertex seeds a new class; its uncovered neighbors
 are then scanned in the same order, and each joins if it is adjacent to
 every member already in the class. Every class is therefore a clique around
-its seed and its own cover (kappa = 1), and kappa needs no audit. The
-greedy rule does not bound the contraction degree: the friendship graph of
-t triangles on one shared vertex contracts to a star of degree t - 1.
+its seed. The greedy rule does not bound the contraction degree: the
+friendship graph of t triangles on one shared vertex contracts to a star
+of degree t - 1.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Graph, connected_components, induced_subgraph, uf_find
+from .graph import Graph, uf_find
 from .reduction import attach
 
 # a forest keeps at most two vertices of any clique
@@ -50,22 +51,18 @@ SEARCH_NODE_CAP = 200
 
 @dataclass(frozen=True)
 class KappaPartition:
-    """Partition of V into connected classes with per-class clique covers.
+    """Partition of V into classes, each a clique (kappa = 1).
 
-    Class i is classes[i], covered by the cliques clique_cover[i]; each
-    fact is stored once, and contract() builds the vertex-to-class lookup
-    while it checks the contract. greedy_partition makes every class a
-    clique, so its cover is the class itself; hand-built partitions may
-    cover a class with several cliques, and the capacities and the bound
-    count cliques, not classes.
+    contract() checks this and builds the vertex-to-class lookup.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    clique_cover: tuple[tuple[tuple[int, ...], ...], ...]
 
+    # perfbench/tracer.py's dp_counters reads the cover of each class and
+    # passes it to local_selections(cls, cover); each class covers itself
     @property
-    def kappa_observed(self) -> int:
-        return max((len(c) for c in self.clique_cover), default=0)
+    def clique_cover(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple((cls,) for cls in self.classes)
 
 
 @dataclass(frozen=True)
@@ -110,9 +107,7 @@ def greedy_partition(g: Graph) -> KappaPartition:
                 covered[w] = True
         joined.append(v)
         classes.append(tuple(sorted(joined)))
-    return KappaPartition(
-        classes=tuple(classes), clique_cover=tuple((cls,) for cls in classes)
-    )
+    return KappaPartition(classes=tuple(classes))
 
 
 def local_selections(cls, cover) -> list[tuple[int, ...]]:
@@ -120,7 +115,8 @@ def local_selections(cls, cover) -> list[tuple[int, ...]]:
 
     These are the only kept sets worth considering for one class. The
     enumeration is deterministic: per clique the empty set, then singletons
-    and pairs in id order, combined in cover order.
+    and pairs in id order, combined in cover order. Every class is one
+    clique, so the solver passes (cls,) as the cover.
     """
     options_per_clique = [
         [sel for r in range(KEEP_PER_CLIQUE + 1) for sel in itertools.combinations(clique, r)]
@@ -133,8 +129,8 @@ def local_selections(cls, cover) -> list[tuple[int, ...]]:
 
 
 def packing_cliques(p: KappaPartition) -> list[tuple[int, ...]]:
-    """The cover cliques a feedback vertex set must cut into: the certificate."""
-    return [q for cover in p.clique_cover for q in cover if len(q) > KEEP_PER_CLIQUE]
+    """The classes a feedback vertex set must cut into: the certificate."""
+    return [q for q in p.classes if len(q) > KEEP_PER_CLIQUE]
 
 
 def packing_bound(p: KappaPartition) -> int:
@@ -143,33 +139,27 @@ def packing_bound(p: KappaPartition) -> int:
 
 
 def conflict_pairs(g: Graph, p: KappaPartition) -> list[tuple[int, int]]:
-    """Disjoint pairs (i, j), i < j, of classes of p, each class covered by
-    one clique, such that every way of keeping min(2, |q|) vertices of
-    both cliques closes a cycle.
+    """Disjoint pairs (i, j), i < j, of classes of p such that every way of
+    keeping min(2, |q|) vertices of both classes q closes a cycle.
 
-    Each kept subset is an edge or a vertex, and two of them close a cycle
-    exactly when two edges join them. So a pair conflicts when, for every
-    way S of keeping the first clique, the min(2, |q|) vertices of the
-    second with the fewest neighbours in S have two or more between them.
     A forest then falls at least one vertex short of min(2, |q|) on one
-    clique of each pair, and the pairs are disjoint, so every feedback
+    class of each pair, and the pairs are disjoint, so every feedback
     vertex set has at least packing_bound(p) + len(pairs) vertices.
     The pairs are greedy: each class in order is paired with the first
     later unpaired class it conflicts with.
     """
     nbr = [sum(1 << u for u in a) for a in g.adj]
-    owner = [-1] * g.n
-    for i, cover in enumerate(p.clique_cover):
-        if len(cover) == 1:
-            for v in cover[0]:
-                owner[v] = i
+    owner = [0] * g.n
+    for i, cls in enumerate(p.classes):
+        for v in cls:
+            owner[v] = i
     paired = [False] * len(p.classes)
     pairs = []
-    for i, cover in enumerate(p.clique_cover):
-        if paired[i] or owner[cover[0][0]] != i:  # a class of several cliques has -1
+    for i, cls in enumerate(p.classes):
+        if paired[i]:
             continue
-        for j in sorted({owner[w] for v in cover[0] for w in g.adj[v] if owner[w] > i}):
-            if not paired[j] and _pair_closes_cycles(cover[0], p.classes[j], nbr):
+        for j in sorted({owner[w] for v in cls for w in g.adj[v] if owner[w] > i}):
+            if not paired[j] and _pair_closes_cycles(cls, p.classes[j], nbr):
                 pairs.append((i, j))
                 paired[i] = paired[j] = True
                 break
@@ -178,23 +168,19 @@ def conflict_pairs(g: Graph, p: KappaPartition) -> list[tuple[int, int]]:
 
 def _pair_closes_cycles(qa, qb, nbr) -> bool:
     """True when every way of keeping min(2, |q|) vertices of both cliques
-    qa and qb keeps two edges between them, nbr being the neighbour masks."""
-    if len(qa) > len(qb):  # fewer ways to keep the smaller clique
-        qa, qb = qb, qa
-    qb_mask = sum(1 << v for v in qb)
-    cap_b = min(KEEP_PER_CLIQUE, len(qb))
-    for sel in itertools.combinations(qa, min(KEEP_PER_CLIQUE, len(qa))):
-        first, last = nbr[sel[0]] & qb_mask, nbr[sel[-1]] & qb_mask
-        reach = first | last  # the vertices of qb with a neighbour in sel
-        both = first & last if len(sel) == 2 else 0
-        # the cap_b vertices of qb with the fewest edges to sel: those with
-        # none first, then those with one; r of them have an edge, each two
-        # but for the min(r, ones) with one
-        r = max(0, cap_b - (len(qb) - reach.bit_count()))
-        ones = (reach ^ both).bit_count()
-        if 2 * r - min(r, ones) < 2:
-            return False
-    return True
+    qa and qb keeps two edges between them, nbr being the neighbour masks.
+
+    Each kept subset is an edge or a vertex, and two of them close a cycle
+    exactly when two edges join them."""
+    kept_b = [
+        sum(1 << v for v in sel)
+        for sel in itertools.combinations(qb, min(KEEP_PER_CLIQUE, len(qb)))
+    ]
+    return all(
+        sum((nbr[a] & mask).bit_count() for a in sel) >= 2
+        for sel in itertools.combinations(qa, min(KEEP_PER_CLIQUE, len(qa)))
+        for mask in kept_b
+    )
 
 
 def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
@@ -202,7 +188,7 @@ def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
     clique-packing bound.
 
     Deletes all but the two vertices of lowest degree (ties to the smaller
-    id) of every cover clique of more than two vertices. Then, until no
+    id) of every class of more than two vertices. Then, until no
     vertex is kept, it peels the kept vertices of degree at most 1 and
     deletes the kept vertex of highest degree among the kept ones (ties to
     the smaller id). Then each deleted vertex, lowest degree first (ties to
@@ -282,9 +268,9 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
     set, has at most packing_bound(p) + extra vertices; None when g has no
     such set; -1 when the search gave up after SEARCH_NODE_CAP nodes.
 
-    p's cover cliques partition g's vertices, and a forest keeps at most
-    min(2, |q|) vertices of a clique q, so a set of at most bound + extra
-    vertices is exactly one kept subset per cover clique, with the kept
+    p's classes are cliques that partition g's vertices, and a forest keeps
+    at most min(2, |q|) vertices of a clique q, so a set of at most bound +
+    extra vertices is exactly one kept subset per class, with the kept
     vertices inducing a forest, whose total shortfall below min(2, |q|) is
     at most extra. The search assigns the cliques one at a time, each time
     branching on the unassigned clique with the fewest feasible subsets
@@ -302,7 +288,7 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
     the first in the search's order, not necessarily a smallest one.
     """
     nbr = [sum(1 << u for u in a) for a in g.adj]
-    cliques = [q for cover in p.clique_cover for q in cover]
+    cliques = p.classes
     # what each clique's vertices border: only a tree meeting it can change
     # the clique's feasible subsets
     reach = [0] * len(cliques)
@@ -376,8 +362,9 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
 def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
     """Contract every class to one vertex, dropping loops and parallels.
 
-    Checks the contract first, in one scan, and raises ValidationError on
-    the first breach.
+    Checks the contract first: every vertex id in range and in exactly one
+    class, no class empty and every class a clique. Raises ValidationError
+    on the first breach.
     """
     owner = [-1] * g.n
     outside, doubled = [], []
@@ -398,22 +385,10 @@ def contract(g: Graph, p: KappaPartition) -> ContractedGraph:
         raise ValidationError(f"uncovered vertices: {missing[:5]}")
     if doubled:
         raise ValidationError(f"overlapping vertices: {doubled[:5]}")
-    if len(p.clique_cover) != len(p.classes):
-        raise ValidationError(
-            f"{len(p.clique_cover)} clique covers for {len(p.classes)} classes"
-        )
-    for i, (cls, cover) in enumerate(zip(p.classes, p.clique_cover)):
-        if sorted(v for q in cover for v in q) != sorted(cls):
-            raise ValidationError(f"clique cover of class {i} does not partition it")
-        for q in cover:
-            for a, b in itertools.combinations(q, 2):
-                if not g.has_edge(a, b):
-                    raise ValidationError(
-                        f"non-adjacent pair {a},{b} in a cover clique of class {i}"
-                    )
-        # one clique is connected, so only other classes need the search
-        if len(cover) > 1 and len(connected_components(induced_subgraph(g, cls)[0])) > 1:
-            raise ValidationError(f"class {i} disconnected")
+    for i, cls in enumerate(p.classes):
+        for a, b in itertools.combinations(cls, 2):
+            if not g.has_edge(a, b):
+                raise ValidationError(f"non-adjacent pair {a},{b} in class {i}")
     # each class's neighbour classes, read off its vertices' lists; g is
     # symmetric, so the class lists are too
     adj = tuple([

@@ -6,8 +6,8 @@ graph, decompose via blowup and projection, then run the clique-constrained
 connectivity DP over the nice decomposition. One greedy_partition of the
 whole peeled graph gives the bounds and the completion, and a component
 that reaches the search or the DP is partitioned on its own subgraph.
-Right after partitioning, the disjoint cover cliques q of the classes give
-a proven lower bound, sum(max(0, |q| - 2)) (partition.packing_bound),
+Right after partitioning, the classes q, disjoint cliques, give a proven
+lower bound, sum(max(0, |q| - 2)) (partition.packing_bound),
 split by component. When that exceeds k the answer is "no" with the
 cliques as a certificate anyone can check.
 partition.packing_completion, also run once, gives every component a
@@ -16,7 +16,7 @@ the two bounds and the clique-choice search settle a component before the
 DP; dp_run's gives how they prune the DP.
 
 DP state at a nice-decomposition node: the vertices kept in the bag's
-classes (at most two per cover clique: local_selections) as a bitmask over
+classes (at most two per class: local_selections) as a bitmask over
 the component's vertex ids, and the partition of those vertices into
 connected pieces of the partial forest as the sorted tuple of its block
 masks. Each state's row is its forest: the bitmask of every vertex the
@@ -145,11 +145,11 @@ def dp_run(
     max_deletions - packing_bound(p), a row at node t is dropped before its
     block work when its value is below floor(t) = cap(t) - slack + owed(t),
     a function of the set of classes in t's subtree alone. cap(t) sums
-    min(2, |q|) over those classes' cover cliques q, and owed(t) counts the
+    min(2, |q|) over those classes q, and owed(t) counts the
     conflict_pairs with neither class among them. The proof: the subtree's
-    classes hold cap(t) vertices plus their cliques' share of the bound,
+    classes hold cap(t) vertices plus their share of the bound,
     so a row of value v has deleted cap(t) - v vertices beyond that share.
-    Every cover clique outside the subtree still deletes its own
+    Every class outside the subtree still deletes its own
     max(0, |q| - 2). A forest that kept min(2, |q|) vertices of both
     classes of a pair would contain a cycle, so every forest falls at
     least one vertex short on each pair, and the pairs are disjoint, so
@@ -169,7 +169,7 @@ def dp_run(
     """
     if mode not in MODES:
         raise ValidationError(f"dp_run mode must be dp-naive or dp-rank, got {mode!r}")
-    selections = [local_selections(cls, cov) for cls, cov in zip(p.classes, p.clique_cover)]
+    selections = [local_selections(cls, (cls,)) for cls in p.classes]
     keep_cap = [max(map(len, sels)) for sels in selections]  # the most a class keeps
     slack = max_deletions - packing_bound(p)
     pair_masks = [1 << i | 1 << j for i, j in conflict_pairs(g, p)]
@@ -459,7 +459,7 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
-    part = greedy_partition(gp) if comps else KappaPartition(classes=(), clique_cover=())
+    part = greedy_partition(gp) if comps else KappaPartition(classes=())
     cliques = packing_cliques(part)
     bounds = [0] * len(comps)
     for q in cliques:

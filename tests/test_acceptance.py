@@ -131,9 +131,8 @@ def planted_sweep():
         rows = []
         for k in (4, 9, 16, 25, 36):
             for seed in range(20):
-                objs, k_planted = planted_yes_instance(k, 40, seed)
-                g = build_intersection_graph(objs)
-                sol = solve(g, SolveConfig(k=k_planted))
+                g = build_intersection_graph(planted_yes_instance(k, 40, seed))
+                sol = solve(g, SolveConfig(k=k))
                 width = max((pipe.weighted_width for _, pipe in component_pipelines(g)), default=0)
                 rows.append((k, sol.verdict, width, sol.stats["high_degree_count"]))
         _cache["sweep"] = rows

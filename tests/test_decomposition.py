@@ -490,12 +490,7 @@ class TestProject:
         from diskfvs import KappaPartition
 
         g = cycle_graph(6)
-        classes = ((0, 1), (2, 3), (4, 5))
-        p = KappaPartition(
-            classes=classes,
-            clique_cover=tuple((c,) for c in classes),
-        )
-        cg = contract(g, p)
+        cg = contract(g, KappaPartition(classes=((0, 1), (2, 3), (4, 5))))
         assert cg.weight == (2, 2, 2)
         bg = blowup(cg)
         td = project(decompose_unweighted(bg.graph), bg)
@@ -507,12 +502,8 @@ class TestWeightedWidth:
     def test_examples(self):
         from diskfvs import KappaPartition
 
-        g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        p = KappaPartition(
-            classes=((0, 1, 2, 3, 4),),
-            clique_cover=(((0, 1), (2,), (3,), (4,)),),
-        )
-        cg = contract(g, p)  # single class of size 5 -> weight 4
+        g = complete_graph(5)
+        cg = contract(g, KappaPartition(classes=((0, 1, 2, 3, 4),)))  # weight 4
         td = TreeDecomposition(children=((),), bags=(frozenset({0}),))
         assert weighted_width(td, cg) == 4
 

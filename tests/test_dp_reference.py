@@ -86,7 +86,7 @@ def reference_reduce(group):
 
 def reference_dp_run(nd, g, p, mode, max_deletions=None):
     """(optimum or None, tables, pruned rows) of the tuple-coded DP."""
-    selections = [local_selections(cls, cov) for cls, cov in zip(p.classes, p.clique_cover)]
+    selections = [local_selections(cls, (cls,)) for cls in p.classes]
     keep_cap = [max(map(len, sels)) for sels in selections]
     slack = g.n if max_deletions is None else max_deletions - packing_bound(p)
     pruned = 0

@@ -125,7 +125,7 @@ class TestIntersection:
         ]
         cases += [ObjectSet(objects=tuple(objects)) for objects in lattices]
         cases += [
-            planted_yes_instance(5, 40, 0)[0],
+            planted_yes_instance(5, 40, 0),
             ObjectSet(objects=tuple(mixture), alpha=1 / math.sqrt(2), gamma=2.0),
             random_udg(1, 0.3, 0),
         ]
@@ -188,7 +188,7 @@ class TestGridClassification:
         # yes at k implies at most k heavy cells and at most 3k vertices in them
         for seed in range(8):
             for k in (0, 1, 2, 3):
-                objs, _ = planted_yes_instance(k, 14, seed)
+                objs = planted_yes_instance(k, 14, seed)
                 heavy = heavy_cells(objs)
                 assert len(heavy) <= k
                 in_heavy = sum(1 for c in cell_of(objs) if c in heavy)
@@ -210,8 +210,8 @@ class TestGenerators:
         a = random_udg(100, 0.1, 42)
         b = random_udg(100, 0.1, 42)
         assert a == b
-        pa, _ = planted_yes_instance(3, 25, 9)
-        pb, _ = planted_yes_instance(3, 25, 9)
+        pa = planted_yes_instance(3, 25, 9)
+        pb = planted_yes_instance(3, 25, 9)
         assert pa == pb
 
     def test_different_seeds_differ(self):
@@ -219,7 +219,7 @@ class TestGenerators:
 
     def test_generated_sets_validate(self):
         validate_object_set(random_udg(40, 0.2, 3))
-        objs, _ = planted_yes_instance(4, 30, 3)
+        objs = planted_yes_instance(4, 30, 3)
         validate_object_set(objs)
 
     def test_udg_regression_fixture(self):
@@ -249,20 +249,20 @@ class TestGenerators:
 
 class TestPlanted:
     def test_k0_is_forest(self):
-        objs, _ = planted_yes_instance(0, 18, 3)
+        objs = planted_yes_instance(0, 18, 3)
         assert is_forest(build_intersection_graph(objs))
 
     def test_hub_deletion_leaves_forest(self):
         for seed in range(6):
             for k in (1, 2, 5, 9):
-                objs, _ = planted_yes_instance(k, 20, seed)
+                objs = planted_yes_instance(k, 20, seed)
                 g = build_intersection_graph(objs)
                 n_path = len(objs.objects) - k
                 sub, _, _ = induced_subgraph(g, range(n_path))
                 assert is_forest(sub)
 
     def test_path_spacing(self):
-        objs, _ = planted_yes_instance(2, 24, 1)
+        objs = planted_yes_instance(2, 24, 1)
         path = objs.objects[: len(objs.objects) - 2]
         for i in range(len(path) - 1):
             assert euclid(path[i], path[i + 1]) == pytest.approx(0.9)
@@ -271,13 +271,13 @@ class TestPlanted:
                 assert euclid(path[i], path[j]) > 1.0
 
     def test_oracle_confirms_k1(self):
-        objs, _ = planted_yes_instance(1, 10, 2)
+        objs = planted_yes_instance(1, 10, 2)
         g = build_intersection_graph(objs)
         size, _ = min_fvs_bruteforce(g, max_n=30)
         assert size == 1
 
     def test_oracle_confirms_k2_disjoint_hubs(self):
-        objs, _ = planted_yes_instance(2, 10, 4)
+        objs = planted_yes_instance(2, 10, 4)
         g = build_intersection_graph(objs)
         size, _ = min_fvs_bruteforce(g, max_n=30)
         assert size == 2
@@ -287,10 +287,10 @@ class TestPlanted:
         """A path plus k disjoint hubs, each on three consecutive path disks."""
         for path_len in (2, 10, 40, 300):
             for seed in range(3):
-                objs, k_planted = planted_yes_instance(k, path_len, seed)
+                objs = planted_yes_instance(k, path_len, seed)
                 g = build_intersection_graph(objs)
                 n_path = g.n - k
-                assert k_planted == k and n_path >= path_len
+                assert n_path >= path_len
                 assert all(g.has_edge(i, i + 1) for i in range(n_path - 1))
                 for hub in range(n_path, g.n):
                     a = g.adj[hub][1]

@@ -19,7 +19,6 @@ from diskfvs import (
 )
 from diskfvs.partition import (
     class_weight,
-    local_selections,
     packing_bound,
     packing_cliques,
     packing_completion,
@@ -70,7 +69,6 @@ class TestGreedyPartition:
         # takes 3 (1 is covered); seed 4 takes 5 (3 is covered).
         p = greedy_partition(cycle_graph(6))
         assert p.classes == ((0, 1), (2, 3), (4, 5))
-        assert p.clique_cover == (((0, 1),), ((2, 3),), ((4, 5),))
         cg = contract(cycle_graph(6), p)
         assert sorted(cg.base.edges()) == [(0, 1), (0, 2), (1, 2)]
         assert cg.weight == (2, 2, 2)
@@ -96,9 +94,7 @@ class TestGreedyPartition:
         ]
         for g in graphs:
             p = greedy_partition(g)
-            assert p.kappa_observed == 1
-            for cls, cover in zip(p.classes, p.clique_cover):
-                assert cover == (cls,)
+            for cls in p.classes:
                 for i in range(len(cls)):
                     for j in range(i + 1, len(cls)):
                         assert g.has_edge(cls[i], cls[j])
@@ -109,21 +105,14 @@ class TestGreedyPartition:
 class TestContract:
     def test_singleton_partition_is_identity(self):
         g = cycle_graph(5)
-        p = KappaPartition(
-            classes=tuple((v,) for v in range(5)),
-            clique_cover=tuple(((v,),) for v in range(5)),
-        )
+        p = KappaPartition(classes=tuple((v,) for v in range(5)))
         cg = contract(g, p)
         assert cg.base.adj == g.adj
         assert cg.weight == (1, 1, 1, 1, 1)
 
     def test_c6_pairs_to_triangle_weight_two(self):
         g = cycle_graph(6)
-        classes = ((0, 1), (2, 3), (4, 5))
-        p = KappaPartition(
-            classes=classes,
-            clique_cover=tuple((c,) for c in classes),
-        )
+        p = KappaPartition(classes=((0, 1), (2, 3), (4, 5)))
         cg = contract(g, p)
         assert sorted(cg.base.edges()) == [(0, 1), (0, 2), (1, 2)]
         assert cg.weight == (2, 2, 2)
@@ -137,75 +126,37 @@ class TestContract:
 
     def test_invalid_partition_rejected(self):
         g = cycle_graph(4)
-        p = KappaPartition(
-            classes=((0, 2), (1, 3)),  # disconnected classes
-            clique_cover=(((0,), (2,)), ((1,), (3,))),
-        )
+        p = KappaPartition(classes=((0, 2), (1, 3)))  # disconnected classes
         with pytest.raises(ValidationError):
             contract(g, p)
 
     def test_non_clique_cover_rejected(self):
         # the path 0-1-2 is connected, but (0, 1, 2) is not a clique of it
         g = path_graph(3)
-        p = KappaPartition(classes=((0, 1, 2),), clique_cover=(((0, 1, 2),),))
+        p = KappaPartition(classes=((0, 1, 2),))
         with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
             contract(g, p)
         with pytest.raises(ValidationError, match="non-adjacent pair 0,2"):
             build_pipeline(g, p)
 
     @pytest.mark.parametrize(
-        "classes, cover, match",
+        "classes, match",
         [
-            (((0, 1, 5), (2, 3)), (((0, 1, 5),), ((2, 3),)), "outside graph"),
-            (((0, 1), (2,)), (((0, 1),), ((2,),)), "uncovered vertices: \\[3\\]"),
-            (((0, 1), (1, 2, 3)), (((0, 1),), ((1, 2), (3,))), "overlapping"),
-            (((0, 1), (2, 3)), (((0, 1),),), "1 clique covers for 2 classes"),
-            (((0, 1), (2, 3)), (((0, 1),), ((2,),)), "does not partition"),
-            (((0, 1, 2, 3), ()), (((0, 1), (2, 3)), ()), "class 1 is empty"),
+            (((0, 1, 5), (2, 3)), "outside graph"),
+            (((0, 1), (2,)), "uncovered vertices: \\[3\\]"),
+            (((0, 1), (1, 2, 3)), "overlapping"),
+            (((0, 1, 2, 3), ()), "class 1 is empty"),
         ],
     )
-    def test_each_breach_rejected(self, classes, cover, match):
+    def test_each_breach_rejected(self, classes, match):
         g = cycle_graph(4)
-        p = KappaPartition(classes=classes, clique_cover=cover)
+        p = KappaPartition(classes=classes)
         with pytest.raises(ValidationError, match=match):
             contract(g, p)
 
-    def test_single_clique_classes_skip_the_connectivity_search(self, monkeypatch):
-        import diskfvs.partition as partition
-
-        calls = []
-        real = partition.induced_subgraph
-        monkeypatch.setattr(
-            partition, "induced_subgraph", lambda *a: calls.append(1) or real(*a)
-        )
-        g = build_intersection_graph(random_udg(80, 1.0, seed=1))
-        contract(g, greedy_partition(g))
-        assert calls == []
-        two_cliques = KappaPartition(
-            classes=((0, 1, 2, 3),), clique_cover=(((0, 1), (2, 3)),)
-        )
-        contract(cycle_graph(4), two_cliques)
-        assert calls == [1]
-
-
-class TestCoverCliqueRule:
-    """A forest keeps at most two vertices of each cover clique."""
-
-    def test_counts_cliques_not_classes(self):
-        # a class of two 2-cliques and a triangle class: only the triangle
-        # must lose a vertex, and the first class can keep all four
-        p = KappaPartition(
-            classes=((0, 1, 2, 3), (4, 5, 6)),
-            clique_cover=(((0, 1), (2, 3)), ((4, 5, 6),)),
-        )
-        assert packing_bound(p) == 1
-        assert packing_cliques(p) == [(4, 5, 6)]
-        sels = local_selections(p.classes[0], p.clique_cover[0])
-        assert max(map(len, sels)) == 4 and (0, 1, 2, 3) in sels
-
 
 class TestPackingCompletion:
-    """Keeping two vertices of each cover clique and then breaking the cycles
+    """Keeping two vertices of each class and then breaking the cycles
     left greedily gives a feedback vertex set; it is a minimum when it has
     at most max(bound, 1) vertices, and inclusion-minimal otherwise."""
 
@@ -365,28 +316,18 @@ class TestValidatePartition:
             contract(g, greedy_partition(g))
 
     def test_disconnected_class_reported(self):
+        # a disconnected class is no clique
         g = cycle_graph(4)
-        p = KappaPartition(
-            classes=((0, 2), (1, 3)),
-            clique_cover=(((0,), (2,)), ((1,), (3,))),
-        )
-        with pytest.raises(ValidationError, match="disconnected"):
+        p = KappaPartition(classes=((0, 2), (1, 3)))
+        with pytest.raises(ValidationError, match="non-adjacent pair 0,2 in class 0"):
             contract(g, p)
 
     def test_singleton_partition_always_valid(self):
         g = cycle_graph(5)
-        p = KappaPartition(
-            classes=tuple((v,) for v in range(5)),
-            clique_cover=tuple(((v,),) for v in range(5)),
-        )
-        contract(g, p)
-        assert p.kappa_observed == 1
+        contract(g, KappaPartition(classes=tuple((v,) for v in range(5))))
 
     def test_bad_cover_reported(self):
         g = from_edge_list(3, [(0, 1)])
-        p = KappaPartition(
-            classes=((0, 1, 2),),
-            clique_cover=(((0, 1, 2),),),  # 0-2 and 1-2 are not edges
-        )
-        with pytest.raises(ValidationError, match="non-adjacent"):
+        p = KappaPartition(classes=((0, 1, 2),))  # 0-2 and 1-2 are not edges
+        with pytest.raises(ValidationError, match="non-adjacent pair 0,2 in class 0"):
             contract(g, p)

@@ -72,9 +72,9 @@ class TestLocalSelections:
         for seed in range(5):
             g = build_intersection_graph(random_udg(60, 1.5, seed))
             p = greedy_partition(g)
-            for cls, cover in zip(p.classes, p.clique_cover):
+            for cls in p.classes:
                 s = len(cls)
-                sels = local_selections(cls, cover)
+                sels = local_selections(cls, (cls,))
                 assert len(sels) == 1 + s + s * (s - 1) // 2
                 for sel in sels:
                     assert len(sel) <= 2
@@ -161,10 +161,7 @@ class TestDpRun:
         # vertex, on a path that keeps a, b, c in every bag and introduces
         # and forgets u, then w, then introduces x
         g = from_edge_list(6, [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)])
-        p = KappaPartition(
-            classes=tuple((v,) for v in range(6)),
-            clique_cover=tuple(((v,),) for v in range(6)),
-        )
+        p = KappaPartition(classes=tuple((v,) for v in range(6)))
         F, I = FORGET, INTRODUCE
         nd = NiceDecomposition(
             kind=(F, F, F, F, I, F, I, F, I, I, I, I, LEAF),
@@ -667,81 +664,6 @@ class TestGreedyUpperBound:
         assert smaller > 0 and proven > 0
 
 
-def merged_partition(g):
-    """greedy_partition with each class merged into one adjacent class.
-
-    Classes are taken in order; each untaken class joins the smallest
-    untaken class next to it, if any. Each result class is covered by its
-    (at most two) greedy cliques, so the partition has kappa <= 2.
-    """
-    from diskfvs import greedy_partition
-
-    p = greedy_partition(g)
-    owner = class_of(p)
-    groups = []
-    taken = set()
-    for i, cls in enumerate(p.classes):
-        if i in taken:
-            continue
-        nbrs = sorted({owner[w] for v in cls for w in g.adj[v]} - taken - {i})
-        groups.append([i] + nbrs[:1])
-        taken.update(groups[-1])
-    return KappaPartition(
-        classes=tuple(tuple(sorted(v for j in grp for v in p.classes[j])) for grp in groups),
-        clique_cover=tuple(tuple(p.classes[j] for j in grp) for grp in groups),
-    )
-
-
-class TestCoverCliques:
-    """A class covered by several cliques keeps up to two vertices of each
-    clique, and only cliques of more than two vertices add to the bound."""
-
-    def test_merged_classes_every_k(self):
-        from diskfvs import build_pipeline, connected_components, contract, dp_run, \
-            reconstruct
-
-        merged = 0
-        for seed in range(40):
-            g = build_intersection_graph(
-                random_udg(8 + seed % 11, (1.0, 2.0)[seed % 2], seed)
-            )
-            peeled = peel_degree_one(g).reduced
-            for comp in connected_components(peeled):
-                sub, _, _ = induced_subgraph(peeled, comp)
-                p = merged_partition(sub)
-                contract(sub, p)
-                merged += sum(len(cover) > 1 for cover in p.clique_cover)
-                minimum, _ = min_fvs_bruteforce(sub)
-                nd = build_pipeline(sub, p).nice
-                for mode in ("dp-naive", "dp-rank"):
-                    for k in range(sub.n + 1):
-                        root, _ = dp_run(nd, sub, p, mode=mode, max_deletions=k)
-                        if minimum > k:
-                            assert root is None, (seed, mode, k)
-                            continue
-                        assert root.bit_count() == sub.n - minimum, (seed, mode, k)
-                        assert len(reconstruct(root, sub)) == minimum
-        assert merged >= 40
-
-    def test_path_of_two_cliques_beside_a_triangle(self):
-        from diskfvs import build_pipeline, dp_run, reconstruct
-
-        # the path 0-1-2-3 as cliques (0, 1) and (2, 3), edge 3-4, triangle 4, 5, 6
-        g = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)])
-        p = KappaPartition(
-            classes=((0, 1, 2, 3), (4, 5, 6)),
-            clique_cover=(((0, 1), (2, 3)), ((4, 5, 6),)),
-        )
-        assert min_fvs_bruteforce(g)[0] == 1
-        nd = build_pipeline(g, p).nice
-        for mode in ("dp-naive", "dp-rank"):
-            for k in (g.n, 1, 2):
-                root, _ = dp_run(nd, g, p, mode=mode, max_deletions=k)
-                assert root.bit_count() == 6, (mode, k)
-                assert len(reconstruct(root, g)) == 1
-            assert dp_run(nd, g, p, mode=mode, max_deletions=0)[0] is None
-
-
 def keeps_close_cycles(g, qa, qb):
     """Every way of keeping min(2, |q|) vertices of both cliques closes a
     cycle, by trying each."""
@@ -753,15 +675,14 @@ def keeps_close_cycles(g, qa, qb):
 
 
 class TestConflictPairs:
-    """conflict_pairs finds disjoint pairs of one-clique classes that no
-    forest keeps in full, and dp_run's floor counts the pairs with neither
-    class in a node's subtree as deletions still owed."""
+    """conflict_pairs finds disjoint pairs of classes that no forest keeps
+    in full, and dp_run's floor counts the pairs with neither class in a
+    node's subtree as deletions still owed."""
 
     @staticmethod
     def cases():
         """Peeled components of UDGs of at most 16 disks at densities 1 to
-        3, each with its greedy and its merged (kappa = 2) partition, and
-        random graphs with their greedy partitions."""
+        3 and random graphs, each with its greedy partition."""
         from diskfvs import connected_components, greedy_partition
 
         cases = []
@@ -770,7 +691,7 @@ class TestConflictPairs:
             peeled = peel_degree_one(build_intersection_graph(objs)).reduced
             for comp in connected_components(peeled):
                 sub = induced_subgraph(peeled, comp)[0]
-                cases += [(sub, greedy_partition(sub)), (sub, merged_partition(sub))]
+                cases.append((sub, greedy_partition(sub)))
         rng = random.Random(27)
         for _ in range(100):
             g = random_graph(rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6]), rng)
@@ -787,8 +708,7 @@ class TestConflictPairs:
             pairs = conflict_pairs(g, p)
             paired = [c for pair in pairs for c in pair]
             assert len(paired) == len(set(paired)), pairs
-            single = [i for i, cover in enumerate(p.clique_cover) if len(cover) == 1]
-            for i, j in itertools.combinations(single, 2):
+            for i, j in itertools.combinations(range(len(p.classes)), 2):
                 if (i, j) in pairs or not (i in paired or j in paired):
                     conflict = keeps_close_cycles(g, p.classes[i], p.classes[j])
                     assert conflict == ((i, j) in pairs), (g, p, i, j)
@@ -816,7 +736,7 @@ class TestConflictPairs:
                 outside = frozenset(range(len(p.classes))) - below
                 if outside not in exact:
                     sub = induced_subgraph(g, [v for c in outside for v in p.classes[c]])[0]
-                    bound = sum(max(0, len(q) - 2) for c in outside for q in p.clique_cover[c])
+                    bound = sum(max(0, len(p.classes[c]) - 2) for c in outside)
                     exact[outside] = min_fvs_bruteforce(sub)[0] - bound
                 assert owed <= exact[outside], (g, p, below)
                 checked += 1
@@ -850,7 +770,7 @@ class TestConflictPairs:
 
 class TestPackingSearch:
     """packing_search looks for a feedback vertex set of at most bound +
-    extra vertices by choosing a kept subset per cover clique. It returns the
+    extra vertices by choosing a kept subset per class. It returns the
     kept mask of a set it finds, None when no set exists and -1 when it
     gives up at SEARCH_NODE_CAP."""
 
@@ -858,21 +778,20 @@ class TestPackingSearch:
         from diskfvs import connected_components, greedy_partition
         from diskfvs.partition import packing_bound, packing_search
 
-        # peeled components of desk-scale UDGs with greedy and merged
-        # (kappa = 2) partitions, and unpeeled random graphs
+        # peeled components of desk-scale UDGs and unpeeled random graphs,
+        # with their greedy partitions
         cases = []
         for seed in range(90):
             objs = random_udg(6 + seed % 13, (0.5, 1.0, 2.0)[seed % 3], seed)
             peeled = peel_degree_one(build_intersection_graph(objs)).reduced
             for comp in connected_components(peeled):
                 sub = induced_subgraph(peeled, comp)[0]
-                cases += [(sub, greedy_partition(sub)), (sub, merged_partition(sub))]
+                cases.append((sub, greedy_partition(sub)))
         rng = random.Random(62)
         for _ in range(150):
             g = random_graph(rng.randint(1, 14), rng.choice([0.2, 0.4, 0.6]), rng)
             cases.append((g, greedy_partition(g)))
         refuted, found = [0, 0, 0], [0, 0, 0]
-        merged = 0
         for g, p in cases:
             minimum = min_fvs_bruteforce(g)[0]
             bound = packing_bound(p)
@@ -883,14 +802,13 @@ class TestPackingSearch:
                 assert (kept is None) == (minimum > bound + extra), (g, p, extra)
                 if kept is None:
                     refuted[extra] += 1
-                    merged += any(len(cover) > 1 for cover in p.clique_cover)
                     continue
                 # a forest whose complement has bound + shortfall vertices
                 keep = [v for v in range(g.n) if kept >> v & 1]
                 assert kept >> g.n == 0 and is_forest(induced_subgraph(g, keep)[0])
                 assert minimum <= g.n - len(keep) <= bound + extra, (g, p, extra)
                 found[extra] += 1
-        assert min(refuted) > 10 and min(found) > 10 and merged > 10, (refuted, found, merged)
+        assert min(refuted) > 10 and min(found) > 10, (refuted, found)
 
     def test_refutation_matches_the_dp_on_the_pool(self):
         # every peeled component of pool graphs 0-119 whose greedy set leaves
