@@ -17,8 +17,10 @@ max(bound, 1) vertices.
 packing_search closes a small gap between the two: choosing a kept subset
 per class, it either finds a feedback vertex set of at most the bound
 plus a few vertices or proves that none exists, exhaustively below
-SEARCH_NODE_CAP nodes. Its forest is a list of tree masks, and each vertex
-it keeps is tested by the DP's cycle rule (reduction.attach).
+SEARCH_NODE_CAP nodes. Its forest is a list of tree masks, and each
+class's kept subset, a vertex or an edge, is tested by the DP's cycle rule
+(reduction.attach): it closes a cycle exactly when two edges join it to
+one tree.
 conflict_pairs finds disjoint pairs of classes that no forest keeps in
 full, each worth one deletion beyond the bound; the DP's floor counts
 those its subtree has not reached.
@@ -274,15 +276,17 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
     vertices inducing a forest, whose total shortfall below min(2, |q|) is
     at most extra. The search assigns the cliques one at a time, each time
     branching on the unassigned clique with the fewest feasible subsets
-    (the first such clique; subsets of least shortfall first). A subset is
-    feasible when its shortfall fits what is left of extra and keeping its
-    vertices one at a time closes no cycle in the forest kept so far
+    (the first such clique; subsets of least shortfall first). A subset,
+    empty, a vertex or an edge, is feasible when its shortfall fits what is
+    left of extra and no tree of the forest kept so far has two edges to
+    it; a chosen one is merged with the trees it meets into one new tree
     (reduction.attach). A subset infeasible at a node stays infeasible
     below it, since the kept set only grows and the shortfall left only
-    falls. So a node where some clique has no feasible subset has
-    no set below it, and only a subset whose vertices border the tree the
-    last choice made, or whose shortfall no longer fits, needs a new test.
-    A node with every clique assigned has found a set: its trees hold
+    falls. One feasible before a choice met each old tree at most once, so
+    only its edges to the new tree and its shortfall need a new test, and
+    only where the clique borders the new tree or its shortfall no longer
+    fits. A node where some clique has no feasible subset has no set below
+    it. A node with every clique assigned has found a set: its trees hold
     every kept vertex. A search that ends without one has tried every
     choice, so no set exists; a give-up proves nothing. The set found is
     the first in the search's order, not necessarily a smallest one.
@@ -296,26 +300,17 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
         for v in q:
             reach[i] |= nbr[v]
     # each clique's subsets the shortfall allows, least shortfall first, as
-    # (shortfall, vertices, the tree keeping them makes): with nothing kept
-    # yet, each subset's tree is its own vertices
+    # (shortfall, mask, its vertices' neighbours as attach takes them); with
+    # nothing kept yet, every one is feasible
     start = {}
     for i, q in enumerate(cliques):
         keep = min(KEEP_PER_CLIQUE, len(q))
         start[i] = [
-            (keep - r, sel, sum(1 << v for v in sel))
+            (keep - r, sum(1 << v for v in sel), *([nbr[v] for v in sel] + [0, 0])[:2])
             for r in range(keep, max(keep - extra, 0) - 1, -1)
             for sel in itertools.combinations(q, r)
         ]
     nodes = 0
-
-    def tree_of(sel, trees: list[int]) -> int:
-        """The tree that keeping sel, a clique's subset, makes with the trees
-        it touches (0 when sel is empty), or -1 when it closes a cycle."""
-        for v in sel:  # a pair's second vertex sees the first through their edge
-            trees = attach(trees, 1 << v, nbr[v])
-            if trees is None:
-                return -1
-        return trees[-1] if sel else 0
 
     def search(trees: list[int], options: dict, left: int) -> int | None:
         """The kept mask of a set within the bound that extends the choices
@@ -331,11 +326,11 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
         if nodes > SEARCH_NODE_CAP:
             return -1
         i = min(options, key=lambda j: len(options[j]))
-        for short, sel, tree in options[i]:
-            trees_n = trees
-            if tree:  # it replaces the trees it touches
-                trees_n = [t for t in trees if not t & tree]
-                trees_n.append(tree)
+        for short, mask, nbrs_a, nbrs_b in options[i]:
+            trees_n, tree = trees, 0
+            if mask:  # feasible: it merges the trees it meets into one
+                trees_n = attach(trees, mask, nbrs_a, nbrs_b)
+                tree = trees_n[-1]
             left_n = left - short
             options_n = {}
             for j, opts in options.items():
@@ -343,9 +338,9 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
                     continue
                 if reach[j] & tree or opts[-1][0] > left_n:
                     opts = [
-                        (s, sel_j, t)
-                        for s, sel_j, _ in opts
-                        if s <= left_n and (t := tree_of(sel_j, trees_n)) >= 0
+                        opt for opt in opts
+                        if opt[0] <= left_n
+                        and (tree & opt[2]).bit_count() + (tree & opt[3]).bit_count() <= 1
                     ]
                     if not opts:
                         break

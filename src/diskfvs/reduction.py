@@ -5,12 +5,15 @@ ids the partial forest keeps in the current bag, the partition, a sorted
 tuple of disjoint block masks covering kept, records which of them are
 already connected, and the forest mask's popcount is the row's value.
 
-The cycle rule (attach): keeping one more vertex next to a forest whose
-trees are disjoint block masks closes a cycle exactly when two of its
-neighbours lie in one block; otherwise the blocks it meets and the vertex
-become one block. The DP's introduce step and the clique-choice search
-(partition.packing_search) both keep their forests this way and
-test every vertex they keep with attach alone.
+The cycle rule (attach): keeping one vertex, or two adjacent ones, next
+to a forest whose trees are disjoint block masks closes a cycle exactly
+when two edges join one block to them (two neighbours of one vertex, a
+neighbour of each, or one neighbour of both); otherwise the blocks they
+meet and the kept vertices become one block. A clique's kept
+subset is at most two of its vertices, so one call keeps it: the DP's
+introduce step and the clique-choice search (partition.packing_search)
+both keep their forests this way and test every subset they keep with
+attach alone.
 
 Rows with the same kept mask compete: row p can be dropped when, for every
 way q the future could connect the kept vertices, some retained row
@@ -53,21 +56,22 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def attach(blocks, bit: int, nbrs: int) -> list[int] | None:
-    """blocks, disjoint masks of a forest's trees, with the vertex bit kept
-    next to its neighbours nbrs: every block that meets nbrs merged with bit
-    into one, placed last. None when one block holds two of the neighbours,
-    so that keeping the vertex closes a cycle."""
+def attach(blocks, kept: int, nbrs_a: int, nbrs_b: int = 0) -> list[int] | None:
+    """blocks, disjoint masks of a forest's trees, with kept, one vertex or
+    two adjacent ones, kept next to their neighbours nbrs_a and nbrs_b (0
+    for one vertex): every block that meets them merged with kept into one,
+    placed last. None when a block meets them twice, so that keeping them
+    closes a cycle."""
     out = []
+    nbrs = nbrs_a | nbrs_b
     for b in blocks:
-        m = b & nbrs
-        if not m:
+        if not b & nbrs:
             out.append(b)
-        elif m & (m - 1):
+        elif (b & nbrs_a).bit_count() + (b & nbrs_b).bit_count() > 1:
             return None
         else:
-            bit |= b
-    out.append(bit)
+            kept |= b
+    out.append(kept)
     return out
 
 

@@ -22,8 +22,10 @@ connected pieces of the partial forest as the sorted tuple of its block
 masks. Each state's row is its forest: the bitmask of every vertex the
 partial forest keeps in the node's subtree, whose popcount, the row's
 value, is maximized. The root row is the witness. Edges are committed
-when the later of their two classes is introduced, each new vertex by the
-cycle rule (reduction.attach). At join nodes both branches have committed
+when the later of their two classes is introduced: the class's kept
+subset, a vertex or an edge, is kept in one step by the cycle rule
+(reduction.attach), which refuses it exactly when two edges join it to
+one block. At join nodes both branches have committed
 the edges induced inside the kept set, so the union of the two partitions
 stays acyclic exactly when it merges |kept| - shared_edges pairs of blocks.
 """
@@ -178,21 +180,16 @@ def dp_run(
 
     # masks made once: each vertex's neighbours and each class's vertices
     # (sums of distinct bits are their unions), and per local selection its
-    # size, its mask and each vertex's bit, neighbours and neighbours among
-    # the selection's earlier vertices
+    # size, its mask and its vertices' neighbours, as attach takes them
     nbr_mask = [sum(1 << u for u in a) for a in g.adj]
     class_mask = [sum(1 << v for v in cls) for cls in p.classes]
-    moves = []
-    for sels in selections:
-        class_moves = []
-        for sel in sels:
-            steps = []
-            earlier = 0
-            for x in sel:
-                steps.append((1 << x, nbr_mask[x], nbr_mask[x] & earlier))
-                earlier |= 1 << x
-            class_moves.append((len(sel), earlier, tuple(steps)))
-        moves.append(class_moves)
+    moves = [
+        [
+            (len(sel), sum(1 << v for v in sel), *([nbr_mask[v] for v in sel] + [0, 0])[:2])
+            for sel in sels
+        ]
+        for sels in selections
+    ]
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
     subtree = [0] * n_nodes  # the classes introduced below each node, as a mask
@@ -219,7 +216,7 @@ def dp_run(
             for kept_c, group in tables[child].items():
                 size = len(group)
                 best_c = max(map(int.bit_count, group.values()))
-                for gain, sel_mask, steps in moves[v_cl]:
+                for gain, sel_mask, nbrs_a, nbrs_b in moves[v_cl]:
                     work += size
                     if work > state_budget:
                         raise _budget_error(work, state_budget)
@@ -229,26 +226,25 @@ def dp_run(
                         continue
                     kept_n = kept_c | sel_mask
                     out = table.get(kept_n)
-                    # each new vertex with its neighbours kept before it (the
-                    # edges the new class is responsible for)
-                    plan = [(bit, around & kept_c | earlier) for bit, around, earlier in steps]
                     for part_c, forest in group.items():
                         if forest.bit_count() < need:
                             pruned += 1
                             continue
-                        blocks = part_c
-                        for bit, nbrs in plan:
-                            blocks = attach(blocks, bit, nbrs)
+                        # attach commits the edges the new class is
+                        # responsible for: those to kept_c, which the blocks
+                        # cover, and a kept pair's own edge
+                        part_n = part_c
+                        if sel_mask:
+                            blocks = attach(part_c, sel_mask, nbrs_a, nbrs_b)
                             if blocks is None:
-                                break
-                        else:  # no vertex closed a cycle
-                            if out is None:
-                                out = table[kept_n] = {}
+                                continue
                             part_n = tuple(sorted(blocks))
-                            forest_n = forest | sel_mask
-                            old = out.get(part_n)
-                            if old is None or forest_n.bit_count() > old.bit_count():
-                                out[part_n] = forest_n
+                        if out is None:
+                            out = table[kept_n] = {}
+                        forest_n = forest | sel_mask
+                        old = out.get(part_n)
+                        if old is None or forest_n.bit_count() > old.bit_count():
+                            out[part_n] = forest_n
         elif kind == FORGET:
             v_cl = nd.vtx[node]
             child = nd.children[node][0]
@@ -503,19 +499,19 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             stats["bound_solved"] += 1
             continue
         sub, old_of_new, _ = induced_subgraph(gp, comps[i])
+        # the same degree order as in gp, so part's classes here: bound is its bound
         sub_part = greedy_partition(sub)
-        sub_bound = packing_bound(sub_part)
         # the loop condition gives budget >= bound, and ub - 1 >= bound here
         # unless bound = budget = 0, so limit >= 0
         limit = min(budget, ub - 1)
         # a slack of at most 1 is settled more cheaply by a clique-choice
         # search than by a DP
         kept = -1  # as when the search gives up: the DP decides
-        if limit - sub_bound <= 1:
+        if limit - bound <= 1:
             t_search = time.perf_counter()
-            kept = packing_search(sub, sub_part, limit - sub_bound)
+            kept = packing_search(sub, sub_part, limit - bound)
             timings["search"] += time.perf_counter() - t_search
-        if kept is None or kept >= 0 and sub.n - kept.bit_count() == sub_bound:
+        if kept is None or kept >= 0 and sub.n - kept.bit_count() == bound:
             root = kept  # refuted, or a set at the bound: a minimum
             stats["search_proven"] += 1
         else:

@@ -27,35 +27,60 @@ def component_masks(g, kept):
 class TestAttach:
     def test_against_is_forest(self):
         """On random graphs and kept forests, attach refuses exactly the
-        vertices whose keeping closes a cycle, and otherwise returns the
-        new forest's components with the vertex's own last."""
+        vertices, or edges, whose keeping closes a cycle, and otherwise
+        returns the new forest's components with the kept vertices' own
+        last."""
         rng = random.Random(34)
-        seen = {"empty blocks": 0, "no kept neighbour": 0, "cycle": 0, "merge": 0}
-        for _ in range(2000):
+        seen = dict.fromkeys((
+            "empty blocks", "no kept neighbour", "cycle", "merge",
+            "edge: one tree meets each end once", "edge: ends share a kept neighbour",
+            "edge: ends meet different trees",
+        ), 0)
+        for trial in range(4000):
             n = rng.randint(1, 9)
-            p = rng.random()
+            # odd trials keep an edge, v and a neighbour, on sparser graphs,
+            # whose forests have more trees for the two ends to meet
+            edge = trial % 2
+            p = rng.uniform(0.2, 0.4) if edge else rng.random()
             g = from_edge_list(
                 n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
             )
             v = rng.randrange(n)
+            ends = [v] + (rng.sample(g.adj[v], 1) if edge and g.adj[v] else [])
             kept = set()
-            for u in rng.sample([u for u in range(n) if u != v], rng.randint(0, n - 1)):
+            others = [u for u in range(n) if u not in ends]
+            # an edge is kept next to a maximal forest of the others
+            for u in rng.sample(others, len(others) if edge else rng.randint(0, len(others))):
                 if is_forest(g, set(range(n)) - kept - {u}):
                     kept.add(u)
             blocks = sorted(component_masks(g, kept)) if kept else []
             rng.shuffle(blocks)
-            nbrs = sum(1 << w for w in g.adj[v])  # unkept neighbours lie in no block
-            out = attach(blocks, 1 << v, nbrs)
-            acyclic = is_forest(g, set(range(n)) - kept - {v})
-            seen["empty blocks"] += not blocks
-            seen["no kept neighbour"] += not any(w in kept for w in g.adj[v])
-            seen["cycle"] += not acyclic
-            seen["merge"] += sum(1 for b in blocks if b & nbrs) > 1
-            assert (out is None) == (not acyclic), (g.adj, kept, v)
+            # unkept neighbours, the other end included, lie in no block
+            nbrs = [sum(1 << w for w in g.adj[x]) for x in ends]
+            out = attach(blocks, sum(1 << x for x in ends), *nbrs)
+            acyclic = is_forest(g, set(range(n)) - kept - set(ends))
+            if len(ends) == 1:
+                seen["empty blocks"] += not blocks
+                seen["no kept neighbour"] += not any(w in kept for w in g.adj[v])
+                seen["cycle"] += not acyclic
+                seen["merge"] += sum(1 for b in blocks if b & nbrs[0]) > 1
+            else:
+                # the blocks each end has exactly one edge to
+                once = [[b for b in blocks if (b & m).bit_count() == 1] for m in nbrs]
+                seen["edge: one tree meets each end once"] += any(
+                    b in once[1] and not b & nbrs[0] & nbrs[1] for b in once[0]
+                )
+                seen["edge: ends share a kept neighbour"] += any(
+                    w in kept for w in set(g.adj[v]) & set(g.adj[ends[1]])
+                )
+                seen["edge: ends meet different trees"] += acyclic and any(
+                    a != b for a in once[0] for b in once[1]
+                )
+            assert (out is None) == (not acyclic), (g.adj, kept, ends)
             if out is not None:
-                assert out[-1] >> v & 1
+                assert all(out[-1] >> x & 1 for x in ends)
                 assert len(out) == len(set(out))
-                assert set(out) == component_masks(g, kept | {v}), (g.adj, kept, v)
+                assert set(out) == component_masks(g, kept | set(ends)), (g.adj, kept, ends)
         assert min(seen.values()) > 50, seen
 
     def test_empty_blocks_and_no_kept_neighbour(self):
@@ -64,6 +89,20 @@ class TestAttach:
         # merged blocks go last, the others keep their order
         assert attach((0b10, 0b1000, 0b100), 0b1, 0b110) == [0b1000, 0b111]
         assert attach((0b110,), 0b1, 0b110) is None
+
+    def test_edge_examples(self):
+        # the edge 0-1 kept next to blocks {2}, {3}: neighbours 0-2 and 1-3
+        # join both blocks to it
+        assert attach((0b100, 0b1000), 0b11, 0b110, 0b1001) == [0b1111]
+        # one edge from each end into one block closes a cycle
+        assert attach((0b1100,), 0b11, 0b0110, 0b1001) is None
+        # so does a kept neighbour of both ends: a triangle
+        assert attach((0b100,), 0b11, 0b110, 0b101) is None
+        # a block only one end meets, once, is merged; the others stay
+        assert attach((0b100, 0b1000, 0b10000), 0b11, 0b10, 0b10001) == [0b100, 0b1000, 0b10011]
+        # no kept neighbour: the edge is a new block of its own
+        assert attach([], 0b11, 0b10, 0b1) == [0b11]
+        assert attach((0b100,), 0b11, 0b10, 0b1) == [0b100, 0b11]
 
 
 class TestTransversalVector:
