@@ -265,36 +265,6 @@ class NiceDecomposition:
         return len(self.kind)
 
 
-class _NiceBuilder:
-    def __init__(self):
-        self.kind: list[str] = []
-        self.vtx: list[int | None] = []
-        self.bags: list[frozenset[int]] = []
-        self.children: list[list[int]] = []
-
-    def add(self, kind: str, vtx: int | None, bag: frozenset[int], children: list[int]) -> int:
-        self.kind.append(kind)
-        self.vtx.append(vtx)
-        self.bags.append(bag)
-        self.children.append(children)
-        return len(self.kind) - 1
-
-    def chain_to(self, node: int, target: frozenset[int]) -> int:
-        """Forget/introduce chain lifting node's bag to the target bag."""
-        bag = self.bags[node]
-        for v in sorted(bag - target):
-            bag = bag - {v}
-            node = self.add(FORGET, v, bag, [node])
-        for v in sorted(target - bag):
-            bag = bag | {v}
-            node = self.add(INTRODUCE, v, bag, [node])
-        return node
-
-    def leaf_chain(self, target: frozenset[int]) -> int:
-        node = self.add(LEAF, None, frozenset(), [])
-        return self.chain_to(node, target)
-
-
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     """Normalize to leaf/introduce/forget/join nodes with an empty root bag.
 
@@ -305,32 +275,49 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     for u in order:
         order.extend(td.children[u])
 
-    b = _NiceBuilder()
+    nodes = []  # (kind, vtx, bag, children) in creation order
+
+    def add(kind, vtx, bag, children) -> int:
+        nodes.append((kind, vtx, bag, children))
+        return len(nodes) - 1
+
+    def lift(node: int, target: frozenset[int]) -> int:
+        """Forget/introduce chain lifting node's bag to the target bag."""
+        bag = nodes[node][2]
+        for v in sorted(bag - target):
+            bag = bag - {v}
+            node = add(FORGET, v, bag, [node])
+        for v in sorted(target - bag):
+            bag = bag | {v}
+            node = add(INTRODUCE, v, bag, [node])
+        return node
+
     # children before parents: reversed BFS order
     built = [0] * len(td.bags)
     for u in reversed(order):
         bag = td.bags[u]
         if not td.children[u]:
-            built[u] = b.leaf_chain(bag)
+            built[u] = lift(add(LEAF, None, frozenset(), []), bag)
             continue
-        lifted = [b.chain_to(built[c], bag) for c in td.children[u]]
+        lifted = [lift(built[c], bag) for c in td.children[u]]
         node = lifted[0]
         for other in lifted[1:]:
-            node = b.add(JOIN, None, bag, [node, other])
+            node = add(JOIN, None, bag, [node, other])
         built[u] = node
-    top = b.chain_to(built[0], frozenset())
+    top = lift(built[0], frozenset())
 
     # renumber so the root is 0 and every child id exceeds its parent's:
     # new id i is bfs[i], the i-th node in breadth-first order from top
-    new_id = [0] * len(b.kind)
+    new_id = [0] * len(nodes)
     bfs = [top]
     for u in bfs:
-        for c in b.children[u]:
+        for c in nodes[u][3]:
             new_id[c] = len(bfs)
             bfs.append(c)
+    kind, vtx, bags, children = zip(*[nodes[old] for old in bfs])
     return NiceDecomposition(
-        kind=tuple([b.kind[old] for old in bfs]),
-        vtx=tuple([b.vtx[old] for old in bfs]),
-        bags=tuple([b.bags[old] for old in bfs]),
-        children=tuple([tuple([new_id[c] for c in b.children[old]]) for old in bfs]),
+        kind=kind,
+        vtx=vtx,
+        bags=bags,
+        children=tuple([tuple([new_id[c] for c in kids]) for kids in children]),
     )

@@ -5,10 +5,10 @@ Zanden, SICOMP 2020) puts each vertex in exactly one connected class and
 covers each class with at most kappa cliques. Here kappa = 1: every class
 is one clique, so it is connected and is its own cover. contract() is the
 one checker of this contract: it raises ValidationError on the first
-breach. A forest keeps at most two vertices of a clique
-(local_selections), so every feedback vertex set deletes at least
-sum(max(0, |q| - 2)) over the classes q (packing_bound), certified by
-those of more than two vertices.
+breach. A forest keeps at most two vertices of a clique (kept_subsets, the
+one builder of them for the DP, the search and conflict_pairs), so every
+feedback vertex set deletes at least sum(max(0, |q| - 2)) over the classes
+q (packing_bound), certified by those of more than two vertices.
 packing_completion deletes the rest of each such class, greedily breaks
 the cycles left, and then puts back every deleted vertex that closes no
 cycle, lowest degree first: an inclusion-minimal feedback vertex set, so
@@ -112,6 +112,18 @@ def greedy_partition(g: Graph) -> KappaPartition:
     return KappaPartition(classes=tuple(classes))
 
 
+def kept_subsets(q, size: int, nbr) -> list[tuple[int, int, int]]:
+    """Each subset of size <= KEEP_PER_CLIQUE vertices of clique q, in id
+    order, as (mask, nbrs_a, nbrs_b): its mask and its vertices'
+    neighbour masks from nbr, 0 for a missing vertex, as reduction.attach
+    takes them. The one builder of the subsets a forest keeps of a class."""
+    if size == 0:
+        return [(0, 0, 0)]
+    if size == 1:
+        return [(1 << v, nbr[v], 0) for v in q]
+    return [(1 << a | 1 << b, nbr[a], nbr[b]) for a, b in itertools.combinations(q, 2)]
+
+
 def local_selections(cls, cover) -> list[tuple[int, ...]]:
     """All ways to keep at most two vertices from each cover clique of a class.
 
@@ -155,34 +167,23 @@ def conflict_pairs(g: Graph, p: KappaPartition) -> list[tuple[int, int]]:
     for i, cls in enumerate(p.classes):
         for v in cls:
             owner[v] = i
+    # each class's subsets of min(2, |q|) vertices; two close a cycle
+    # exactly when two edges join them
+    full = [kept_subsets(q, min(KEEP_PER_CLIQUE, len(q)), nbr) for q in p.classes]
     paired = [False] * len(p.classes)
     pairs = []
     for i, cls in enumerate(p.classes):
         if paired[i]:
             continue
         for j in sorted({owner[w] for v in cls for w in g.adj[v] if owner[w] > i}):
-            if not paired[j] and _pair_closes_cycles(cls, p.classes[j], nbr):
+            if not paired[j] and all(
+                (a & mask).bit_count() + (b & mask).bit_count() >= 2
+                for _, a, b in full[i] for mask, _, _ in full[j]
+            ):
                 pairs.append((i, j))
                 paired[i] = paired[j] = True
                 break
     return pairs
-
-
-def _pair_closes_cycles(qa, qb, nbr) -> bool:
-    """True when every way of keeping min(2, |q|) vertices of both cliques
-    qa and qb keeps two edges between them, nbr being the neighbour masks.
-
-    Each kept subset is an edge or a vertex, and two of them close a cycle
-    exactly when two edges join them."""
-    kept_b = [
-        sum(1 << v for v in sel)
-        for sel in itertools.combinations(qb, min(KEEP_PER_CLIQUE, len(qb)))
-    ]
-    return all(
-        sum((nbr[a] & mask).bit_count() for a in sel) >= 2
-        for sel in itertools.combinations(qa, min(KEEP_PER_CLIQUE, len(qa)))
-        for mask in kept_b
-    )
 
 
 def packing_completion(g: Graph, p: KappaPartition) -> frozenset[int]:
@@ -306,9 +307,9 @@ def packing_search(g: Graph, p: KappaPartition, extra: int) -> int | None:
     for i, q in enumerate(cliques):
         keep = min(KEEP_PER_CLIQUE, len(q))
         start[i] = [
-            (keep - r, sum(1 << v for v in sel), *([nbr[v] for v in sel] + [0, 0])[:2])
+            (keep - r, *sub)
             for r in range(keep, max(keep - extra, 0) - 1, -1)
-            for sel in itertools.combinations(q, r)
+            for sub in kept_subsets(q, r, nbr)
         ]
     nodes = 0
 

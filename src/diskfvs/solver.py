@@ -4,8 +4,8 @@ Pipeline: peel degree <= 1 vertices, split into components, partition the
 peeled graph into cliques, contract each component to its weighted class
 graph, decompose via blowup and projection, then run the clique-constrained
 connectivity DP over the nice decomposition. One greedy_partition of the
-whole peeled graph gives the bounds and the completion, and a component
-that reaches the search or the DP is partitioned on its own subgraph.
+whole peeled graph gives the bounds, the completion and, sliced by
+component and relabelled, the classes of the search and the DP.
 Right after partitioning, the classes q, disjoint cliques, give a proven
 lower bound, sum(max(0, |q| - 2)) (partition.packing_bound),
 split by component. When that exceeds k the answer is "no" with the
@@ -16,7 +16,7 @@ the two bounds and the clique-choice search settle a component before the
 DP; dp_run's gives how they prune the DP.
 
 DP state at a nice-decomposition node: the vertices kept in the bag's
-classes (at most two per class: local_selections) as a bitmask over
+classes (at most two per class: partition.kept_subsets) as a bitmask over
 the component's vertex ids, and the partition of those vertices into
 connected pieces of the partial forest as the sorted tuple of its block
 masks. Each state's row is its forest: the bitmask of every vertex the
@@ -68,12 +68,13 @@ from .partition import (
     conflict_pairs,
     contract,
     greedy_partition,
-    local_selections,
+    kept_subsets,
     packing_bound,
-    packing_cliques,
     packing_completion,
     packing_search,
 )
+# perfbench/tracer.py reads solver.local_selections, so the name stays
+from .partition import local_selections  # noqa: F401
 from .reduction import Kept, Partition, RepresentativeTable, attach, bits_of, rank_reduce
 
 MODES = ("dp-naive", "dp-rank")
@@ -171,24 +172,20 @@ def dp_run(
     """
     if mode not in MODES:
         raise ValidationError(f"dp_run mode must be dp-naive or dp-rank, got {mode!r}")
-    selections = [local_selections(cls, (cls,)) for cls in p.classes]
-    keep_cap = [max(map(len, sels)) for sels in selections]  # the most a class keeps
+    keep_cap = [min(KEEP_PER_CLIQUE, len(cls)) for cls in p.classes]  # the most a class keeps
     slack = max_deletions - packing_bound(p)
     pair_masks = [1 << i | 1 << j for i, j in conflict_pairs(g, p)]
     pruned = 0
     work = 0  # candidate states examined, charged before each batch's work
 
     # masks made once: each vertex's neighbours and each class's vertices
-    # (sums of distinct bits are their unions), and per local selection its
-    # size, its mask and its vertices' neighbours, as attach takes them
+    # (sums of distinct bits are their unions), and each class's moves in
+    # local_selections' order: a kept subset's size and kept_subsets tuple
     nbr_mask = [sum(1 << u for u in a) for a in g.adj]
     class_mask = [sum(1 << v for v in cls) for cls in p.classes]
     moves = [
-        [
-            (len(sel), sum(1 << v for v in sel), *([nbr_mask[v] for v in sel] + [0, 0])[:2])
-            for sel in sels
-        ]
-        for sels in selections
+        [(r, *sub) for r in range(cap + 1) for sub in kept_subsets(cls, r, nbr_mask)]
+        for cls, cap in zip(p.classes, keep_cap)
     ]
     n_nodes = nd.node_count()
     tables: list[_Table] = [{} for _ in range(n_nodes)]
@@ -381,7 +378,9 @@ def component_pipelines(g: Graph) -> list[tuple[Graph, Pipeline]]:
     Returns (subgraph, pipeline) pairs in connected_components order, for
     validate, which reports from them and checks nothing again: building a
     pipeline checked its partition and its decomposition. Each component is
-    partitioned on its own subgraph, as in solve. Every component is
+    partitioned on its own subgraph, which gives the classes solve slices
+    from one whole-graph partition: greedy_partition's degree order
+    restricted to a component is the component's own. Every component is
     decomposed, also those whose packing completion or search lets solve
     skip the decomposition, so validate covers every decomposition the DP
     could face on the instance.
@@ -409,10 +408,10 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     whose weighted width exceeds WIDTH_SAFETY_CAP, or whose DP exceeds
     cfg.state_budget, raises ResourceError, whatever its size.
 
-    The whole peeled graph's partition gives the bounds and, unless they
-    already exceed k, one packing_completion, both split by component; a
-    component that reaches the search or the DP is partitioned on its own
-    subgraph.
+    One greedy_partition of the whole peeled graph gives the bounds and,
+    unless they already exceed k, one packing_completion, both split by
+    component. A component that reaches the search or the DP gets its slice
+    of the same classes, relabelled, so its bound is theirs by construction.
 
     Components are solved smallest first, each with a budget: the
     deletions left once the solved components' minima and the other
@@ -456,10 +455,14 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
         for v in comp:
             comp_of[v] = i
     part = greedy_partition(gp) if comps else KappaPartition(classes=())
-    cliques = packing_cliques(part)
+    # each component's classes, in class order, and its packing bound
+    classes_of: list[list[tuple[int, ...]]] = [[] for _ in comps]
     bounds = [0] * len(comps)
-    for q in cliques:
-        bounds[comp_of[q[0]]] += len(q) - KEEP_PER_CLIQUE
+    for q in part.classes:
+        c = comp_of[q[0]]
+        classes_of[c].append(q)
+        if len(q) > KEEP_PER_CLIQUE:
+            bounds[c] += len(q) - KEEP_PER_CLIQUE
     stats["class_count"] = len(part.classes)
     stats["weighted_width"] = 0
     stats["pruned_rows"] = 0
@@ -471,8 +474,8 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
     greedy_of: list[list[int]] = [[] for _ in comps]
     if rest > cfg.k:  # the loop below then never runs
         # in component order, each component's in class order
-        cliques.sort(key=lambda q: comp_of[q[0]])
-        cliques = [tuple(peel.kept[v] for v in q) for q in cliques]
+        big = [q for qs in classes_of for q in qs if len(q) > KEEP_PER_CLIQUE]
+        cliques = [tuple(peel.kept[v] for v in q) for q in big]
         for c in cliques:
             if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
                 raise InternalError(f"clique-packing certificate: {c} is not a clique")
@@ -498,9 +501,9 @@ def solve(g: Graph, cfg: SolveConfig) -> Solution:
             deleted_reduced.update(greedy)
             stats["bound_solved"] += 1
             continue
-        sub, old_of_new, _ = induced_subgraph(gp, comps[i])
-        # the same degree order as in gp, so part's classes here: bound is its bound
-        sub_part = greedy_partition(sub)
+        sub, old_of_new, new_of_old = induced_subgraph(gp, comps[i])
+        # part's classes in the component, relabelled in order: bound is their bound
+        sub_part = KappaPartition(tuple(tuple(new_of_old[v] for v in q) for q in classes_of[i]))
         # the loop condition gives budget >= bound, and ub - 1 >= bound here
         # unless bound = budget = 0, so limit >= 0
         limit = min(budget, ub - 1)

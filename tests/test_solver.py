@@ -80,6 +80,32 @@ class TestLocalSelections:
                     assert len(sel) <= 2
                     assert is_forest(induced_subgraph(g, sel)[0])
 
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_dp_moves_follow_local_selections(self, monkeypatch, size):
+        # the tracer counts selections and work units with local_selections,
+        # so dp_run's kept subsets must be those, in that order
+        from diskfvs import build_pipeline, dp_run, greedy_partition, solver
+        from diskfvs.partition import kept_subsets
+        from diskfvs.reduction import bits_of
+
+        built = []
+
+        def recording(q, r, nbr):
+            out = kept_subsets(q, r, nbr)
+            built.extend(out)
+            return out
+
+        monkeypatch.setattr(solver, "kept_subsets", recording)
+        g = complete_graph(size)
+        p = greedy_partition(g)
+        assert p.classes == (tuple(range(size)),)
+        dp_run(build_pipeline(g, p).nice, g, p, "dp-naive", g.n)
+        q = p.classes[0]
+        assert [tuple(bits_of(mask)) for mask, _, _ in built] == local_selections(q, (q,))
+        nbr = [sum(1 << u for u in a) for a in g.adj]
+        for mask, nbrs_a, nbrs_b in built:
+            assert [nbrs_a, nbrs_b] == ([nbr[v] for v in bits_of(mask)] + [0, 0])[:2]
+
 
 class TestDpRun:
     def test_single_bag_triangle(self):
@@ -396,6 +422,46 @@ class TestPipeline:
         )
         with pytest.raises(ValidationError, match="subtree"):
             validate_decomposition(nd, path_graph(2))
+
+
+class TestOnePartition:
+    """solve partitions the peeled graph once; the search and the DP get each
+    component's slice of it, relabelled to the component's subgraph."""
+
+    def test_slices_equal_each_components_own_partition(self, monkeypatch):
+        from diskfvs import greedy_partition, solver
+
+        calls = 0
+        searched, built = [], []  # (subgraph, partition) as solve passed them
+
+        def counting(g):
+            nonlocal calls
+            calls += 1
+            return greedy_partition(g)
+
+        def recording(fn, into):
+            def wrapper(g, p, *rest):
+                into.append((g, p))
+                return fn(g, p, *rest)
+
+            return wrapper
+
+        monkeypatch.setattr(solver, "greedy_partition", counting)
+        monkeypatch.setattr(solver, "packing_search", recording(solver.packing_search, searched))
+        monkeypatch.setattr(solver, "build_pipeline", recording(solver.build_pipeline, built))
+        # the pool at k = n, and dense UDGs one below their minimum, where
+        # the floor prunes the DP to a refutation (at k = n, seed 0's DP
+        # runs about 25 times longer)
+        cases = [(random_udg(100, 1.0, s), 100) for s in range(100)]
+        cases += [(random_udg(100, 3.0, s), k) for s, k in ((0, 55), (1, 50), (2, 52))]
+        for objs, k in cases:
+            calls = 0
+            solve(build_intersection_graph(objs), SolveConfig(k=k))
+            assert calls == 1
+        monkeypatch.undo()
+        for g, p in searched + built:
+            assert p == greedy_partition(g)
+        assert len(searched) > 150 and len(built) > 40, (len(searched), len(built))
 
 
 class TestDenseUdg:
